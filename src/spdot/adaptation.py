@@ -122,12 +122,17 @@ def median_sq_distance(points):
     would degenerate to zero and a kernel bandwidth must stay positive.
     """
     pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
+    if pts.shape[0] < 2:
+        return 1.0
+    return _upper_median(manifold.sq_distance_matrix(pts, pts))
+
+
+def _upper_median(d2):
+    """:func:`median_sq_distance` from a set's self-distance matrix ``d2``."""
+    n = d2.shape[0]
     if n < 2:
         return 1.0
-    d2 = manifold.sq_distance_matrix(pts, pts)
-    upper = d2[np.triu_indices(n, k=1)]
-    med = float(np.median(upper))
+    med = float(np.median(d2[np.triu_indices(n, k=1)]))
     # identical points leave only eigensolver noise (~1e-30)
     return med if med > 1e-18 else 1.0
 
@@ -139,13 +144,20 @@ def kde_weights(points, sigma2):
     the self term included, normalized to sum to 1.  Outliers far from the
     bulk receive less than uniform mass, which damps their pull on the
     transport plan.
+
+    ``sigma2`` is a positive float or ``"auto"``; ``"auto"`` takes the
+    :func:`median_sq_distance` of the set, read off the same self-distance
+    matrix the kernel sums, so the set's distances are computed once.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 3 or pts.shape[0] == 0:
         raise InvalidInput("kde_weights needs a nonempty stack of (d, d) matrices")
-    if not sigma2 > 0:
-        raise InvalidInput(f"sigma2 must be positive, got {sigma2}")
+    auto = isinstance(sigma2, str) and sigma2 == "auto"
+    if not auto and (isinstance(sigma2, str) or not sigma2 > 0):
+        raise InvalidInput(f"sigma2 must be positive or 'auto', got {sigma2!r}")
     d2 = manifold.sq_distance_matrix(pts, pts)
+    if auto:
+        sigma2 = _upper_median(d2)
     w = np.exp(-d2 / (2.0 * sigma2)).sum(axis=1)
     return w / w.sum()
 
@@ -189,9 +201,12 @@ def barycentric_map(
     Row ``i`` of the plan, renormalized to sum to 1, weights the targets in a
     Fréchet mean that becomes the adapted ``i``-th point.  With ``top_k``
     set, only the k largest entries of the row are kept (renormalized, rest
-    zeroed) before averaging; plans tend to be sparse, so this trims
-    negligible mass at much lower cost.  A one-hot row maps straight to the
-    corresponding target.
+    zeroed) before averaging.  That is cheaper but not exact: Sinkhorn plans
+    at the default auto lambda are dense.  With n1 = n2 = 200 and d = 8,
+    ``top_k=10`` kept 55-63% of the worst row's mass (85-86% on average)
+    and moved adapted points by up to 0.32 in geodesic distance, against a
+    median source-target distance of 2.97 (measurement in the README).  A
+    one-hot row maps straight to the corresponding target.
 
     Parameters
     ----------
@@ -210,6 +225,10 @@ def barycentric_map(
     ------
     DegeneratePlan
         If some plan row carries no mass.
+    InvalidInput
+        If the plan's shape does not match the sets or it has a negative entry.
+    NotPositiveDefinite
+        If a target is not SPD, whether or not it carries plan mass.
     """
     tgt = np.asarray(target, dtype=float)
     n1, n2 = len(source), tgt.shape[0]
@@ -218,11 +237,12 @@ def barycentric_map(
         raise InvalidInput(
             f"plan shape {gamma.shape} does not match sets ({n1}, {n2})"
         )
+    if (gamma < 0).any():
+        raise InvalidInput("plan has negative entries")
     if top_k is not None and not 1 <= top_k <= n2:
         raise InvalidInput(f"top_k={top_k} outside [1, {n2}]")
 
-    adapted = np.empty_like(tgt, shape=(n1, *tgt.shape[1:]))
-    iterations, residuals = [], []
+    weights = np.empty_like(gamma, dtype=float)
     for i in range(n1):
         row = gamma[i].copy()
         total = row.sum()
@@ -232,9 +252,22 @@ def barycentric_map(
             drop = np.argpartition(row, -top_k)[:-top_k]
             row[drop] = 0.0
             total = row.sum()
+        weights[i] = row / total
+    support = weights > 0
+    # frechet_mean validates the targets of each row's support; the others
+    # are validated here, so every target is checked without re-checking
+    # the whole stack for every row
+    unused = ~support.any(axis=0)
+    if unused.any():
+        manifold.check_spd(tgt[unused], name="target set")
+
+    adapted = np.empty_like(tgt, shape=(n1, *tgt.shape[1:]))
+    iterations, residuals = [], []
+    for i in range(n1):
+        keep = support[i]
         mean, info = manifold.frechet_mean(
-            tgt,
-            row / total,
+            tgt[keep],
+            weights[i, keep],
             tol=mean_tol,
             max_iter=mean_max_iter,
             return_info=True,
@@ -292,14 +325,9 @@ def adapt(source, target, source_labels=None, config=None):
             p = transport.uniform_mass(src.shape[0])
             q = transport.uniform_mass(tgt.shape[0])
         else:
-            sig_src = (
-                median_sq_distance(src) if cfg.kde_sigma == "auto" else float(cfg.kde_sigma)
-            )
-            sig_tgt = (
-                median_sq_distance(tgt) if cfg.kde_sigma == "auto" else float(cfg.kde_sigma)
-            )
-            p = kde_weights(src, sig_src)
-            q = kde_weights(tgt, sig_tgt)
+            sigma2 = "auto" if cfg.kde_sigma == "auto" else float(cfg.kde_sigma)
+            p = kde_weights(src, sigma2)
+            q = kde_weights(tgt, sigma2)
     except SpdotError as exc:
         raise _tag_step(exc, "mass")
 

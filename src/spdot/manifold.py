@@ -203,6 +203,12 @@ def riemannian_distance(P, Q, squared=False):
 def sq_distance_matrix(A, B):
     """Pairwise squared Riemannian distances between two stacks of SPD matrices.
 
+    ``d(A[i], B[j])^2`` is the sum of squared logs of the eigenvalues of
+    ``B[j]^{-1/2} A[i] B[j]^{-1/2}``.  The inverse roots of ``B`` come from
+    one batched eigendecomposition; the congruences and eigenvalues are then
+    taken one source row at a time, so a call holds O(n2 d^2) working memory
+    on top of its ``(n1, n2)`` result rather than O(n1 n2 d^2).
+
     Parameters
     ----------
     A : ndarray, shape (n1, d, d)
@@ -215,15 +221,21 @@ def sq_distance_matrix(A, B):
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
+    if A.ndim != 3 or B.ndim != 3:
+        raise InvalidInput(
+            f"sq_distance_matrix needs (n, d, d) stacks, got {A.shape} and {B.shape}"
+        )
     if A.shape[-2:] != B.shape[-2:]:
         raise InvalidInput(
             f"sq_distance_matrix: dimension mismatch, {A.shape[-2:]} vs {B.shape[-2:]}"
         )
     check_spd(A, name="first set")
     W = invsqrtm(B)  # validates B
-    M = sym(np.einsum("jab,ibc,jcd->ijad", W, A, W))
-    w = np.linalg.eigvalsh(M)
-    return np.sum(np.log(np.maximum(w, 1e-300)) ** 2, axis=-1)
+    out = np.empty((A.shape[0], B.shape[0]))
+    for i, P in enumerate(A):
+        w = np.linalg.eigvalsh(sym(W @ P @ W))
+        out[i] = np.sum(np.log(np.maximum(w, 1e-300)) ** 2, axis=-1)
+    return out
 
 
 def paired_sq_distances(A, B):
@@ -246,8 +258,7 @@ def paired_sq_distances(A, B):
         )
     check_spd(A, name="first set")
     W = invsqrtm(B)  # validates B
-    M = sym(np.einsum("iab,ibc,icd->iad", W, A, W))
-    w = np.linalg.eigvalsh(M)
+    w = np.linalg.eigvalsh(sym(W @ A @ W))
     return np.sum(np.log(np.maximum(w, 1e-300)) ** 2, axis=-1)
 
 
@@ -314,7 +325,8 @@ def frechet_mean(points, weights=None, tol=1e-10, max_iter=200, return_info=Fals
     Parameters
     ----------
     points : array-like, shape (n, d, d)
-        SPD matrices.
+        SPD matrices.  All of them are validated, but only those with
+        positive weight enter the iteration.
     weights : array-like, shape (n,), optional
         Nonnegative weights summing to 1.  Uniform when omitted.
     tol : float, default=1e-10
@@ -364,14 +376,15 @@ def frechet_mean(points, weights=None, tol=1e-10, max_iter=200, return_info=Fals
     residual = np.inf
     for iteration in range(max_iter):
         S, Si = _sqrt_invsqrt(mean, op="frechet_mean")
-        inner = logm(sym(Si @ pts @ Si))
+        # symmetric by construction, so logm/expm's input checks are skipped
+        inner = _eigh_fun(sym(Si @ pts @ Si), np.log, floor=EPS_PD, op="logm")
         T = np.einsum("i,iab->ab", w, inner)
         step = sym(S @ T @ S)
         residual = float(np.linalg.norm(step))
         if residual <= tol:
             info = {"iterations": iteration, "residual": residual}
             return (mean, info) if return_info else mean
-        mean = sym(S @ expm(T) @ S)
+        mean = sym(S @ _eigh_fun(T, np.exp, op="expm") @ S)
     raise ConvergenceFailure(
         f"frechet_mean: residual {residual:.3e} > tol {tol:.1e} "
         f"after {max_iter} iterations",

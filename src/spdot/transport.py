@@ -15,7 +15,6 @@ Solvers are sequential fixed-point iterations internally; invocations on
 distinct instances are independent and thread-safe.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -198,23 +197,6 @@ def exact_ot(cost, p=None, q=None):
     gamma = np.zeros_like(C)
     gamma[rows, cols] = 1.0 / n1
     return TransportPlan(gamma, p, q).validate()
-
-
-def brute_force_ot(cost):
-    """Exhaustive assignment search; exponential, for cross-checking only."""
-    C = _cost_array(cost)
-    n = C.shape[0]
-    if C.shape[1] != n:
-        raise UnsupportedInstance("brute_force_ot needs a square cost")
-    best, best_perm = np.inf, None
-    for perm in itertools.permutations(range(n)):
-        total = sum(C[i, perm[i]] for i in range(n))
-        if total < best:
-            best, best_perm = total, perm
-    gamma = np.zeros_like(C)
-    for i, j in enumerate(best_perm):
-        gamma[i, j] = 1.0 / n
-    return gamma, best / n
 
 
 def adaptive_lambda(cost):

@@ -5,7 +5,12 @@ from conftest import make_spd, random_invertible, reference_frechet_mean
 from spdot import adaptation as ad
 from spdot import manifold as mf
 from spdot import transport as tp
-from spdot.errors import DegeneratePlan, InvalidInput, UnsupportedInstance
+from spdot.errors import (
+    DegeneratePlan,
+    InvalidInput,
+    NotPositiveDefinite,
+    UnsupportedInstance,
+)
 
 
 class TestConfig:
@@ -69,8 +74,16 @@ class TestKdeWeights:
         assert (w[:-1] > 1.0 / 6.0).all()
 
     def test_sigma_validation(self):
-        with pytest.raises(InvalidInput):
-            ad.kde_weights(make_spd(2, 2, seed=4), 0.0)
+        for sigma2 in (0.0, "median"):
+            with pytest.raises(InvalidInput):
+                ad.kde_weights(make_spd(2, 2, seed=4), sigma2)
+
+    def test_auto_sigma_is_median_sq_distance(self):
+        for pts in (make_spd(3, 7, seed=5), make_spd(2, 1, seed=6)):
+            assert np.array_equal(
+                ad.kde_weights(pts, "auto"),
+                ad.kde_weights(pts, ad.median_sq_distance(pts)),
+            )
 
 
 def _sym_basis_5():
@@ -150,6 +163,30 @@ class TestBarycentricMap:
         out = ad.barycentric_map(make_spd(3, 2, seed=18), tgt, plan)
         assert np.array_equal(out[0], tgt[2])
         assert np.array_equal(out[1], tgt[0])
+        perm = np.array([3, 0, 2, 1])
+        plan = tp.TransportPlan(np.eye(4)[perm] / 4, None, None)
+        out = ad.barycentric_map(make_spd(3, 4, seed=18), tgt, plan)
+        assert np.array_equal(out, tgt[perm])
+
+    def test_rejects_bad_target_without_mass(self):
+        # target 2 gets no mass (directly, or after top-k truncation) but
+        # must still be validated
+        tgt = make_spd(2, 3, seed=17)
+        tgt[2] = np.diag([1.0, -1.0])
+        src = make_spd(2, 2, seed=18)
+        for gamma, top_k in (
+            ([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]], None),
+            ([[0.3, 0.1, 0.1], [0.1, 0.3, 0.1]], 2),
+        ):
+            plan = tp.TransportPlan(np.array(gamma), None, None)
+            with pytest.raises(NotPositiveDefinite):
+                ad.barycentric_map(src, tgt, plan, top_k=top_k)
+
+    def test_negative_plan_entry_rejected(self):
+        tgt = make_spd(2, 2, seed=19)
+        plan = tp.TransportPlan(np.array([[0.6, -0.1], [0.0, 0.5]]), None, None)
+        with pytest.raises(InvalidInput):
+            ad.barycentric_map(make_spd(2, 2, seed=20), tgt, plan)
 
     def test_duplicate_targets(self):
         Q = make_spd(2, 1, seed=19)[0]

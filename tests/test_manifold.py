@@ -121,15 +121,17 @@ class TestDistance:
         )
 
     def test_distance_matrix_agrees_with_scalar(self):
-        A = make_spd(3, 4, seed=25)
-        B = make_spd(3, 5, seed=26)
-        D2 = mf.sq_distance_matrix(A, B)
-        assert D2.shape == (4, 5)
-        for i in [0, 3]:
-            for j in [0, 4]:
-                assert D2[i, j] == pytest.approx(
-                    mf.riemannian_distance(A[i], B[j], squared=True), rel=1e-9
-                )
+        # the batched kernel against scipy's generalized eigvalsh, every pair
+        for dim in (2, 3, 4, 16):
+            A = make_spd(dim, 4, seed=25)
+            B = make_spd(dim, 5, seed=26)
+            D2 = mf.sq_distance_matrix(A, B)
+            assert D2.shape == (4, 5)
+            for i in range(4):
+                for j in range(5):
+                    assert D2[i, j] == pytest.approx(
+                        mf.riemannian_distance(A[i], B[j], squared=True), rel=1e-10
+                    )
 
     def test_paired_distances(self):
         A = make_spd(4, 3, seed=27)
@@ -139,6 +141,18 @@ class TestDistance:
             assert d2[i] == pytest.approx(
                 mf.riemannian_distance(A[i], B[i], squared=True), rel=1e-9
             )
+        assert np.array_equal(d2, np.diag(mf.sq_distance_matrix(A, B)))
+
+    def test_distance_matrix_rejects_non_spd(self):
+        good = make_spd(2, 3, seed=29)
+        bad = good.copy()
+        bad[1] = np.diag([1.0, -1.0])
+        with pytest.raises(NotPositiveDefinite):
+            mf.sq_distance_matrix(bad, good)
+        with pytest.raises(NotPositiveDefinite):
+            mf.sq_distance_matrix(good, bad)
+        with pytest.raises(InvalidInput):
+            mf.sq_distance_matrix(good[0], good)
 
 
 class TestGeodesic:
@@ -254,6 +268,18 @@ class TestFrechetMean:
             mf.frechet_mean(pts, [-0.1, 1.1])
         with pytest.raises(InvalidInput):
             mf.frechet_mean(pts, [1.0])
+
+    def test_rejects_bad_points(self):
+        # every point is validated, also one with zero weight
+        pts = make_spd(2, 3, seed=59)
+        indefinite = pts.copy()
+        indefinite[2] = np.diag([1.0, -1.0])
+        with pytest.raises(NotPositiveDefinite):
+            mf.frechet_mean(indefinite, [0.5, 0.5, 0.0])
+        skewed = pts.copy()
+        skewed[0, 0, 1] += 0.1
+        with pytest.raises(InvalidInput):
+            mf.frechet_mean(skewed, [0.5, 0.5, 0.0])
 
     def test_convergence_failure_carries_state(self):
         pts = make_spd(3, 4, seed=58)
