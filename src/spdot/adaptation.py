@@ -52,7 +52,8 @@ class AdaptationConfig:
         Keep only the k largest entries of each plan row (renormalized)
         before the barycentric mean; ``None`` keeps dense rows.
     mean_tol, mean_max_iter : float, int
-        Stopping parameters of the per-row Riemannian means.
+        Stopping parameters of the per-row Riemannian means;
+        ``mean_max_iter`` caps the Riemannian Newton steps of each mean.
     sinkhorn_tol, sinkhorn_max_iter : float, int
         Inner Sinkhorn stopping parameters.
     label_tol, label_max_iter : float, int
@@ -124,7 +125,7 @@ def median_sq_distance(points):
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] < 2:
         return 1.0
-    return _upper_median(manifold.sq_distance_matrix(pts, pts))
+    return _upper_median(manifold.sq_distance_matrix(pts))
 
 
 def _upper_median(d2):
@@ -155,7 +156,7 @@ def kde_weights(points, sigma2):
     auto = isinstance(sigma2, str) and sigma2 == "auto"
     if not auto and (isinstance(sigma2, str) or not sigma2 > 0):
         raise InvalidInput(f"sigma2 must be positive or 'auto', got {sigma2!r}")
-    d2 = manifold.sq_distance_matrix(pts, pts)
+    d2 = manifold.sq_distance_matrix(pts)
     if auto:
         sigma2 = _upper_median(d2)
     w = np.exp(-d2 / (2.0 * sigma2)).sum(axis=1)
@@ -219,7 +220,8 @@ def barycentric_map(
     mean_tol, mean_max_iter
         Passed to :func:`spdot.manifold.frechet_mean`.
     return_info : bool
-        Also return per-row mean iteration counts and residuals.
+        Also return ``mean_iterations``, the Riemannian Newton steps each
+        row's mean took (0 for a one-hot row), and ``mean_residuals``.
 
     Raises
     ------

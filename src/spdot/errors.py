@@ -26,14 +26,15 @@ class NumericalFailure(SpdotError, ArithmeticError):
 class ConvergenceFailure(SpdotError, RuntimeError):
     """An iterative solver hit its iteration cap before reaching tolerance.
 
-    Carries the last iterate and the residual at which iteration stopped so
-    callers can inspect or resume.
+    Carries the last iterate, the residual at which iteration stopped and
+    the number of iterations run, so callers can inspect or resume.
     """
 
-    def __init__(self, message, last=None, residual=None):
+    def __init__(self, message, last=None, residual=None, iterations=None):
         super().__init__(message)
         self.last = last
         self.residual = residual
+        self.iterations = iterations
 
 
 class UnsupportedInstance(SpdotError, ValueError):

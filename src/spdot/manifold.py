@@ -91,15 +91,17 @@ def sym_eig(M):
         that ``M = V diag(w) V^T``.
     """
     M = check_symmetric(M, name="sym_eig input")
-    try:
-        w, V = np.linalg.eigh(M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
+    w, V = _eigh(M, op="sym_eig")
     return w[::-1].copy(), V[:, ::-1].copy()
 
 
-def _eigh_fun(M, fn, floor=None, op="matrix function"):
-    """Apply a scalar map to the eigenvalues of a symmetric matrix (batched)."""
+def _eigh(M, floor=None, op="matrix function"):
+    """Eigendecomposition ``(w, V)`` of a symmetric matrix (batched).
+
+    Raises :class:`NumericalFailure` if the eigensolver fails and, with
+    ``floor`` set, :class:`NotPositiveDefinite` if an eigenvalue is at or
+    below it.  Eigenvalues come in ascending order.
+    """
     try:
         w, V = np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
@@ -110,8 +112,13 @@ def _eigh_fun(M, fn, floor=None, op="matrix function"):
             raise NotPositiveDefinite(
                 f"{op} needs eigenvalues > {floor:.1e}, got {wmin:.3e}"
             )
-    out = (V * fn(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
-    return sym(out)
+    return w, V
+
+
+def _eigh_fun(M, fn, floor=None, op="matrix function"):
+    """Apply a scalar map to the eigenvalues of a symmetric matrix (batched)."""
+    w, V = _eigh(M, floor, op)
+    return sym((V * fn(w)[..., None, :]) @ np.swapaxes(V, -1, -2))
 
 
 def logm(P, eps_pd=EPS_PD):
@@ -146,15 +153,7 @@ def powm(P, t, eps_pd=EPS_PD):
 
 def _sqrt_invsqrt(P, eps_pd=EPS_PD, op="sqrt/invsqrt"):
     """Square root and inverse square root from a single eigendecomposition."""
-    try:
-        w, V = np.linalg.eigh(P)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition failed in {op}: {exc}") from exc
-    wmin = w[..., 0].min()
-    if wmin <= eps_pd:
-        raise NotPositiveDefinite(
-            f"{op} needs eigenvalues > {eps_pd:.1e}, got {wmin:.3e}"
-        )
+    w, V = _eigh(P, eps_pd, op)
     s = np.sqrt(w)
     Vt = np.swapaxes(V, -1, -2)
     return sym((V * s[..., None, :]) @ Vt), sym((V * (1.0 / s)[..., None, :]) @ Vt)
@@ -200,7 +199,7 @@ def riemannian_distance(P, Q, squared=False):
     return d2 if squared else np.sqrt(d2)
 
 
-def sq_distance_matrix(A, B):
+def sq_distance_matrix(A, B=None):
     """Pairwise squared Riemannian distances between two stacks of SPD matrices.
 
     ``d(A[i], B[j])^2`` is the sum of squared logs of the eigenvalues of
@@ -209,18 +208,23 @@ def sq_distance_matrix(A, B):
     taken one source row at a time, so a call holds O(n2 d^2) working memory
     on top of its ``(n1, n2)`` result rather than O(n1 n2 d^2).
 
+    With ``B`` omitted, the self-distances of ``A`` are computed from their
+    strict upper triangle (n(n-1)/2 eigensolves rather than n^2), mirrored,
+    with zeros on the diagonal, so the result is exactly symmetric.
+
     Parameters
     ----------
     A : ndarray, shape (n1, d, d)
-    B : ndarray, shape (n2, d, d)
+    B : ndarray, shape (n2, d, d), optional
 
     Returns
     -------
     ndarray, shape (n1, n2)
         ``out[i, j] = d(A[i], B[j])^2``.
     """
+    self_distances = B is None
     A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
+    B = A if self_distances else np.asarray(B, dtype=float)
     if A.ndim != 3 or B.ndim != 3:
         raise InvalidInput(
             f"sq_distance_matrix needs (n, d, d) stacks, got {A.shape} and {B.shape}"
@@ -229,12 +233,16 @@ def sq_distance_matrix(A, B):
         raise InvalidInput(
             f"sq_distance_matrix: dimension mismatch, {A.shape[-2:]} vs {B.shape[-2:]}"
         )
-    check_spd(A, name="first set")
+    if not self_distances:
+        check_spd(A, name="first set")
     W = invsqrtm(B)  # validates B
-    out = np.empty((A.shape[0], B.shape[0]))
+    out = np.zeros((A.shape[0], B.shape[0]))
     for i, P in enumerate(A):
-        w = np.linalg.eigvalsh(sym(W @ P @ W))
-        out[i] = np.sum(np.log(np.maximum(w, 1e-300)) ** 2, axis=-1)
+        cols = slice(i + 1, None) if self_distances else slice(None)
+        w = np.linalg.eigvalsh(sym(W[cols] @ P @ W[cols]))
+        out[i, cols] = np.sum(np.log(np.maximum(w, 1e-300)) ** 2, axis=-1)
+    if self_distances:
+        out += out.T
     return out
 
 
@@ -311,16 +319,83 @@ def tangent_norm(P, A):
     return float(np.linalg.norm(Si @ np.asarray(A, dtype=float) @ Si))
 
 
+def _karcher_hessian(U, L, w):
+    """Whitened Riemannian Hessian of ``f(X) = 1/2 sum_j w_j d(X, P_j)^2``.
+
+    The whitened points ``X^{-1/2} P_j X^{-1/2} = U_j diag(exp(L_j)) U_j^T``
+    determine it.  Returns the map::
+
+        H[D] = sum_j w_j U_j ((U_j^T D U_j) * K_j) U_j^T,
+        K_j[a, b] = h(L_ja - L_jb),  h(x) = (x/2) / tanh(x/2),  h(0) = 1,
+
+    so that ``<D, H[D]>`` is the second derivative of
+    ``t -> f(X^{1/2} exp(tD) X^{1/2})`` at 0.  ``h >= 1`` and the weights
+    sum to 1, hence ``H >= I``.
+    """
+    n, d = L.shape
+    half = 0.5 * (L[:, :, None] - L[:, None, :])
+    K = np.ones_like(half)
+    np.divide(half, np.tanh(half), out=K, where=half != 0)
+    WK = w[:, None, None] * K
+    Ut = np.swapaxes(U, -1, -2)
+    # [U_1 ... U_n] side by side, so the outer products and the sum over j
+    # are one (d, nd) @ (nd, d) product each
+    Ucat = U.transpose(1, 0, 2).reshape(d, n * d)
+    Ucat_t = np.ascontiguousarray(Ucat.T)
+
+    def hess(D):
+        inner = (Ucat_t @ D).reshape(n, d, d) @ U
+        inner *= WK
+        return Ucat @ (inner @ Ut).reshape(n * d, d)
+
+    return hess
+
+
+def _newton_direction(hess, T):
+    """Solve ``hess(D) = T`` by conjugate gradients from ``D = 0``.
+
+    ``hess`` is the map of :func:`_karcher_hessian`, so ``H >= I`` makes the
+    solve well posed and ``||D||_F <= ||T||_F``.  Stops at
+    ``||T - H[D]||_F <= 1e-8 ||T||_F`` or after ``d(d+1)/2`` steps, the
+    dimension of the symmetric matrices, where exact arithmetic would have
+    converged.
+    """
+    d = T.shape[-1]
+    D = np.zeros_like(T)
+    r = T.copy()
+    p = r.copy()
+    rr = np.vdot(r, r)
+    stop = 1e-16 * rr  # ||r||_F <= 1e-8 ||T||_F
+    for _ in range(d * (d + 1) // 2):
+        if rr <= stop:
+            break
+        Hp = hess(p)
+        alpha = rr / np.vdot(p, Hp)
+        D += alpha * p
+        r -= alpha * Hp
+        rr, rr_old = np.vdot(r, r), rr
+        p = r + (rr / rr_old) * p
+    return sym(D)
+
+
 def frechet_mean(points, weights=None, tol=1e-10, max_iter=200, return_info=False):
     """Weighted Fréchet (Karcher) mean of SPD matrices.
 
-    Minimizes ``sum_i w_i d(P, P_i)^2`` by fixed-point iteration: average the
-    logarithms of the points in the tangent space at the current estimate,
-    then shoot back with the exponential map.  The estimate is initialized at
-    the weighted arithmetic mean and iteration stops once the tangent-space
-    average ``S = sum_i w_i Log_P(P_i)`` satisfies ``||S||_F <= tol``, so the
-    returned matrix meets that first-order condition.  The problem is
-    strictly convex on the SPD cone, hence the minimizer is unique.
+    Minimizes ``f(X) = 1/2 sum_i w_i d(X, P_i)^2`` by Riemannian Newton
+    steps.  At the current estimate ``X`` the whitened points
+    ``X^{-1/2} P_i X^{-1/2}`` are eigendecomposed once; their weighted
+    logarithm average ``T`` is the whitened negative gradient, and the same
+    eigenvectors give the Hessian ``H`` (see :func:`_karcher_hessian`).
+    Conjugate gradients solves ``H[D] = T`` and the estimate moves to
+    ``X^{1/2} exp(D) X^{1/2}``.  Because ``H >= I``, the Newton step is
+    never longer than the unit-step fixed-point step ``D = T``, and near
+    the mean it converges quadratically.
+
+    The estimate starts at the weighted arithmetic mean and iteration stops
+    once the tangent-space average ``S = sum_i w_i Log_X(P_i) = X^{1/2} T
+    X^{1/2}`` satisfies ``||S||_F <= tol``, so the returned matrix meets
+    that first-order condition.  The problem is strictly convex on the SPD
+    cone, hence the minimizer is unique.
 
     Parameters
     ----------
@@ -332,9 +407,10 @@ def frechet_mean(points, weights=None, tol=1e-10, max_iter=200, return_info=Fals
     tol : float, default=1e-10
         Stopping threshold on the Frobenius norm of the tangent average.
     max_iter : int, default=200
-        Iteration cap.
+        Cap on Newton steps.
     return_info : bool, default=False
-        Also return ``{"iterations": k, "residual": r}``.
+        Also return ``{"iterations": k, "residual": r}``, where ``k`` is
+        the number of Newton steps taken.
 
     Returns
     -------
@@ -345,7 +421,8 @@ def frechet_mean(points, weights=None, tol=1e-10, max_iter=200, return_info=Fals
     Raises
     ------
     ConvergenceFailure
-        If the cap is hit; carries the last iterate and residual.
+        If the cap is hit; carries the last iterate, the last residual and
+        the iteration count.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 3 or pts.shape[0] == 0:
@@ -376,20 +453,23 @@ def frechet_mean(points, weights=None, tol=1e-10, max_iter=200, return_info=Fals
     residual = np.inf
     for iteration in range(max_iter):
         S, Si = _sqrt_invsqrt(mean, op="frechet_mean")
-        # symmetric by construction, so logm/expm's input checks are skipped
-        inner = _eigh_fun(sym(Si @ pts @ Si), np.log, floor=EPS_PD, op="logm")
-        T = np.einsum("i,iab->ab", w, inner)
-        step = sym(S @ T @ S)
-        residual = float(np.linalg.norm(step))
+        # symmetric by construction, so only the log's PD floor is checked
+        lam, U = _eigh(sym(Si @ pts @ Si), floor=EPS_PD, op="logm")
+        L = np.log(lam)
+        logs = (U * L[:, None, :]) @ np.swapaxes(U, -1, -2)
+        T = sym(np.einsum("i,iab->ab", w, logs))
+        residual = float(np.linalg.norm(sym(S @ T @ S)))
         if residual <= tol:
             info = {"iterations": iteration, "residual": residual}
             return (mean, info) if return_info else mean
-        mean = sym(S @ _eigh_fun(T, np.exp, op="expm") @ S)
+        D = _newton_direction(_karcher_hessian(U, L, w), T)
+        mean = sym(S @ _eigh_fun(D, np.exp, op="expm") @ S)
     raise ConvergenceFailure(
         f"frechet_mean: residual {residual:.3e} > tol {tol:.1e} "
         f"after {max_iter} iterations",
         last=mean,
         residual=residual,
+        iterations=max_iter,
     )
 
 

@@ -255,7 +255,8 @@ def sinkhorn(cost, p=None, q=None, lam=1.0, tol=1e-9, max_iter=10000):
     NumericalFailure
         If a whole kernel row/column underflows; lower ``lam``.
     ConvergenceFailure
-        If ``max_iter`` is exhausted; carries the last plan and residual.
+        If ``max_iter`` is exhausted; carries the last plan, the residual
+        and the iteration count.
     """
     C = _cost_array(cost)
     n1, n2 = C.shape
@@ -289,8 +290,9 @@ def sinkhorn(cost, p=None, q=None, lam=1.0, tol=1e-9, max_iter=10000):
         raise ConvergenceFailure(
             f"sinkhorn: relative change {delta:.3e} > tol {tol:.1e} "
             f"after {max_iter} iterations",
-            last=u[:, None] * K * (q / (K.T @ u))[None, :],
+            last=u[:, None] * K * v[None, :],
             residual=delta,
+            iterations=max_iter,
         )
     v = q / (K.T @ u)
     gamma = u[:, None] * K * v[None, :]
@@ -389,4 +391,5 @@ def sinkhorn_with_labels(
         f"after {max_iter} outer iterations",
         last=plan,
         residual=delta,
+        iterations=max_iter,
     )

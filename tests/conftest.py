@@ -31,6 +31,17 @@ def make_spd_unit_floor(dim, count, seed, scale=1.0):
     return G @ np.swapaxes(G, -1, -2) / dim + np.eye(dim)
 
 
+def make_wide_spd(dim, count, seed, spread):
+    """Random SPD stack ``exp(spread * sym(N))``, N standard normal.
+
+    Log-eigenvalues spread by several units, so the points are far apart
+    and ill-conditioned; built with scipy's ``expm``, not the package's.
+    """
+    rng = np.random.default_rng(seed)
+    N = rng.standard_normal((count, dim, dim))
+    return np.stack([scipy.linalg.expm(spread * (M + M.T) / 2) for M in N])
+
+
 def make_tangent(dim, seed, norm=None):
     """Random symmetric matrix, optionally rescaled to a given Frobenius norm."""
     rng = np.random.default_rng(seed)

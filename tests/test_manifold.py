@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
     make_spd,
     make_spd_unit_floor,
     make_tangent,
+    make_wide_spd,
     random_invertible,
     reference_distance,
     reference_frechet_mean,
@@ -153,6 +155,19 @@ class TestDistance:
             mf.sq_distance_matrix(good, bad)
         with pytest.raises(InvalidInput):
             mf.sq_distance_matrix(good[0], good)
+        with pytest.raises(NotPositiveDefinite):
+            mf.sq_distance_matrix(bad)
+
+    def test_self_distances_from_upper_triangle(self):
+        for dim in (2, 4, 8):
+            A = make_spd(dim, 7, seed=30)
+            D2 = mf.sq_distance_matrix(A)
+            full = mf.sq_distance_matrix(A, A)
+            assert np.array_equal(D2, D2.T)
+            assert (np.diag(D2) == 0.0).all()
+            off = ~np.eye(7, dtype=bool)
+            np.testing.assert_allclose(D2[off], full[off], rtol=1e-10)
+        assert np.array_equal(mf.sq_distance_matrix(A[:1]), np.zeros((1, 1)))
 
 
 class TestGeodesic:
@@ -287,6 +302,53 @@ class TestFrechetMean:
             mf.frechet_mean(pts, tol=1e-10, max_iter=1)
         assert err.value.last is not None
         assert err.value.residual > 1e-10
+        assert err.value.iterations == 1
+
+    def test_hessian_matches_second_derivative(self):
+        # <D, H[D]> against central differences of f along the geodesic
+        # X^{1/2} exp(tD) X^{1/2}, with f through scipy's generalized eigvalsh
+        pts = make_wide_spd(3, 5, seed=63, spread=1.5)
+        w = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
+        S = scipy.linalg.sqrtm(make_spd(3, 1, seed=64)[0]).real
+        Si = np.linalg.inv(S)
+        lam, U = np.linalg.eigh(mf.sym(Si @ pts @ Si))
+        hess = mf._karcher_hessian(U, np.log(lam), w)
+
+        def f(t):
+            Y = S @ scipy.linalg.expm(t * D) @ S
+            Y = (Y + Y.T) / 2
+            return 0.5 * sum(
+                wi * mf.riemannian_distance(Y, P, squared=True)
+                for wi, P in zip(w, pts)
+            )
+
+        for seed in (65, 66, 67):
+            D = make_tangent(3, seed=seed)
+            h = 1e-3
+            second = (f(h) - 2 * f(0.0) + f(-h)) / h**2
+            assert np.vdot(D, hess(D)) == pytest.approx(second, rel=1e-6)
+
+        # the Newton solve: H[D] = T to 1e-8, never longer than T
+        T = make_tangent(3, seed=68)
+        D = mf._newton_direction(hess, T)
+        assert np.linalg.norm(hess(D) - T) <= 1e-8 * np.linalg.norm(T)
+        assert np.linalg.norm(D) <= np.linalg.norm(T)
+
+    def test_wide_spread_converges(self):
+        # far-apart, ill-conditioned points: the unit-step fixed point
+        # oscillates on this set and raises at its cap of 200 steps
+        pts = make_wide_spd(4, 30, seed=0, spread=2.0)
+        mean, info = mf.frechet_mean(pts, return_info=True)
+        assert info["residual"] <= 1e-10
+        assert info["iterations"] <= 8
+        grad = np.mean(mf.log_map(mean, pts), axis=0)
+        assert np.linalg.norm(grad) <= 1e-10
+
+    def test_newton_step_count(self):
+        # quadratic convergence: the unit-step fixed point needs 72 steps here
+        pts = make_wide_spd(8, 30, seed=0, spread=1.0)
+        _, info = mf.frechet_mean(pts, return_info=True)
+        assert info["iterations"] <= 8
 
 
 class TestTangentCoordinates:

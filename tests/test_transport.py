@@ -180,6 +180,7 @@ class TestSinkhorn:
         with pytest.raises(ConvergenceFailure) as err:
             tp.sinkhorn(C, lam=500.0, tol=1e-12, max_iter=3)
         assert err.value.last is not None
+        assert err.value.iterations == 3
 
 
 class TestSinkhornWithLabels:
@@ -231,6 +232,7 @@ class TestSinkhornWithLabels:
             tp.sinkhorn_with_labels(self.C0, labels=self.labels, lam=4.0, eta=1.0)
         assert isinstance(err.value.last, tp.TransportPlan)
         assert err.value.residual > 1e-8
+        assert err.value.iterations == 50
 
     def test_penalty_value_direct(self):
         gamma = np.array([[0.3, 0.1], [0.1, 0.0], [0.0, 0.2], [0.1, 0.2]])
