@@ -55,7 +55,9 @@ class AdaptationConfig:
         Stopping parameters of the per-row Riemannian means;
         ``mean_max_iter`` caps the Riemannian Newton steps of each mean.
     sinkhorn_tol, sinkhorn_max_iter : float, int
-        Inner Sinkhorn stopping parameters.
+        Stopping parameters of each Sinkhorn solve: the single solve of
+        "sinkhorn", and each majorization step's solve of
+        "sinkhorn-labels".
     label_tol, label_max_iter : float, int
         Outer-loop stopping parameters for "sinkhorn-labels".
     seed : int or None
@@ -309,6 +311,11 @@ def adapt(source, target, source_labels=None, config=None):
     Returns
     -------
     AdaptationResult
+        Its ``diagnostics`` hold the map's ``mean_iterations`` and
+        ``mean_residuals`` (see :func:`barycentric_map`), and the plan
+        solver's ``plan_iterations`` (Sinkhorn scaling iterations, summed
+        over majorization steps) and ``plan_outer_iterations`` (1 for
+        "sinkhorn"), both ``None`` for "exact".
     """
     cfg = config or AdaptationConfig()
     src = np.asarray(source, dtype=float)
@@ -340,6 +347,7 @@ def adapt(source, target, source_labels=None, config=None):
 
     lambda_used = None
     eta_used = None
+    plan_info = {"iterations": None, "outer_iterations": None}
     try:
         if cfg.solver == "exact":
             plan = transport.exact_ot(cost, p, q)
@@ -350,13 +358,14 @@ def adapt(source, target, source_labels=None, config=None):
                 else float(cfg.lam)
             )
             if cfg.solver == "sinkhorn":
-                plan = transport.sinkhorn(
+                plan, plan_info = transport.sinkhorn(
                     cost,
                     p,
                     q,
                     lambda_used,
                     tol=cfg.sinkhorn_tol,
                     max_iter=cfg.sinkhorn_max_iter,
+                    return_info=True,
                 )
             else:
                 eta_used = (
@@ -364,7 +373,7 @@ def adapt(source, target, source_labels=None, config=None):
                     if cfg.eta is None
                     else float(cfg.eta)
                 )
-                plan = transport.sinkhorn_with_labels(
+                plan, plan_info = transport.sinkhorn_with_labels(
                     cost,
                     p,
                     q,
@@ -375,6 +384,7 @@ def adapt(source, target, source_labels=None, config=None):
                     max_iter=cfg.label_max_iter,
                     sinkhorn_tol=cfg.sinkhorn_tol,
                     sinkhorn_max_iter=cfg.sinkhorn_max_iter,
+                    return_info=True,
                 )
     except SpdotError as exc:
         raise _tag_step(exc, "plan")
@@ -399,7 +409,11 @@ def adapt(source, target, source_labels=None, config=None):
         cost=cost,
         lambda_used=lambda_used,
         eta_used=eta_used,
-        diagnostics=info,
+        diagnostics={
+            **info,
+            "plan_iterations": plan_info["iterations"],
+            "plan_outer_iterations": plan_info["outer_iterations"],
+        },
     )
 
 

@@ -154,7 +154,11 @@ def cmd_adapt(args):
         {
             "lambda_used": result.lambda_used,
             "eta_used": result.eta_used,
-            "plan": _plan_stats(result.plan, result.cost),
+            "plan": {
+                **_plan_stats(result.plan, result.cost),
+                "iterations": result.diagnostics["plan_iterations"],
+                "outer_iterations": result.diagnostics["plan_outer_iterations"],
+            },
             "barycenter": {
                 "iterations": result.diagnostics["mean_iterations"],
                 "residuals": result.diagnostics["mean_residuals"],

@@ -131,10 +131,33 @@ def _load_timeseries(raw, path):
     )
 
 
+def _indented(value, depth):
+    """``json.dumps(value, indent=1)`` for a value nested ``depth`` levels deep.
+
+    Handles scalars, lists of numbers and lists of such lists.  A list of
+    numbers goes through the C encoder in one call and gets its line breaks
+    spliced in afterwards: no JSON number contains ``", "``.
+    """
+    if not isinstance(value, list) or not value:
+        return json.dumps(value)
+    pad = "\n" + " " * (depth + 1)
+    if isinstance(value[0], list):
+        body = ("," + pad).join(_indented(v, depth + 1) for v in value)
+    else:
+        body = json.dumps(value)[1:-1].replace(", ", "," + pad)
+    return "[" + pad + body + "\n" + " " * depth + "]"
+
+
 def _dump(path, payload):
+    """Write ``json.dump(payload, indent=1)`` and a newline, byte for byte.
+
+    ``payload`` is a flat dict of scalars, lists of numbers and lists of
+    such lists; :func:`_indented` encodes them far faster than the
+    pure-Python indenting encoder.
+    """
+    fields = [f"{json.dumps(k)}: {_indented(v, 1)}" for k, v in payload.items()]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write("{\n " + ",\n ".join(fields) + "\n}\n")
 
 
 def save_spd_dataset(path, matrices, labels=None):

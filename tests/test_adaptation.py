@@ -317,6 +317,26 @@ class TestAdaptPipeline:
         assert res.eta_used == pytest.approx(0.1)
         assert res.adapted_source.shape == (6, 2, 2)
 
+    def test_plan_solver_statistics(self):
+        src = make_spd(2, 6, seed=38)
+        tgt = make_spd(2, 6, seed=39)
+        labels = np.array([0, 0, 0, 1, 1, 1])
+        res = ad.adapt(src, tgt, config=exact_config())
+        assert res.diagnostics["plan_iterations"] is None
+        assert res.diagnostics["plan_outer_iterations"] is None
+        res = ad.adapt(src, tgt, config=ad.AdaptationConfig(solver="sinkhorn", lam=2.0))
+        _, info = tp.sinkhorn(res.cost, lam=2.0, max_iter=100000, return_info=True)
+        assert res.diagnostics["plan_iterations"] == info["iterations"] > 0
+        assert res.diagnostics["plan_outer_iterations"] == 1
+        cfg = ad.AdaptationConfig(solver="sinkhorn-labels", lam=2.0, eta=0.1)
+        res = ad.adapt(src, tgt, labels, cfg)
+        _, info = tp.sinkhorn_with_labels(
+            res.cost, labels=labels, lam=2.0, eta=0.1, sinkhorn_max_iter=100000,
+            return_info=True,
+        )
+        assert res.diagnostics["plan_iterations"] == info["iterations"]
+        assert res.diagnostics["plan_outer_iterations"] == info["outer_iterations"] > 1
+
     def test_labels_auto_eta(self):
         src = make_spd(2, 4, seed=40)
         tgt = make_spd(2, 4, seed=41)

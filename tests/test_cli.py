@@ -49,6 +49,8 @@ class TestAdaptCommand:
         m = 0.05 * np.median(cost)
         assert report["lambda_used"] == pytest.approx(1.0 / (2.0 * m * m))
         assert report["plan"]["marginal_residuals"]["source"] <= 1e-6
+        assert report["plan"]["iterations"] > 0
+        assert report["plan"]["outer_iterations"] == 1
 
     def test_labels_missing_exits_2(self, tmp_path):
         src = write_spd(tmp_path / "s.json", make_spd(2, 4, seed=4))
@@ -64,6 +66,8 @@ class TestAdaptCommand:
         assert code == 0
         report = read_report(out / "report.json")
         assert report["eta_used"] == pytest.approx(0.05)
+        assert report["plan"]["iterations"] > 0
+        assert report["plan"]["outer_iterations"] > 1
         adapted = datasets.load_dataset(out / "adapted.json")
         assert list(adapted.labels) == [0, 0, 1, 1]
 
@@ -241,3 +245,25 @@ class TestFullRoundTrip:
         ds = datasets.load_dataset(path)
         assert np.array_equal(ds.matrices, pts)
         assert list(ds.labels) == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {
+                "kind": "spd",
+                "dim": 2,
+                "matrices": [
+                    [float("nan"), float("inf"), float("-inf"), -0.0],
+                    [5e-324, 1.7976931348623157e308, 1.0, 0.1],
+                ],
+                "labels": [3, -1],
+            },
+            {"kind": "spd", "dim": 1, "matrices": [], "labels": []},
+            {"kind": "timeseries", "channels": 1, "samples": 1,
+             "trials": [[], [2.5]], "labels": None},
+        ],
+    )
+    def test_dump_matches_indented_json(self, tmp_path, payload):
+        path = tmp_path / "d.json"
+        datasets._dump(path, payload)
+        assert path.read_text() == json.dumps(payload, indent=1) + "\n"

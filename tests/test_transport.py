@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import make_wide_spd
+from spdot import manifold as mf
 from spdot import transport as tp
 from spdot.errors import (
     ConvergenceFailure,
@@ -20,6 +22,43 @@ def planted_cost(rng, n=8):
     C = 0.4 + 0.6 * rng.random((n, n))
     C[np.arange(n), rng.permutation(n)] = 0.2 * rng.random(n)
     return C
+
+
+def class_structured_cost(seed, n=48, dim=4, classes=3):
+    """Squared geodesic costs between two class-structured SPD sets, and labels.
+
+    Point ``i`` of either set is ``R E_i R`` with ``R^2 = exp(0.7 sym N)``
+    the centre of class ``i % classes`` and ``E_i = exp(0.6 sym N)``; the
+    target set also carries a random congruence.
+    """
+    labels = np.arange(n) % classes
+    roots = mf.sqrtm(make_wide_spd(dim, classes, seed, 0.7))[labels]
+    source, target = (
+        mf.sym(roots @ make_wide_spd(dim, n, seed + k, 0.6) @ roots) for k in (1, 2)
+    )
+    W = np.eye(dim) + 0.3 * np.random.default_rng(seed).standard_normal((dim, dim))
+    return mf.sq_distance_matrix(source, mf.sym(W @ target @ W.T)), labels
+
+
+def cold_start_labels(C, labels, lam, eta, p=None, q=None, tol=1e-8, max_iter=50):
+    """The label solver's majorization with every step a cold public ``sinkhorn``.
+
+    Returns the plan matrix, the scaling iterations summed over all solves
+    and the number of solves.
+    """
+    G = np.zeros_like(C)
+    prev = None
+    total = 0
+    for outer in range(1, max_iter + 1):
+        plan, info = tp.sinkhorn(C + G, p, q, lam, return_info=True)
+        total += info["iterations"]
+        gamma = plan.matrix
+        if prev is not None and np.abs(gamma - prev).max() <= tol:
+            return gamma, total, outer
+        prev = gamma
+        for y in np.unique(labels):
+            G[labels == y] = eta * 2 * (gamma[labels == y].sum(axis=0) + tp.EPS_REG)
+    raise AssertionError("cold-start reference did not converge")
 
 
 def brute_force_objective(C):
@@ -182,6 +221,15 @@ class TestSinkhorn:
         assert err.value.last is not None
         assert err.value.iterations == 3
 
+    def test_info_counts_scaling_iterations(self):
+        C = np.random.default_rng(19).random((6, 5))
+        plan, info = tp.sinkhorn(C, lam=8.0, return_info=True)
+        k = info["iterations"]
+        assert info["outer_iterations"] == 1 and k > 1
+        assert np.array_equal(tp.sinkhorn(C, lam=8.0, max_iter=k).matrix, plan.matrix)
+        with pytest.raises(ConvergenceFailure):
+            tp.sinkhorn(C, lam=8.0, max_iter=k - 1)
+
 
 class TestSinkhornWithLabels:
     # class 0 strongly prefers the first target column, class 1 is split;
@@ -196,7 +244,44 @@ class TestSinkhornWithLabels:
             labels = rng.integers(0, 3, 5)
             a = tp.sinkhorn_with_labels(C, labels=labels, lam=8.0, eta=0.0).matrix
             b = tp.sinkhorn(C, lam=8.0).matrix
-            assert np.abs(a - b).max() <= 1e-10
+            assert np.array_equal(a, b)
+
+    def test_zero_eta_is_one_solve(self):
+        C = np.random.default_rng(17).random((5, 4))
+        _, info = tp.sinkhorn_with_labels(
+            C, labels=[0, 1, 2, 0, 1], lam=8.0, eta=0.0, return_info=True
+        )
+        _, plain = tp.sinkhorn(C, lam=8.0, return_info=True)
+        assert info == {"iterations": plain["iterations"], "outer_iterations": 1}
+
+    def test_warm_start_matches_cold_reference(self):
+        rng = np.random.default_rng(18)
+        for _ in range(6):
+            n1, n2 = rng.integers(3, 9, size=2)
+            C = rng.random((n1, n2))
+            labels = rng.integers(0, 3, n1)
+            p = rng.random(n1) + 0.2
+            p /= p.sum()
+            want, _, outer = cold_start_labels(C, labels, 5.0, 0.2, p=p)
+            got, info = tp.sinkhorn_with_labels(
+                C, p, labels=labels, lam=5.0, eta=0.2, return_info=True
+            )
+            assert np.abs(got.matrix - want).max() <= 1e-8
+            assert info["outer_iterations"] == outer
+
+    def test_warm_start_saves_scaling_iterations(self):
+        # the plan layer's benchmark size: n = 48, 3 classes, auto lambda,
+        # eta = 2 median(C)
+        C, labels = class_structured_cost(3)
+        lam = tp.adaptive_lambda(C)
+        eta = 2.0 * float(np.median(C))
+        want, cold, outer = cold_start_labels(C, labels, lam, eta)
+        got, info = tp.sinkhorn_with_labels(
+            C, labels=labels, lam=lam, eta=eta, return_info=True
+        )
+        assert np.abs(got.matrix - want).max() <= 1e-8
+        assert info["outer_iterations"] == outer > 2
+        assert info["iterations"] < cold
 
     def test_penalty_strictly_decreases(self):
         base = tp.sinkhorn(self.C0, lam=1.5).matrix
