@@ -14,7 +14,7 @@ is included for evaluating adapted sets.
 runs share no state.
 """
 
-import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,14 +202,12 @@ def barycentric_map(
     """Send each source point to the plan-weighted Riemannian mean of targets.
 
     Row ``i`` of the plan, renormalized to sum to 1, weights the targets in a
-    Fréchet mean that becomes the adapted ``i``-th point.  With ``top_k``
+    Fréchet mean that becomes the adapted ``i``-th point; all rows are
+    iterated together and the targets are validated once.  With ``top_k``
     set, only the k largest entries of the row are kept (renormalized, rest
     zeroed) before averaging.  That is cheaper but not exact: Sinkhorn plans
-    at the default auto lambda are dense.  With n1 = n2 = 200 and d = 8,
-    ``top_k=10`` kept 55-63% of the worst row's mass (85-86% on average)
-    and moved adapted points by up to 0.32 in geodesic distance, against a
-    median source-target distance of 2.97 (measurement in the README).  A
-    one-hot row maps straight to the corresponding target.
+    at the default auto lambda are dense (the README gives the measured
+    effect).  A one-hot row maps straight to the corresponding target.
 
     Parameters
     ----------
@@ -220,7 +218,7 @@ def barycentric_map(
     top_k : int or None
         Must be <= n2 when set.
     mean_tol, mean_max_iter
-        Passed to :func:`spdot.manifold.frechet_mean`.
+        Stopping parameters of each row's :func:`spdot.manifold.frechet_mean`.
     return_info : bool
         Also return ``mean_iterations``, the Riemannian Newton steps each
         row's mean took (0 for a one-hot row), and ``mean_residuals``.
@@ -231,8 +229,10 @@ def barycentric_map(
         If some plan row carries no mass.
     InvalidInput
         If the plan's shape does not match the sets or it has a negative entry.
-    NotPositiveDefinite
-        If a target is not SPD, whether or not it carries plan mass.
+    NotPositiveDefinite, ConvergenceFailure
+        If a target is not SPD, whether or not it carries plan mass, or if
+        a row's mean fails as in :func:`spdot.manifold.frechet_mean`; the
+        message names the lowest failing row.
     """
     tgt = np.asarray(target, dtype=float)
     n1, n2 = len(source), tgt.shape[0]
@@ -246,41 +246,24 @@ def barycentric_map(
     if top_k is not None and not 1 <= top_k <= n2:
         raise InvalidInput(f"top_k={top_k} outside [1, {n2}]")
 
-    weights = np.empty_like(gamma, dtype=float)
-    for i in range(n1):
-        row = gamma[i].copy()
-        total = row.sum()
-        if total <= 0:
-            raise DegeneratePlan(f"plan row {i} carries no mass")
-        if top_k is not None and top_k < n2:
-            drop = np.argpartition(row, -top_k)[:-top_k]
-            row[drop] = 0.0
-            total = row.sum()
-        weights[i] = row / total
-    support = weights > 0
-    # frechet_mean validates the targets of each row's support; the others
-    # are validated here, so every target is checked without re-checking
-    # the whole stack for every row
-    unused = ~support.any(axis=0)
-    if unused.any():
-        manifold.check_spd(tgt[unused], name="target set")
-
-    adapted = np.empty_like(tgt, shape=(n1, *tgt.shape[1:]))
-    iterations, residuals = [], []
-    for i in range(n1):
-        keep = support[i]
-        mean, info = manifold.frechet_mean(
-            tgt[keep],
-            weights[i, keep],
-            tol=mean_tol,
-            max_iter=mean_max_iter,
-            return_info=True,
-        )
-        adapted[i] = mean
-        iterations.append(info["iterations"])
-        residuals.append(info["residual"])
+    totals = gamma.sum(axis=1)
+    if not (totals > 0).all():
+        raise DegeneratePlan(f"plan row {np.argmin(totals > 0)} carries no mass")
+    rows = gamma
+    if top_k is not None and top_k < n2:
+        drop = np.argpartition(gamma, -top_k, axis=1)[:, :-top_k]
+        rows = gamma.copy()
+        np.put_along_axis(rows, drop, 0.0, axis=1)
+        totals = rows.sum(axis=1)
+    manifold.check_spd(tgt, name="target set")
+    adapted, iterations, residuals = manifold._karcher_means(
+        tgt, rows / totals[:, None], mean_tol, mean_max_iter
+    )
     if return_info:
-        return adapted, {"mean_iterations": iterations, "mean_residuals": residuals}
+        return adapted, {
+            "mean_iterations": iterations.tolist(),
+            "mean_residuals": residuals.tolist(),
+        }
     return adapted
 
 
@@ -315,7 +298,8 @@ def adapt(source, target, source_labels=None, config=None):
         ``mean_residuals`` (see :func:`barycentric_map`), and the plan
         solver's ``plan_iterations`` (Sinkhorn scaling iterations, summed
         over majorization steps) and ``plan_outer_iterations`` (1 for
-        "sinkhorn"), both ``None`` for "exact".
+        "sinkhorn"), both ``None`` for "exact", and ``stage_s``, the wall
+        seconds of each stage ("mass", "cost", "plan", "map").
     """
     cfg = config or AdaptationConfig()
     src = np.asarray(source, dtype=float)
@@ -329,6 +313,7 @@ def adapt(source, target, source_labels=None, config=None):
     if cfg.top_k is not None and cfg.top_k > tgt.shape[0]:
         raise InvalidInput(f"top_k={cfg.top_k} exceeds target size {tgt.shape[0]}")
 
+    clock = [time.perf_counter()]
     try:
         if cfg.mass == "uniform":
             p = transport.uniform_mass(src.shape[0])
@@ -339,11 +324,13 @@ def adapt(source, target, source_labels=None, config=None):
             q = kde_weights(tgt, sigma2)
     except SpdotError as exc:
         raise _tag_step(exc, "mass")
+    clock.append(time.perf_counter())
 
     try:
         cost = build_cost(src, tgt, cfg.metric)
     except SpdotError as exc:
         raise _tag_step(exc, "cost")
+    clock.append(time.perf_counter())
 
     lambda_used = None
     eta_used = None
@@ -388,6 +375,7 @@ def adapt(source, target, source_labels=None, config=None):
                 )
     except SpdotError as exc:
         raise _tag_step(exc, "plan")
+    clock.append(time.perf_counter())
 
     try:
         adapted, info = barycentric_map(
@@ -402,6 +390,7 @@ def adapt(source, target, source_labels=None, config=None):
         manifold.check_spd(adapted, name="adapted source")
     except SpdotError as exc:
         raise _tag_step(exc, "map")
+    clock.append(time.perf_counter())
 
     return AdaptationResult(
         adapted_source=adapted,
@@ -413,6 +402,9 @@ def adapt(source, target, source_labels=None, config=None):
             **info,
             "plan_iterations": plan_info["iterations"],
             "plan_outer_iterations": plan_info["outer_iterations"],
+            "stage_s": dict(
+                zip(("mass", "cost", "plan", "map"), np.diff(clock).tolist())
+            ),
         },
     )
 
@@ -431,13 +423,12 @@ def mdm_fit(train, labels, mean_tol=1e-10, mean_max_iter=200):
         raise InvalidInput(
             f"labels shape {labels.shape} does not match {pts.shape[0]} points"
         )
-    means = {}
-    for y in np.unique(labels):
-        members = pts[labels == y]
-        means[y.item() if hasattr(y, "item") else y] = manifold.frechet_mean(
-            members, tol=mean_tol, max_iter=mean_max_iter
-        )
-    return means
+    classes = np.unique(labels)
+    weights = (labels == classes[:, None]).astype(float)
+    weights /= weights.sum(axis=1, keepdims=True)
+    manifold.check_spd(pts, name="mdm_fit points")
+    means, _, _ = manifold._karcher_means(pts, weights, mean_tol, mean_max_iter)
+    return {y.item() if hasattr(y, "item") else y: M for y, M in zip(classes, means)}
 
 
 def mdm_classify(query, means):
@@ -447,9 +438,8 @@ def mdm_classify(query, means):
     """
     if not means:
         raise InvalidInput("mdm_classify needs at least one class mean")
-    best_label, best_d = None, math.inf
-    for y in sorted(means):
-        d = manifold.riemannian_distance(query, means[y])
-        if d < best_d:
-            best_label, best_d = y, d
-    return best_label
+    labels = sorted(means)
+    d2 = manifold.sq_distance_matrix(
+        np.asarray(query, dtype=float)[None], np.stack([means[y] for y in labels])
+    )
+    return labels[int(np.argmin(d2[0]))]  # the first, hence smallest, on ties

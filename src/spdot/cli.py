@@ -54,7 +54,7 @@ def _write_rows_csv(path, header, rows):
             )
 
 
-def _write_report(out_dir, command, config, inputs, body, elapsed):
+def _write_report(out_dir, command, config, inputs, body, elapsed, **timings):
     report = {
         "artifact": {"name": "spdot", "version": __version__},
         "command": command,
@@ -63,7 +63,7 @@ def _write_report(out_dir, command, config, inputs, body, elapsed):
             str(p): {"sha256": datasets.file_digest(p)} for p in inputs
         },
         **body,
-        "timings": {"total_s": elapsed},
+        "timings": {"total_s": elapsed, **timings},
     }
     with open(Path(out_dir) / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, allow_nan=False)
@@ -165,6 +165,7 @@ def cmd_adapt(args):
             },
         },
         elapsed,
+        stage_s=result.diagnostics["stage_s"],
     )
     return EXIT_OK
 
@@ -261,10 +262,7 @@ def cmd_cosine(args):
             n=args.n, channels=args.channels, samples=args.samples,
             ts=args.ts, seed=args.seed,
         )
-        reports = experiments.three_config_comparison(
-            seed=args.seed, n=args.n, channels=args.channels,
-            samples=args.samples, ts=args.ts,
-        )
+        reports = experiments._compare_configs(xs, zs)
     except SpdotError as exc:
         return _fail(EXIT_SOLVER, exc)
     elapsed = time.perf_counter() - start
@@ -312,14 +310,10 @@ def cmd_covariance(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    matrices = np.empty((ds.trials.shape[0], ds.channels, ds.channels))
-    ridges = []
-    for i, trial in enumerate(ds.trials):
-        try:
-            matrices[i], ridge = experiments.covariance(trial, return_ridge=True)
-        except SpdotError as exc:
-            return _fail(EXIT_SOLVER, f"trial {i}: {exc}")
-        ridges.append(ridge)
+    try:
+        matrices, ridges = experiments.covariances(ds.trials, return_ridges=True)
+    except SpdotError as exc:
+        return _fail(EXIT_SOLVER, exc)
     elapsed = time.perf_counter() - start
 
     datasets.save_spd_dataset(out / "covariances.json", matrices, ds.labels)

@@ -86,6 +86,19 @@ def _load_spd(raw, path):
         raise InvalidInput(f"{path}: missing or malformed spd fields ({exc})") from exc
     if dim < 1 or not isinstance(records, list) or not records:
         raise InvalidInput(f"{path}: needs dim >= 1 and a nonempty matrix list")
+    try:  # the whole stack at once; a bad file is re-read record by record
+        flat = np.asarray(records, dtype=float)
+        if flat.shape != (len(records), dim * dim):
+            raise InvalidInput("ragged matrix records")
+        matrices = manifold.check_spd(flat.reshape(-1, dim, dim), name="matrices")
+    except (TypeError, ValueError, SpdotError):
+        matrices = _spd_records(records, dim, path)
+    labels = _check_labels(raw.get("labels"), len(records), path)
+    return SpdDataset(dim=dim, matrices=matrices, labels=labels)
+
+
+def _spd_records(records, dim, path):
+    """Validate ``records`` one by one, naming the first offending record."""
     matrices = np.empty((len(records), dim, dim))
     for i, rec in enumerate(records):
         arr = np.asarray(rec, dtype=float)
@@ -99,8 +112,7 @@ def _load_spd(raw, path):
         except SpdotError as exc:  # symmetry or definiteness violation
             raise InvalidInput(f"{path}: {exc}") from exc
         matrices[i] = M
-    labels = _check_labels(raw.get("labels"), len(records), path)
-    return SpdDataset(dim=dim, matrices=matrices, labels=labels)
+    return matrices
 
 
 def _load_timeseries(raw, path):

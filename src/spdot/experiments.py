@@ -263,25 +263,36 @@ def covariance(trial, eps_pd=manifold.EPS_PD, return_ridge=False):
     With ``return_ridge=True`` also returns the ridge that was added (0.0
     when none was needed).
     """
-    X = np.asarray(trial, dtype=float)
-    if X.ndim != 2 or X.shape[1] < 2:
-        raise InvalidInput(f"covariance needs a (d, M) trial with M >= 2, got {X.shape}")
-    Xc = X - X.mean(axis=1, keepdims=True)
-    C = manifold.sym(Xc @ Xc.T / (X.shape[1] - 1))
-    ridge = 0.0
-    if np.linalg.eigvalsh(C)[0] <= eps_pd:
-        ridge = 1e-8 * np.trace(C) / C.shape[0]
-        C = C + ridge * np.eye(C.shape[0])
-        if np.linalg.eigvalsh(C)[0] <= eps_pd:
-            raise NotPositiveDefinite(
-                "trial covariance is rank-deficient even after ridge repair"
+    C, ridges = covariances([trial], eps_pd, return_ridges=True)
+    return (C[0], ridges[0]) if return_ridge else C[0]
+
+
+def covariances(trials, eps_pd=manifold.EPS_PD, return_ridges=False):
+    """Covariance of every trial in a stack; see :func:`covariance`.
+
+    Each matrix is computed on its own; one batched ``eigvalsh`` then finds
+    the trials that need the ridge.  Errors name the trial.  With
+    ``return_ridges=True`` also returns the list of ridges added.
+    """
+    covs = []
+    for i, trial in enumerate(trials):
+        X = np.asarray(trial, dtype=float)
+        if X.ndim != 2 or X.shape[1] < 2:
+            raise InvalidInput(
+                f"trial {i}: covariance needs a (d, M) trial with M >= 2, got {X.shape}"
             )
-    return (C, ridge) if return_ridge else C
-
-
-def covariances(trials):
-    """Covariance of every trial in a stack; see :func:`covariance`."""
-    return np.stack([covariance(X) for X in trials])
+        Xc = X - X.mean(axis=1, keepdims=True)
+        covs.append(manifold.sym(Xc @ Xc.T / (X.shape[1] - 1)))
+    covs = np.stack(covs)
+    ridges = np.zeros(len(covs))
+    for i in np.flatnonzero(np.linalg.eigvalsh(covs)[:, 0] <= eps_pd):
+        ridges[i] = 1e-8 * np.trace(covs[i]) / covs.shape[-1]
+        covs[i] = covs[i] + ridges[i] * np.eye(covs.shape[-1])
+        if np.linalg.eigvalsh(covs[i])[0] <= eps_pd:
+            raise NotPositiveDefinite(
+                f"trial {i}: covariance is rank-deficient even after ridge repair"
+            )
+    return (covs, ridges.tolist()) if return_ridges else covs
 
 
 CONFIG_RAW_EUCLIDEAN = "raw-euclidean"
@@ -300,6 +311,11 @@ def three_config_comparison(seed=0, n=40, channels=5, samples=101, ts=0.01):
     Returns a dict keyed by ``CONFIG_*`` name, in that order.
     """
     xs, zs = cosine_trials(n=n, channels=channels, samples=samples, ts=ts, seed=seed)
+    return _compare_configs(xs, zs)
+
+
+def _compare_configs(xs, zs):
+    """:func:`three_config_comparison` on given trial stacks."""
     P = covariances(xs)
     Q = covariances(zs)
     costs = {

@@ -330,23 +330,24 @@ def _karcher_hessian(U, L, w):
 
     so that ``<D, H[D]>`` is the second derivative of
     ``t -> f(X^{1/2} exp(tD) X^{1/2})`` at 0.  ``h >= 1`` and the weights
-    sum to 1, hence ``H >= I``.
+    sum to 1, hence ``H >= I``.  Leading axes of ``U (..., n, d, d)``,
+    ``L (..., n, d)``, ``w (..., n)`` and ``D`` index independent problems.
     """
-    n, d = L.shape
-    half = 0.5 * (L[:, :, None] - L[:, None, :])
+    *batch, n, d = L.shape
+    half = 0.5 * (L[..., :, None] - L[..., None, :])
     K = np.ones_like(half)
     np.divide(half, np.tanh(half), out=K, where=half != 0)
-    WK = w[:, None, None] * K
-    Ut = np.swapaxes(U, -1, -2)
+    WK = w[..., None, None] * K
+    Ut = np.ascontiguousarray(np.swapaxes(U, -1, -2))
     # [U_1 ... U_n] side by side, so the outer products and the sum over j
     # are one (d, nd) @ (nd, d) product each
-    Ucat = U.transpose(1, 0, 2).reshape(d, n * d)
-    Ucat_t = np.ascontiguousarray(Ucat.T)
+    Ucat = np.swapaxes(U, -3, -2).reshape(*batch, d, n * d)
+    Ucat_t = Ut.reshape(*batch, n * d, d)
 
     def hess(D):
-        inner = (Ucat_t @ D).reshape(n, d, d) @ U
+        inner = (Ucat_t @ D).reshape(*batch, n, d, d) @ U
         inner *= WK
-        return Ucat @ (inner @ Ut).reshape(n * d, d)
+        return Ucat @ (inner @ Ut).reshape(*batch, n * d, d)
 
     return hess
 
@@ -355,47 +356,126 @@ def _newton_direction(hess, T):
     """Solve ``hess(D) = T`` by conjugate gradients from ``D = 0``.
 
     ``hess`` is the map of :func:`_karcher_hessian`, so ``H >= I`` makes the
-    solve well posed and ``||D||_F <= ||T||_F``.  Stops at
-    ``||T - H[D]||_F <= 1e-8 ||T||_F`` or after ``d(d+1)/2`` steps, the
-    dimension of the symmetric matrices, where exact arithmetic would have
-    converged.
+    solve well posed and ``||D||_F <= ||T||_F``.  Each ``(d, d)`` problem in
+    ``T`` stops on its own at ``||T - H[D]||_F <= 1e-8 ||T||_F`` or after
+    ``d(d+1)/2`` steps, the dimension of the symmetric matrices, where
+    exact arithmetic would have converged.
     """
     d = T.shape[-1]
     D = np.zeros_like(T)
     r = T.copy()
     p = r.copy()
-    rr = np.vdot(r, r)
+    rr = np.sum(r * r, axis=(-2, -1))
     stop = 1e-16 * rr  # ||r||_F <= 1e-8 ||T||_F
     for _ in range(d * (d + 1) // 2):
-        if rr <= stop:
+        live = rr > stop
+        if not live.any():
             break
         Hp = hess(p)
-        alpha = rr / np.vdot(p, Hp)
+        pHp = np.sum(p * Hp, axis=(-2, -1))
+        # stopped problems take zero-length steps
+        alpha = np.divide(rr, pHp, out=np.zeros_like(rr), where=live)[..., None, None]
         D += alpha * p
         r -= alpha * Hp
-        rr, rr_old = np.vdot(r, r), rr
-        p = r + (rr / rr_old) * p
+        rr, rr_old = np.sum(r * r, axis=(-2, -1)), rr
+        beta = np.divide(rr, rr_old, out=np.zeros_like(rr), where=live)
+        p = r + beta[..., None, None] * p
     return sym(D)
+
+
+# Cap on the doubles in one (rows, support, d, d) array of _karcher_means.
+KARCHER_BLOCK_DOUBLES = 2**19
+
+
+def _karcher_means(points, weights, tol, max_iter):
+    """:func:`frechet_mean` of validated ``points`` for each row of ``weights``.
+
+    Returns ``(means, iterations, residuals)``.  A row with one positive
+    weight returns that point bit for bit.  The others iterate together, in
+    blocks that keep a (rows, support, d, d) array under
+    ``KARCHER_BLOCK_DOUBLES``, each row over its positive-weight points
+    padded with zero-weight ones.  A row carries a frame ``F`` with
+    ``F F^T = X`` in place of ``X^{1/2}``: whitening is ``F^{-1} P F^{-T}``,
+    the residual ``||F T F^T||_F`` and a step ``D = Q diag(e) Q^T`` moves
+    ``F`` to ``F Q diag(exp(e/2))``.  By affine invariance the iterates and
+    residuals are those of ``X^{1/2}``, with no eigensolve of ``X`` after
+    the first.  A failure names the lowest failing row.
+    """
+    support = weights > 0
+    counts = support.sum(axis=1)
+    # each row's positive-weight points first, in index order
+    idx = np.argsort(~support, axis=1, kind="stable")
+    w = np.take_along_axis(weights, idx, axis=1)
+    X = points[idx[:, 0]]
+    F, Finv = np.empty_like(X), np.empty_like(X)
+    iterations = np.zeros(len(w), dtype=int)
+    residuals = np.where(counts > 1, np.inf, 0.0)
+    low = np.full(len(w), np.inf)  # least positive-weight whitened eigenvalue
+    rows = np.flatnonzero(counts > 1)
+    block = max(1, KARCHER_BLOCK_DOUBLES // (counts.max() * X[0].size))
+    for start in range(0, rows.size, block):
+        act = rows[start:start + block]  # rows of the block still iterating
+        k = counts[act].max()
+        X[act] = sym(np.einsum("bk,bkij->bij", w[act, :k], points[idx[act, :k]]))
+        lam, V = _eigh(X[act], EPS_PD, op="frechet_mean")
+        F[act] = V * np.sqrt(lam)[:, None, :]
+        Finv[act] = np.swapaxes(V / np.sqrt(lam)[:, None, :], -1, -2)
+        for _ in range(max_iter):
+            Fi = Finv[act][:, None]
+            whitened = sym(Fi @ points[idx[act, :k]] @ np.swapaxes(Fi, -1, -2))
+            lam, U = _eigh(whitened, op="logm")
+            low[act] = np.where(w[act, :k] > 0, lam[..., 0], np.inf).min(axis=1)
+            ok = low[act] > EPS_PD
+            act, lam, U = act[ok], lam[ok], U[ok]
+            L = np.log(np.where(w[act, :k, None] > 0, lam, 1.0))
+            logs = (U * L[..., None, :]) @ np.swapaxes(U, -1, -2)
+            T = sym(np.einsum("bk,bkij->bij", w[act, :k], logs))
+            Fa = F[act]
+            res = np.linalg.norm(sym(Fa @ T @ np.swapaxes(Fa, -1, -2)), axis=(-2, -1))
+            residuals[act] = res
+            go = res > tol
+            act, U, L, T, Fa = act[go], U[go], L[go], T[go], Fa[go]
+            if not act.size:
+                break
+            D = _newton_direction(_karcher_hessian(U, L, w[act, :k]), T)
+            e, Q = _eigh(D, op="expm")
+            F[act] = Fa @ (Q * np.exp(0.5 * e)[:, None, :])
+            Qt = np.swapaxes(Q, -1, -2)
+            Finv[act] = (Qt * np.exp(-0.5 * e)[:, :, None]) @ Finv[act]
+            X[act] = sym(F[act] @ np.swapaxes(F[act], -1, -2))
+            iterations[act] += 1
+    failed = np.flatnonzero((residuals > tol) | (low <= EPS_PD))
+    if not failed.size:
+        return X, iterations, residuals
+    i = failed[0]
+    if low[i] <= EPS_PD:
+        raise NotPositiveDefinite(
+            f"Karcher mean of row {i}: whitened point eigenvalue {low[i]:.3e} "
+            f"<= floor {EPS_PD:.1e} at iteration {iterations[i]} "
+            f"(residual {residuals[i]:.3e})"
+        )
+    raise ConvergenceFailure(
+        f"Karcher mean of row {i}: residual {residuals[i]:.3e} > tol "
+        f"{tol:.1e} after {max_iter} iterations",
+        last=X[i].copy(),
+        residual=float(residuals[i]),
+        iterations=max_iter,
+    )
 
 
 def frechet_mean(points, weights=None, tol=1e-10, max_iter=200, return_info=False):
     """Weighted Fréchet (Karcher) mean of SPD matrices.
 
     Minimizes ``f(X) = 1/2 sum_i w_i d(X, P_i)^2`` by Riemannian Newton
-    steps.  At the current estimate ``X`` the whitened points
-    ``X^{-1/2} P_i X^{-1/2}`` are eigendecomposed once; their weighted
-    logarithm average ``T`` is the whitened negative gradient, and the same
-    eigenvectors give the Hessian ``H`` (see :func:`_karcher_hessian`).
-    Conjugate gradients solves ``H[D] = T`` and the estimate moves to
-    ``X^{1/2} exp(D) X^{1/2}``.  Because ``H >= I``, the Newton step is
-    never longer than the unit-step fixed-point step ``D = T``, and near
-    the mean it converges quadratically.
-
-    The estimate starts at the weighted arithmetic mean and iteration stops
-    once the tangent-space average ``S = sum_i w_i Log_X(P_i) = X^{1/2} T
-    X^{1/2}`` satisfies ``||S||_F <= tol``, so the returned matrix meets
-    that first-order condition.  The problem is strictly convex on the SPD
-    cone, hence the minimizer is unique.
+    steps from the weighted arithmetic mean.  One eigendecomposition of the
+    whitened points ``X^{-1/2} P_i X^{-1/2}`` gives their weighted log
+    average ``T`` (the whitened negative gradient) and the Hessian ``H``
+    (:func:`_karcher_hessian`); conjugate gradients solves ``H[D] = T`` and
+    the estimate moves to ``X^{1/2} exp(D) X^{1/2}``.  ``H >= I``, so a step
+    is never longer than the fixed-point step ``D = T``, and near the mean
+    convergence is quadratic.  Iteration stops once the tangent average
+    ``sum_i w_i Log_X(P_i) = X^{1/2} T X^{1/2}`` has Frobenius norm
+    ``<= tol``.  The problem is strictly convex, so the mean is unique.
 
     Parameters
     ----------
@@ -423,6 +503,8 @@ def frechet_mean(points, weights=None, tol=1e-10, max_iter=200, return_info=Fals
     ConvergenceFailure
         If the cap is hit; carries the last iterate, the last residual and
         the iteration count.
+    NotPositiveDefinite
+        If a whitened point's eigenvalue reaches the log's floor ``EPS_PD``.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 3 or pts.shape[0] == 0:
@@ -439,38 +521,9 @@ def frechet_mean(points, weights=None, tol=1e-10, max_iter=200, return_info=Fals
         if abs(w.sum() - 1.0) > 1e-12:
             raise InvalidInput(f"weights must sum to 1, got {w.sum()!r}")
     check_spd(pts, name="frechet_mean points")
-
-    active = np.flatnonzero(w > 0)
-    if active.size == 0:
-        raise InvalidInput("weights are all zero")
-    if active.size == 1:
-        mean = pts[active[0]].copy()
-        return (mean, {"iterations": 0, "residual": 0.0}) if return_info else mean
-    pts = pts[active]
-    w = w[active]
-
-    mean = sym(np.einsum("i,iab->ab", w, pts))
-    residual = np.inf
-    for iteration in range(max_iter):
-        S, Si = _sqrt_invsqrt(mean, op="frechet_mean")
-        # symmetric by construction, so only the log's PD floor is checked
-        lam, U = _eigh(sym(Si @ pts @ Si), floor=EPS_PD, op="logm")
-        L = np.log(lam)
-        logs = (U * L[:, None, :]) @ np.swapaxes(U, -1, -2)
-        T = sym(np.einsum("i,iab->ab", w, logs))
-        residual = float(np.linalg.norm(sym(S @ T @ S)))
-        if residual <= tol:
-            info = {"iterations": iteration, "residual": residual}
-            return (mean, info) if return_info else mean
-        D = _newton_direction(_karcher_hessian(U, L, w), T)
-        mean = sym(S @ _eigh_fun(D, np.exp, op="expm") @ S)
-    raise ConvergenceFailure(
-        f"frechet_mean: residual {residual:.3e} > tol {tol:.1e} "
-        f"after {max_iter} iterations",
-        last=mean,
-        residual=residual,
-        iterations=max_iter,
-    )
+    means, iterations, residuals = _karcher_means(pts, w[None], tol, max_iter)
+    info = {"iterations": int(iterations[0]), "residual": float(residuals[0])}
+    return (means[0], info) if return_info else means[0]
 
 
 def tangent_coordinates(points, base):

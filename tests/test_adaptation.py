@@ -6,6 +6,7 @@ from spdot import adaptation as ad
 from spdot import manifold as mf
 from spdot import transport as tp
 from spdot.errors import (
+    ConvergenceFailure,
     DegeneratePlan,
     InvalidInput,
     NotPositiveDefinite,
@@ -224,6 +225,36 @@ class TestBarycentricMap:
         out = ad.barycentric_map(make_spd(2, 1, seed=27), tgt, plan, top_k=1)
         assert np.array_equal(out[0], tgt[2])
 
+    def test_rows_match_frechet_mean(self):
+        tgt = make_spd(3, 6, seed=32)
+        gamma = np.random.default_rng(33).random((5, 6))
+        gamma[2] = 0.0
+        gamma[2, 4] = 0.7  # one-hot row
+        plan = tp.TransportPlan(gamma / gamma.sum(), None, None)
+        for top_k in (None, 3):
+            out, info = ad.barycentric_map(
+                make_spd(3, 5, seed=34), tgt, plan, top_k=top_k, return_info=True
+            )
+            for i, row in enumerate(plan.matrix):
+                row = row.copy()
+                if top_k is not None:
+                    row[np.argpartition(row, -top_k)[:-top_k]] = 0.0
+                mean, row_info = mf.frechet_mean(tgt, row / row.sum(), return_info=True)
+                assert mf.riemannian_distance(out[i], mean) <= 1e-12
+                assert info["mean_iterations"][i] == row_info["iterations"]
+            assert np.array_equal(out[2], tgt[4])
+
+    def test_failure_names_row(self):
+        tgt = make_spd(3, 4, seed=35)
+        gamma = np.full((3, 4), 1 / 12)
+        gamma[0] = [0.0, 0.25, 0.0, 0.0]
+        plan = tp.TransportPlan(gamma, None, None)
+        with pytest.raises(ConvergenceFailure, match="row 1") as err:
+            ad.barycentric_map(make_spd(3, 3, seed=36), tgt, plan, mean_max_iter=1)
+        assert err.value.iterations == 1
+        assert err.value.residual > 1e-10
+        assert err.value.last.shape == (3, 3)
+
     def test_zero_row_rejected(self):
         tgt = make_spd(2, 2, seed=28)
         gamma = np.array([[0.0, 0.0], [0.5, 0.5]])
@@ -397,6 +428,16 @@ class TestAdaptPipeline:
         assert len(res.diagnostics["mean_iterations"]) == 4
         assert len(res.diagnostics["mean_residuals"]) == 4
         assert max(res.diagnostics["mean_residuals"]) <= 1e-10
+        stages = res.diagnostics["stage_s"]
+        assert list(stages) == ["mass", "cost", "plan", "map"]
+        assert all(t >= 0.0 for t in stages.values())
+
+    def test_map_failure_tagged(self):
+        src = make_spd(3, 4, seed=53)
+        cfg = ad.AdaptationConfig(solver="sinkhorn", mean_max_iter=1)
+        step = r"^\[step: map\] Karcher mean of row 0"
+        with pytest.raises(ConvergenceFailure, match=step):
+            ad.adapt(src, make_spd(3, 5, seed=54), config=cfg)
 
 
 class TestMdm:
@@ -427,6 +468,11 @@ class TestMdm:
     def test_log_distance_comparison(self):
         means = {0: np.eye(2), 1: np.diag([100.0, 100.0])}
         assert ad.mdm_classify(np.diag([1.1, 1.1]), means) == 0
+
+    def test_tie_goes_to_smallest_label(self):
+        P, Q = make_spd(2, 2, seed=58)
+        assert ad.mdm_classify(P, {3: Q, 1: Q, 2: Q}) == 1
+        assert ad.mdm_classify(P, {3: P, 1: Q, 2: P}) == 2
 
     def test_agrees_with_brute_force(self):
         pts = make_spd(3, 9, seed=56)

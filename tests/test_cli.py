@@ -90,6 +90,24 @@ class TestAdaptCommand:
         assert main(["adapt", str(bad), src, "--out", str(tmp_path / "o")]) == 2
         assert "matrix 1" in capsys.readouterr().err
 
+    def test_first_bad_record_named(self, tmp_path, capsys):
+        # record 1 is not SPD and record 2 has the wrong size: the first wins
+        payload = {
+            "kind": "spd",
+            "dim": 2,
+            "matrices": [[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0], [1.0]],
+            "labels": None,
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        src = write_spd(tmp_path / "s.json", make_spd(2, 2, seed=8))
+        assert main(["adapt", str(bad), src, "--out", str(tmp_path / "o")]) == 2
+        assert "matrix 1 has smallest eigenvalue" in capsys.readouterr().err
+        payload["matrices"][1] = [1.0, 0.0, 0.0, 1.0]
+        bad.write_text(json.dumps(payload))
+        assert main(["adapt", str(bad), src, "--out", str(tmp_path / "o")]) == 2
+        assert "matrix 2 has 1 entries" in capsys.readouterr().err
+
     def test_dim_mismatch_exits_2(self, tmp_path):
         a = write_spd(tmp_path / "a.json", make_spd(2, 3, seed=9))
         b = write_spd(tmp_path / "b.json", make_spd(3, 3, seed=10))
@@ -127,6 +145,7 @@ class TestAdaptCommand:
         for path, meta in report["inputs"].items():
             assert len(meta["sha256"]) == 64
         assert set(report["inputs"]) == {src, tgt}
+        assert set(report["timings"]["stage_s"]) == {"mass", "cost", "plan", "map"}
 
     def test_unknown_flag_exits_2(self, tmp_path):
         assert main(["adapt", "a", "b", "--frobnicate"]) == 2
@@ -179,6 +198,22 @@ class TestCosineAndCovariance:
         ]
         ts = datasets.load_dataset(out / "source_timeseries.json")
         assert ts.trials.shape == (6, 5, 101)
+
+    def test_cosine_draws_trials_once(self, tmp_path, monkeypatch):
+        from spdot import experiments
+
+        calls = []
+        draw = experiments.cosine_trials
+        monkeypatch.setattr(
+            experiments, "cosine_trials", lambda **kw: calls.append(kw) or draw(**kw)
+        )
+        assert main(["cosine", "--n", "5", "--seed", "3", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        want = experiments.three_config_comparison(seed=3, n=5)
+        rows = (tmp_path / "cosine.csv").read_text().splitlines()[1:]
+        assert [float(r.split(",")[1]) for r in rows] == [
+            rep.diagonal_mass for rep in want.values()
+        ]
 
     def test_covariance_roundtrip(self, tmp_path):
         out = tmp_path / "cos"

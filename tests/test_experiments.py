@@ -198,6 +198,31 @@ class TestCovariance:
         with pytest.raises(InvalidInput):
             ex.covariance(np.ones((2, 1)))
 
+    def test_stack_matches_single_trials(self):
+        trials = np.random.default_rng(17).standard_normal((5, 3, 40))
+        trials[1] = np.tile(np.linspace(0.0, 1.0, 40), (3, 1))  # needs a ridge
+        trials[3, 2] = trials[3, 0]
+        covs, ridges = ex.covariances(trials, return_ridges=True)
+        for i, X in enumerate(trials):
+            # one trial at a time, with the arithmetic of the documented formula
+            Xc = X - X.mean(axis=1, keepdims=True)
+            C = mf.sym(Xc @ Xc.T / (X.shape[1] - 1))
+            ridge = 0.0
+            if np.linalg.eigvalsh(C)[0] <= mf.EPS_PD:
+                ridge = 1e-8 * np.trace(C) / C.shape[0]
+                C = C + ridge * np.eye(C.shape[0])
+            assert np.array_equal(covs[i], C)
+            assert ridges[i] == ridge
+            assert np.array_equal(ex.covariance(X), C)
+        assert [i for i, r in enumerate(ridges) if r > 0] == [1, 3]
+        assert np.array_equal(ex.covariances(trials), covs)
+
+    def test_stack_names_failing_trial(self):
+        trials = np.random.default_rng(18).standard_normal((3, 2, 10))
+        trials[2] = 0.0
+        with pytest.raises(NotPositiveDefinite, match="trial 2"):
+            ex.covariances(trials)
+
 
 class TestThreeConfigComparison:
     def test_riemannian_config_near_perfect(self):

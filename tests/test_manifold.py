@@ -351,6 +351,153 @@ class TestFrechetMean:
         assert info["iterations"] <= 8
 
 
+def per_row_karcher(points, weights, tol=1e-10, max_iter=200):
+    """Reference Newton iteration for one weight row.
+
+    Whitens with the symmetric square root of each iterate, recomputed by
+    eigendecomposition at every step, and runs conjugate gradients on the
+    unbatched Hessian with ``vdot`` inner products.  Returns ``(mean,
+    iterations, residual)``.
+    """
+    active = np.flatnonzero(weights > 0)
+    if active.size == 1:
+        return points[active[0]].copy(), 0, 0.0
+    pts, w = points[active], weights[active]
+    mean = mf.sym(np.einsum("i,iab->ab", w, pts))
+    for iteration in range(max_iter):
+        S, Si = mf._sqrt_invsqrt(mean)
+        lam, U = np.linalg.eigh(mf.sym(Si @ pts @ Si))
+        L = np.log(lam)
+        logs = (U * L[:, None, :]) @ np.swapaxes(U, -1, -2)
+        T = mf.sym(np.einsum("i,iab->ab", w, logs))
+        residual = float(np.linalg.norm(mf.sym(S @ T @ S)))
+        if residual <= tol:
+            return mean, iteration, residual
+        hess = mf._karcher_hessian(U, L, w)
+        D, r = np.zeros_like(T), T.copy()
+        p, rr = r.copy(), np.vdot(r, r)
+        stop = 1e-16 * rr
+        for _ in range(T.shape[0] * (T.shape[0] + 1) // 2):
+            if rr <= stop:
+                break
+            Hp = hess(p)
+            alpha = rr / np.vdot(p, Hp)
+            D += alpha * p
+            r -= alpha * Hp
+            rr, rr_old = np.vdot(r, r), rr
+            p = r + (rr / rr_old) * p
+        e, Q = np.linalg.eigh(mf.sym(D))
+        mean = mf.sym(S @ mf.sym((Q * np.exp(e)[None, :]) @ Q.T) @ S)
+    raise ConvergenceFailure("per-row reference did not converge", last=mean)
+
+
+def scipy_karcher_residual(mean, points, weights):
+    """``||M^1/2 (sum_j w_j logm(M^-1/2 P_j M^-1/2)) M^1/2||_F`` through scipy."""
+    root = np.real(scipy.linalg.sqrtm(mean))
+    inv_root = np.linalg.inv(root)
+    grad = sum(
+        w * np.real(scipy.linalg.logm(inv_root @ P @ inv_root))
+        for w, P in zip(weights, points)
+        if w > 0
+    )
+    return np.linalg.norm(root @ grad @ root)
+
+
+def mixed_weights(n, seed):
+    """Rows: one-hot, two- and three-point supports, and dense."""
+    rng = np.random.default_rng(seed)
+    W = np.zeros((6, n))
+    W[0, 3] = 1.0
+    W[1, [1, 5]] = rng.random(2)
+    W[2] = rng.random(n)
+    W[3, [0, 2, 6]] = rng.random(3)
+    W[4, n - 1] = 1.0
+    W[5, ::2] = rng.random(len(range(0, n, 2)))
+    return W / W.sum(axis=1, keepdims=True)
+
+
+class TestKarcherMeans:
+    def check_against_reference(self, pts, W, means, iterations, residuals):
+        for i, w in enumerate(W):
+            ref, ref_iterations, _ = per_row_karcher(pts, w)
+            assert iterations[i] == ref_iterations
+            assert residuals[i] <= 1e-10
+            if ref_iterations == 0:
+                assert np.array_equal(means[i], ref)
+            else:
+                assert mf.riemannian_distance(means[i], ref) <= 1e-12
+                assert scipy_karcher_residual(means[i], pts, w) <= 1e-8
+
+    def test_mixed_rows_match_per_row_reference(self):
+        pts = make_wide_spd(4, 8, seed=70, spread=1.0)
+        W = mixed_weights(8, seed=71)
+        means, iterations, residuals = mf._karcher_means(pts, W, 1e-10, 200)
+        self.check_against_reference(pts, W, means, iterations, residuals)
+        assert (iterations[[0, 4]] == 0).all() and (residuals[[0, 4]] == 0.0).all()
+        assert (iterations[[1, 2, 3, 5]] > 0).all()
+
+    def test_zero_weight_points_add_nothing(self):
+        # a far, ill-conditioned point with zero weight everywhere: it pads
+        # the short rows but must not move any mean
+        pts = make_wide_spd(3, 6, seed=72, spread=0.5)
+        far = np.concatenate([pts, [np.diag([1e6, 1.0, 1e-6])]])
+        W = np.zeros((3, 7))
+        W[0, :6] = 1.0 / 6
+        W[1, [2, 4]] = [0.25, 0.75]
+        W[2, [0, 1, 5]] = [0.2, 0.3, 0.5]
+        got = mf._karcher_means(far, W, 1e-10, 200)
+        want = mf._karcher_means(pts, W[:, :6], 1e-10, 200)
+        assert np.array_equal(got[1], want[1])
+        assert np.abs(got[0] - want[0]).max() <= 1e-13 * np.abs(want[0]).max()
+
+    def test_row_blocks_agree(self, monkeypatch):
+        pts = make_wide_spd(4, 8, seed=73, spread=1.0)
+        W = mixed_weights(8, seed=74)
+        one = mf._karcher_means(pts, W, 1e-10, 200)
+        # 8 * 16 doubles per row: one row, then two rows per block
+        for cap in (1, 2 * 8 * 16):
+            monkeypatch.setattr(mf, "KARCHER_BLOCK_DOUBLES", cap)
+            means, iterations, residuals = mf._karcher_means(pts, W, 1e-10, 200)
+            assert np.array_equal(iterations, one[1])
+            assert np.abs(means - one[0]).max() <= 1e-13 * np.abs(one[0]).max()
+            self.check_against_reference(pts, W, means, iterations, residuals)
+
+    def test_log_floor_only_on_positive_weights(self):
+        # point 0 has an eigenvalue 1.5e-10 (valid); whitened by the means of
+        # the large points 2 and 3 it falls below EPS_PD
+        pts = np.stack([
+            np.diag([1.5e-10, 1.0]),
+            np.diag([4.0, 2.0]),
+            np.diag([20.0, 30.0]),
+            np.array([[25.0, 5.0], [5.0, 20.0]]),
+        ])
+        mf.check_spd(pts)
+        W = np.array([
+            [0.0, 0.2, 0.3, 0.5],  # support 3 sets the padded width
+            [0.0, 0.0, 0.4, 0.6],  # padded with point 0, weight 0
+            [0.5, 0.0, 0.0, 0.5],  # point 0 carries weight
+        ])
+        # row 1's padding entry, whitened by its starting mean, is below the floor
+        start = 0.4 * pts[2] + 0.6 * pts[3]
+        assert np.linalg.eigvals(pts[0] @ np.linalg.inv(start)).real.min() <= mf.EPS_PD
+        means, iterations, residuals = mf._karcher_means(pts, W[:2], 1e-10, 200)
+        self.check_against_reference(pts, W[:2], means, iterations, residuals)
+        with pytest.raises(NotPositiveDefinite, match="row 2: .* at iteration 0"):
+            mf._karcher_means(pts, W, 1e-10, 200)
+
+    def test_failure_names_lowest_row(self):
+        pts = make_spd(3, 4, seed=58)
+        W = np.array([[0.0, 1.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4], [0.25] * 4])
+        with pytest.raises(ConvergenceFailure, match="row 1") as err:
+            mf._karcher_means(pts, W, 1e-10, 1)
+        with pytest.raises(ConvergenceFailure) as single:
+            mf.frechet_mean(pts, W[1], max_iter=1)
+        assert err.value.iterations == 1
+        assert err.value.residual == pytest.approx(single.value.residual, rel=1e-12)
+        assert mf.riemannian_distance(err.value.last, single.value.last) <= 1e-12
+        assert f"{err.value.residual:.3e}" in str(err.value)
+
+
 class TestTangentCoordinates:
     def test_zero_at_base(self):
         base = make_spd(3, 1, seed=61)[0]
