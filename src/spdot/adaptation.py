@@ -51,15 +51,8 @@ class AdaptationConfig:
     top_k : int or None
         Keep only the k largest entries of each plan row (renormalized)
         before the barycentric mean; ``None`` keeps dense rows.
-    mean_tol, mean_max_iter : float, int
-        Stopping parameters of the per-row Riemannian means;
-        ``mean_max_iter`` caps the Riemannian Newton steps of each mean.
-    sinkhorn_tol, sinkhorn_max_iter : float, int
-        Stopping parameters of each Sinkhorn solve: the single solve of
-        "sinkhorn", and each majorization step's solve of
-        "sinkhorn-labels".
-    label_tol, label_max_iter : float, int
-        Outer-loop stopping parameters for "sinkhorn-labels".
+    mean_max_iter : int
+        Cap on the Riemannian Newton steps of each per-row mean.
     seed : int or None
         Recorded for provenance; the pipeline itself is deterministic.
     """
@@ -71,15 +64,7 @@ class AdaptationConfig:
     mass: str = "uniform"
     kde_sigma: float | str = "auto"
     top_k: int | None = None
-    mean_tol: float = 1e-10
-    mean_max_iter: int = 200
-    sinkhorn_tol: float = 1e-9
-    # more generous than the bare solver default: pipeline cost matrices can
-    # put the scaling iteration near its worst-case contraction rate, and
-    # desk-scale iterations are microseconds each
-    sinkhorn_max_iter: int = 100000
-    label_tol: float = 1e-8
-    label_max_iter: int = 50
+    mean_max_iter: int = manifold.MEAN_MAX_ITER
     seed: int | None = None
 
     def __post_init__(self):
@@ -121,13 +106,11 @@ class AdaptationResult:
 def median_sq_distance(points):
     """Median of the pairwise squared Riemannian distances (i < j).
 
-    Falls back to 1.0 for sets whose points all coincide, where the median
-    would degenerate to zero and a kernel bandwidth must stay positive.
+    Falls back to 1.0 for a single point or points that all coincide, where
+    the median would degenerate to zero and a kernel bandwidth must stay
+    positive.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 2:
-        return 1.0
-    return _upper_median(manifold.sq_distance_matrix(pts))
+    return _upper_median(manifold.sq_distance_matrix(points))
 
 
 def _upper_median(d2):
@@ -195,8 +178,7 @@ def barycentric_map(
     target,
     plan,
     top_k=None,
-    mean_tol=1e-10,
-    mean_max_iter=200,
+    mean_max_iter=manifold.MEAN_MAX_ITER,
     return_info=False,
 ):
     """Send each source point to the plan-weighted Riemannian mean of targets.
@@ -217,8 +199,8 @@ def barycentric_map(
     plan : TransportPlan
     top_k : int or None
         Must be <= n2 when set.
-    mean_tol, mean_max_iter
-        Stopping parameters of each row's :func:`spdot.manifold.frechet_mean`.
+    mean_max_iter : int
+        Newton-step cap of each row's :func:`spdot.manifold.frechet_mean`.
     return_info : bool
         Also return ``mean_iterations``, the Riemannian Newton steps each
         row's mean took (0 for a one-hot row), and ``mean_residuals``.
@@ -257,7 +239,7 @@ def barycentric_map(
         totals = rows.sum(axis=1)
     manifold.check_spd(tgt, name="target set")
     adapted, iterations, residuals = manifold._karcher_means(
-        tgt, rows / totals[:, None], mean_tol, mean_max_iter
+        tgt, rows / totals[:, None], max_iter=mean_max_iter
     )
     if return_info:
         return adapted, {
@@ -346,13 +328,7 @@ def adapt(source, target, source_labels=None, config=None):
             )
             if cfg.solver == "sinkhorn":
                 plan, plan_info = transport.sinkhorn(
-                    cost,
-                    p,
-                    q,
-                    lambda_used,
-                    tol=cfg.sinkhorn_tol,
-                    max_iter=cfg.sinkhorn_max_iter,
-                    return_info=True,
+                    cost, p, q, lambda_used, return_info=True
                 )
             else:
                 eta_used = (
@@ -367,10 +343,6 @@ def adapt(source, target, source_labels=None, config=None):
                     labels=source_labels,
                     lam=lambda_used,
                     eta=eta_used,
-                    tol=cfg.label_tol,
-                    max_iter=cfg.label_max_iter,
-                    sinkhorn_tol=cfg.sinkhorn_tol,
-                    sinkhorn_max_iter=cfg.sinkhorn_max_iter,
                     return_info=True,
                 )
     except SpdotError as exc:
@@ -383,7 +355,6 @@ def adapt(source, target, source_labels=None, config=None):
             tgt,
             plan,
             top_k=cfg.top_k,
-            mean_tol=cfg.mean_tol,
             mean_max_iter=cfg.mean_max_iter,
             return_info=True,
         )
@@ -409,7 +380,7 @@ def adapt(source, target, source_labels=None, config=None):
     )
 
 
-def mdm_fit(train, labels, mean_tol=1e-10, mean_max_iter=200):
+def mdm_fit(train, labels):
     """Per-class Riemannian means for minimum-distance-to-mean classification.
 
     Returns a dict mapping every distinct label to the unweighted Fréchet
@@ -427,7 +398,7 @@ def mdm_fit(train, labels, mean_tol=1e-10, mean_max_iter=200):
     weights = (labels == classes[:, None]).astype(float)
     weights /= weights.sum(axis=1, keepdims=True)
     manifold.check_spd(pts, name="mdm_fit points")
-    means, _, _ = manifold._karcher_means(pts, weights, mean_tol, mean_max_iter)
+    means, _, _ = manifold._karcher_means(pts, weights)
     return {y.item() if hasattr(y, "item") else y: M for y, M in zip(classes, means)}
 
 

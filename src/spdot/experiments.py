@@ -139,6 +139,15 @@ def recovery_error(adapted, truth):
     return float(np.sqrt(manifold.paired_sq_distances(adapted, truth).mean()))
 
 
+def _match_report(plan, cost, recovery=float("nan")):
+    """:class:`MatchReport` of ``plan`` on ``cost``; NaN recovery by default."""
+    return MatchReport(
+        diagonal_mass=transport.diagonal_mass(plan.matrix),
+        recovery_error=recovery,
+        objective=plan.objective(cost),
+    )
+
+
 def _exact_config():
     return AdaptationConfig(metric="riemannian", solver="exact", mass="uniform")
 
@@ -160,16 +169,8 @@ def toy_a_sweep(n=50, theta_grid=None, seed=0):
     for theta in np.asarray(theta_grid, dtype=float):
         target = apply_congruence(CongruenceMap(DEFAULT_T, theta), source)
         res = adapt(source, target, config=_exact_config())
-        results.append(
-            (
-                float(theta),
-                MatchReport(
-                    diagonal_mass=transport.diagonal_mass(res.plan.matrix),
-                    recovery_error=recovery_error(res.adapted_source, target),
-                    objective=res.plan.objective(res.cost),
-                ),
-            )
-        )
+        recovery = recovery_error(res.adapted_source, target)
+        results.append((float(theta), _match_report(res.plan, res.cost, recovery)))
     return results
 
 
@@ -202,19 +203,10 @@ def toy_b_search(source, target, theta_grid=None):
         rotated = manifold.sym(np.einsum("ab,ibc,dc->iad", U, src, U))
         cost = manifold.sq_distance_matrix(rotated, tgt)
         plan = transport.exact_ot(cost)
-        objective = plan.objective(cost)
-        curve.append(
-            (
-                float(theta),
-                MatchReport(
-                    diagonal_mass=transport.diagonal_mass(plan.matrix),
-                    recovery_error=float("nan"),
-                    objective=objective,
-                ),
-            )
-        )
-        if objective < best[1]:
-            best = (float(theta), objective, plan)
+        report = _match_report(plan, cost)
+        curve.append((float(theta), report))
+        if report.objective < best[1]:
+            best = (float(theta), report.objective, plan)
     return best[0], curve, best[2]
 
 
@@ -252,22 +244,22 @@ def cosine_trials(n=40, channels=5, samples=101, ts=0.01, seed=0, noise=True):
     return xs, zs
 
 
-def covariance(trial, eps_pd=manifold.EPS_PD, return_ridge=False):
+def covariance(trial, return_ridge=False):
     """Sample covariance of a ``(d, M)`` trial, guarded against rank loss.
 
     Rows are mean-centered, then ``X X^T / (M - 1)``.  If the smallest
-    eigenvalue falls at or below ``eps_pd`` the matrix is repaired with a
-    ridge of ``1e-8 * trace / d``; a matrix still not positive-definite
-    after that is rejected.
+    eigenvalue falls at or below :data:`spdot.manifold.EPS_PD` the matrix
+    is repaired with a ridge of ``1e-8 * trace / d``; a matrix still not
+    positive-definite after that is rejected.
 
     With ``return_ridge=True`` also returns the ridge that was added (0.0
     when none was needed).
     """
-    C, ridges = covariances([trial], eps_pd, return_ridges=True)
+    C, ridges = covariances([trial], return_ridges=True)
     return (C[0], ridges[0]) if return_ridge else C[0]
 
 
-def covariances(trials, eps_pd=manifold.EPS_PD, return_ridges=False):
+def covariances(trials, return_ridges=False):
     """Covariance of every trial in a stack; see :func:`covariance`.
 
     Each matrix is computed on its own; one batched ``eigvalsh`` then finds
@@ -285,10 +277,10 @@ def covariances(trials, eps_pd=manifold.EPS_PD, return_ridges=False):
         covs.append(manifold.sym(Xc @ Xc.T / (X.shape[1] - 1)))
     covs = np.stack(covs)
     ridges = np.zeros(len(covs))
-    for i in np.flatnonzero(np.linalg.eigvalsh(covs)[:, 0] <= eps_pd):
+    for i in np.flatnonzero(np.linalg.eigvalsh(covs)[:, 0] <= manifold.EPS_PD):
         ridges[i] = 1e-8 * np.trace(covs[i]) / covs.shape[-1]
         covs[i] = covs[i] + ridges[i] * np.eye(covs.shape[-1])
-        if np.linalg.eigvalsh(covs[i])[0] <= eps_pd:
+        if np.linalg.eigvalsh(covs[i])[0] <= manifold.EPS_PD:
             raise NotPositiveDefinite(
                 f"trial {i}: covariance is rank-deficient even after ridge repair"
             )
@@ -323,12 +315,7 @@ def _compare_configs(xs, zs):
         CONFIG_COV_EUCLIDEAN: transport.sq_euclidean_matrix(P, Q),
         CONFIG_COV_RIEMANNIAN: manifold.sq_distance_matrix(P, Q),
     }
-    reports = {}
-    for name, cost in costs.items():
-        plan = transport.exact_ot(cost)
-        reports[name] = MatchReport(
-            diagonal_mass=transport.diagonal_mass(plan.matrix),
-            recovery_error=float("nan"),
-            objective=plan.objective(cost),
-        )
-    return reports
+    return {
+        name: _match_report(transport.exact_ot(cost), cost)
+        for name, cost in costs.items()
+    }

@@ -30,6 +30,9 @@ from .errors import (
 EPS_PD = 1e-10
 # Elementwise tolerance for the symmetry invariant.
 SYM_RTOL = 1e-12
+# Stopping threshold and Newton-step cap of every Karcher mean.
+MEAN_TOL = 1e-10
+MEAN_MAX_ITER = 200
 
 
 def sym(M):
@@ -37,14 +40,14 @@ def sym(M):
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
-def check_symmetric(M, rtol=SYM_RTOL, name="matrix"):
-    """Validate elementwise symmetry of ``M`` within ``rtol``.
+def check_symmetric(M, name="matrix"):
+    """Validate elementwise symmetry of ``M`` within ``SYM_RTOL``.
 
     Raises
     ------
     InvalidInput
         If ``M`` is not square or ``|M[i,j] - M[j,i]|`` exceeds
-        ``rtol * max(1, |M[i,j]|)`` anywhere.
+        ``SYM_RTOL * max(1, |M[i,j]|)`` anywhere.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
@@ -52,14 +55,14 @@ def check_symmetric(M, rtol=SYM_RTOL, name="matrix"):
     if not np.isfinite(M).all():
         raise InvalidInput(f"{name} has non-finite entries")
     diff = np.abs(M - np.swapaxes(M, -1, -2))
-    bound = rtol * np.maximum(1.0, np.abs(M))
+    bound = SYM_RTOL * np.maximum(1.0, np.abs(M))
     if not (diff <= bound).all():
-        raise InvalidInput(f"{name} is not symmetric within tolerance {rtol}")
+        raise InvalidInput(f"{name} is not symmetric within tolerance {SYM_RTOL}")
     return M
 
 
-def check_spd(P, eps_pd=EPS_PD, name="matrix"):
-    """Validate that ``P`` is symmetric with all eigenvalues above ``eps_pd``.
+def check_spd(P, name="matrix"):
+    """Validate that ``P`` is symmetric with all eigenvalues above ``EPS_PD``.
 
     Returns the validated array; raises :class:`NotPositiveDefinite` when the
     smallest eigenvalue is at or below the floor.
@@ -67,9 +70,9 @@ def check_spd(P, eps_pd=EPS_PD, name="matrix"):
     P = check_symmetric(P, name=name)
     w = np.linalg.eigvalsh(P)
     wmin = w[..., 0].min()
-    if wmin <= eps_pd:
+    if wmin <= EPS_PD:
         raise NotPositiveDefinite(
-            f"{name} has smallest eigenvalue {wmin:.3e} <= floor {eps_pd:.1e}"
+            f"{name} has smallest eigenvalue {wmin:.3e} <= floor {EPS_PD:.1e}"
         )
     return P
 
@@ -121,10 +124,10 @@ def _eigh_fun(M, fn, floor=None, op="matrix function"):
     return sym((V * fn(w)[..., None, :]) @ np.swapaxes(V, -1, -2))
 
 
-def logm(P, eps_pd=EPS_PD):
+def logm(P):
     """Matrix logarithm of an SPD matrix (batched)."""
     P = check_symmetric(P, name="logm input")
-    return _eigh_fun(P, np.log, floor=eps_pd, op="logm")
+    return _eigh_fun(P, np.log, floor=EPS_PD, op="logm")
 
 
 def expm(A):
@@ -133,30 +136,41 @@ def expm(A):
     return _eigh_fun(A, np.exp, op="expm")
 
 
-def sqrtm(P, eps_pd=EPS_PD):
+def sqrtm(P):
     """Matrix square root of an SPD matrix (batched)."""
     P = check_symmetric(P, name="sqrtm input")
-    return _eigh_fun(P, np.sqrt, floor=eps_pd, op="sqrtm")
+    return _eigh_fun(P, np.sqrt, floor=EPS_PD, op="sqrtm")
 
 
-def invsqrtm(P, eps_pd=EPS_PD):
+def invsqrtm(P):
     """Inverse matrix square root of an SPD matrix (batched)."""
     P = check_symmetric(P, name="invsqrtm input")
-    return _eigh_fun(P, lambda w: 1.0 / np.sqrt(w), floor=eps_pd, op="invsqrtm")
+    return _eigh_fun(P, lambda w: 1.0 / np.sqrt(w), floor=EPS_PD, op="invsqrtm")
 
 
-def powm(P, t, eps_pd=EPS_PD):
+def powm(P, t):
     """Matrix power ``P^t`` of an SPD matrix (batched)."""
     P = check_symmetric(P, name="powm input")
-    return _eigh_fun(P, lambda w: w**t, floor=eps_pd, op="powm")
+    return _eigh_fun(P, lambda w: w**t, floor=EPS_PD, op="powm")
 
 
-def _sqrt_invsqrt(P, eps_pd=EPS_PD, op="sqrt/invsqrt"):
+def _sqrt_invsqrt(P, op="sqrt/invsqrt"):
     """Square root and inverse square root from a single eigendecomposition."""
-    w, V = _eigh(P, eps_pd, op)
+    w, V = _eigh(P, EPS_PD, op)
     s = np.sqrt(w)
     Vt = np.swapaxes(V, -1, -2)
     return sym((V * s[..., None, :]) @ Vt), sym((V * (1.0 / s)[..., None, :]) @ Vt)
+
+
+def _whiten(P, X, op):
+    """``(P^{1/2}, sym(P^{-1/2} X P^{-1/2}))`` at an SPD base point ``P``.
+
+    ``P`` is checked: :class:`InvalidInput` if it is not symmetric,
+    :class:`NotPositiveDefinite` if an eigenvalue is at or below ``EPS_PD``.
+    """
+    P = check_symmetric(P, name=f"{op} base point")
+    S, Si = _sqrt_invsqrt(P, op=op)
+    return S, sym(Si @ X @ Si)
 
 
 def _check_pair(P, Q, op):
@@ -216,6 +230,7 @@ def sq_distance_matrix(A, B=None):
     ----------
     A : ndarray, shape (n1, d, d)
     B : ndarray, shape (n2, d, d), optional
+        Both nonempty.
 
     Returns
     -------
@@ -225,9 +240,10 @@ def sq_distance_matrix(A, B=None):
     self_distances = B is None
     A = np.asarray(A, dtype=float)
     B = A if self_distances else np.asarray(B, dtype=float)
-    if A.ndim != 3 or B.ndim != 3:
+    if A.ndim != 3 or B.ndim != 3 or not (len(A) and len(B)):
         raise InvalidInput(
-            f"sq_distance_matrix needs (n, d, d) stacks, got {A.shape} and {B.shape}"
+            f"sq_distance_matrix needs nonempty (n, d, d) stacks, got {A.shape} "
+            f"and {B.shape}"
         )
     if A.shape[-2:] != B.shape[-2:]:
         raise InvalidInput(
@@ -280,11 +296,9 @@ def geodesic(P, Q, t):
     if not 0.0 <= t <= 1.0:
         raise InvalidInput(f"geodesic parameter t={t} outside [0, 1]")
     P, Q = _check_pair(P, Q, "geodesic")
-    check_symmetric(P, name="geodesic start")
     check_spd(Q, name="geodesic end")
-    S, Si = _sqrt_invsqrt(P, op="geodesic")
-    inner = powm(sym(Si @ Q @ Si), t)
-    return sym(S @ inner @ S)
+    S, Y = _whiten(P, Q, "geodesic")
+    return sym(S @ powm(Y, t) @ S)
 
 
 def exp_map(P, A):
@@ -295,9 +309,8 @@ def exp_map(P, A):
     """
     P, A = _check_pair(P, A, "exp_map")
     check_symmetric(A, name="tangent vector")
-    S, Si = _sqrt_invsqrt(P, op="exp_map")
-    inner = expm(sym(Si @ A @ Si))
-    return sym(S @ inner @ S)
+    S, Y = _whiten(P, A, "exp_map")
+    return sym(S @ expm(Y) @ S)
 
 
 def log_map(P, Q):
@@ -308,15 +321,15 @@ def log_map(P, Q):
     ``Q`` may be a stack ``(..., d, d)``.
     """
     P, Q = _check_pair(P, Q, "log_map")
-    S, Si = _sqrt_invsqrt(P, op="log_map")
-    inner = logm(sym(Si @ Q @ Si))
-    return sym(S @ inner @ S)
+    check_spd(Q, name="log_map target")
+    S, Y = _whiten(P, Q, "log_map")
+    return sym(S @ logm(Y) @ S)
 
 
 def tangent_norm(P, A):
     """Norm of tangent vector ``A`` at base ``P``: ``||P^{-1/2} A P^{-1/2}||_F``."""
-    _, Si = _sqrt_invsqrt(P, op="tangent_norm")
-    return float(np.linalg.norm(Si @ np.asarray(A, dtype=float) @ Si))
+    _, Y = _whiten(P, A, "tangent_norm")
+    return float(np.linalg.norm(Y))
 
 
 def _karcher_hessian(U, L, w):
@@ -387,7 +400,7 @@ def _newton_direction(hess, T):
 KARCHER_BLOCK_DOUBLES = 2**19
 
 
-def _karcher_means(points, weights, tol, max_iter):
+def _karcher_means(points, weights, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER):
     """:func:`frechet_mean` of validated ``points`` for each row of ``weights``.
 
     Returns ``(means, iterations, residuals)``.  A row with one positive
@@ -463,7 +476,9 @@ def _karcher_means(points, weights, tol, max_iter):
     )
 
 
-def frechet_mean(points, weights=None, tol=1e-10, max_iter=200, return_info=False):
+def frechet_mean(
+    points, weights=None, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER, return_info=False
+):
     """Weighted Fréchet (Karcher) mean of SPD matrices.
 
     Minimizes ``f(X) = 1/2 sum_i w_i d(X, P_i)^2`` by Riemannian Newton
@@ -484,9 +499,9 @@ def frechet_mean(points, weights=None, tol=1e-10, max_iter=200, return_info=Fals
         positive weight enter the iteration.
     weights : array-like, shape (n,), optional
         Nonnegative weights summing to 1.  Uniform when omitted.
-    tol : float, default=1e-10
+    tol : float, default=MEAN_TOL
         Stopping threshold on the Frobenius norm of the tangent average.
-    max_iter : int, default=200
+    max_iter : int, default=MEAN_MAX_ITER
         Cap on Newton steps.
     return_info : bool, default=False
         Also return ``{"iterations": k, "residual": r}``, where ``k`` is
@@ -554,5 +569,5 @@ def tangent_coordinates(points, base):
             f"tangent_coordinates: dimension mismatch, {pts.shape[-2:]} vs {base.shape}"
         )
     check_spd(pts, name="tangent_coordinates points")
-    _, Si = _sqrt_invsqrt(base, op="tangent_coordinates")
-    return logm(sym(Si @ pts @ Si))
+    _, Y = _whiten(base, pts, "tangent_coordinates")
+    return logm(Y)

@@ -42,6 +42,16 @@ GROUP_EXPONENT = 2
 
 # Tolerance for the marginal constraints of a valid plan (infinity norm).
 MARGINAL_TOL = 1e-6
+# Stopping threshold (relative change of the scaling vector) and iteration
+# cap of every Sinkhorn solve.  Pipeline cost matrices can put the scaling
+# iteration near its worst-case contraction rate, and desk-scale iterations
+# are microseconds each.
+SINKHORN_TOL = 1e-9
+SINKHORN_MAX_ITER = 100000
+# Outer stopping threshold (plan change, infinity norm) and cap of the
+# label solver's majorization.
+LABEL_TOL = 1e-8
+LABEL_MAX_ITER = 50
 
 
 def check_mass(p, size=None, name="mass vector"):
@@ -281,7 +291,13 @@ def _scale(K, p, q, u, tol, max_iter):
 
 
 def sinkhorn(
-    cost, p=None, q=None, lam=1.0, tol=1e-9, max_iter=10000, return_info=False
+    cost,
+    p=None,
+    q=None,
+    lam=1.0,
+    tol=SINKHORN_TOL,
+    max_iter=SINKHORN_MAX_ITER,
+    return_info=False,
 ):
     """Entropy-regularized optimal transport via Sinkhorn matrix scaling.
 
@@ -307,9 +323,9 @@ def sinkhorn(
         Marginals; default uniform.
     lam : float
         Regularization strength, > 0.
-    tol : float, default=1e-9
+    tol : float, default=SINKHORN_TOL
         Relative stopping threshold on ``u``.
-    max_iter : int, default=10000
+    max_iter : int, default=SINKHORN_MAX_ITER
     return_info : bool, default=False
         Also return ``{"iterations": k, "outer_iterations": 1}``, where
         ``k`` is the number of scaling iterations.
@@ -360,10 +376,7 @@ def sinkhorn_with_labels(
     labels=None,
     lam=1.0,
     eta=0.0,
-    tol=1e-8,
-    max_iter=50,
-    sinkhorn_tol=1e-9,
-    sinkhorn_max_iter=10000,
+    sinkhorn_max_iter=SINKHORN_MAX_ITER,
     return_info=False,
 ):
     """Sinkhorn transport with a group penalty tied to source class labels.
@@ -375,12 +388,13 @@ def sinkhorn_with_labels(
 
         G[rows(y), j] = eta * 2 * (||plan[rows(y), j]||_1 + EPS_REG)
 
-    (the gradient of the penalty at the current plan) until the plan stops
-    changing in infinity norm.  Each solve after the first is warm-started
-    from the previous solve's scaling vector ``u``: the costs of consecutive
-    steps differ only by the shrinking offset change, so the scaling is
-    already close to its fixed point.  Every solve stops on the same
-    relative-change test as :func:`sinkhorn`, bounded by ``sinkhorn_tol``
+    (the gradient of the penalty at the current plan) until the plan changes
+    by at most ``LABEL_TOL`` in infinity norm, for at most ``LABEL_MAX_ITER``
+    solves.  Each solve after the first is warm-started from the previous
+    solve's scaling vector ``u``: the costs of consecutive steps differ only
+    by the shrinking offset change, so the scaling is already close to its
+    fixed point.  Every solve stops on the same
+    relative-change test as :func:`sinkhorn`, bounded by ``SINKHORN_TOL``
     and ``sinkhorn_max_iter``.  With ``eta = 0`` the offset never moves and
     the plan of the single (cold-started) solve is returned, bit-identical
     to :func:`sinkhorn` on ``cost0``; with a single class the offset is
@@ -396,12 +410,8 @@ def sinkhorn_with_labels(
         Entropic regularization strength, > 0.
     eta : float, default=0.0
         Penalty weight, >= 0.
-    tol : float, default=1e-8
-        Outer stopping threshold on the plan change.
-    max_iter : int, default=50
-        Outer iteration cap.
-    sinkhorn_tol, sinkhorn_max_iter : float, int
-        Stopping parameters of each step's Sinkhorn solve.
+    sinkhorn_max_iter : int, default=SINKHORN_MAX_ITER
+        Iteration cap of each step's Sinkhorn solve.
     return_info : bool, default=False
         Also return ``{"iterations": k, "outer_iterations": m}``: the
         scaling iterations summed over all solves, and the number of solves.
@@ -424,15 +434,15 @@ def sinkhorn_with_labels(
     plan = None
     delta = np.inf
     iterations = 0
-    for outer in range(1, max_iter + 1):
+    for outer in range(1, LABEL_MAX_ITER + 1):
         K = _gibbs_kernel(C0 + G, lam)
-        u, k = _scale(K, p, q, u, sinkhorn_tol, sinkhorn_max_iter)
+        u, k = _scale(K, p, q, u, SINKHORN_TOL, sinkhorn_max_iter)
         iterations += k
         gamma = _coupling(K, q, u)
         plan = TransportPlan(gamma, p, q)
         if prev is not None:
             delta = float(np.abs(gamma - prev).max())
-        if eta == 0 or delta <= tol:
+        if eta == 0 or delta <= LABEL_TOL:
             plan.validate()
             if return_info:
                 return plan, {"iterations": iterations, "outer_iterations": outer}
@@ -443,9 +453,9 @@ def sinkhorn_with_labels(
                 gamma[idx, :].sum(axis=0) + EPS_REG
             ) ** (GROUP_EXPONENT - 1)
     raise ConvergenceFailure(
-        f"sinkhorn_with_labels: plan change {delta:.3e} > tol {tol:.1e} "
-        f"after {max_iter} outer iterations",
+        f"sinkhorn_with_labels: plan change {delta:.3e} > tol {LABEL_TOL:.1e} "
+        f"after {LABEL_MAX_ITER} outer iterations",
         last=plan,
         residual=delta,
-        iterations=max_iter,
+        iterations=LABEL_MAX_ITER,
     )

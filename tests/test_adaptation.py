@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,13 @@ class TestConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidInput):
             ad.AdaptationConfig(**kwargs)
+
+    def test_fields(self):
+        # stopping tolerances are module constants of manifold and transport
+        assert [f.name for f in dataclasses.fields(ad.AdaptationConfig)] == [
+            "metric", "solver", "lam", "eta", "mass", "kde_sigma", "top_k",
+            "mean_max_iter", "seed",
+        ]
 
 
 class TestKdeWeights:
@@ -105,6 +114,10 @@ class TestMedianSqDistance:
 
     def test_single_point(self):
         assert ad.median_sq_distance(make_spd(2, 1, seed=6)) == 1.0
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(InvalidInput):
+            ad.median_sq_distance(np.zeros((0, 2, 2)))
 
     def test_matches_upper_triangle_median(self):
         pts = make_spd(3, 6, seed=7)
@@ -367,6 +380,14 @@ class TestAdaptPipeline:
         )
         assert res.diagnostics["plan_iterations"] == info["iterations"]
         assert res.diagnostics["plan_outer_iterations"] == info["outer_iterations"] > 1
+
+    def test_bare_sinkhorn_reproduces_default_plan(self):
+        # the default config needs 32 303 scaling iterations on this instance
+        src = make_spd(4, 50, seed=0, scale=0.5)
+        tgt = make_spd(4, 50, seed=1, scale=0.5)
+        res = ad.adapt(src, tgt)
+        plan = tp.sinkhorn(res.cost, lam=res.lambda_used)
+        assert np.array_equal(plan.matrix, res.plan.matrix)
 
     def test_labels_auto_eta(self):
         src = make_spd(2, 4, seed=40)

@@ -232,6 +232,30 @@ class TestExpLog:
         with pytest.raises(InvalidInput):
             mf.exp_map(np.eye(2), np.zeros((3, 3)))
 
+    def test_log_rejects_non_symmetric_target(self):
+        with pytest.raises(InvalidInput):
+            mf.log_map(np.eye(2), np.array([[2.0, 0.3], [0.9, 1.0]]))
+
+
+# positive eigenvalues, but not symmetric: eigh would read its lower triangle
+NON_SYMMETRIC_BASE = np.array([[2.0, 0.3], [0.9, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda P: mf.geodesic(P, np.eye(2), 0.5),
+        lambda P: mf.exp_map(P, np.eye(2)),
+        lambda P: mf.log_map(P, np.eye(2)),
+        lambda P: mf.tangent_norm(P, np.eye(2)),
+        lambda P: mf.tangent_coordinates([np.eye(2)], P),
+    ],
+    ids=["geodesic", "exp_map", "log_map", "tangent_norm", "tangent_coordinates"],
+)
+def test_base_point_must_be_symmetric(call):
+    with pytest.raises(InvalidInput):
+        call(NON_SYMMETRIC_BASE)
+
 
 class TestFrechetMean:
     def test_duplicate_points(self):
