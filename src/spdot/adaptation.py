@@ -51,8 +51,6 @@ class AdaptationConfig:
     top_k : int or None
         Keep only the k largest entries of each plan row (renormalized)
         before the barycentric mean; ``None`` keeps dense rows.
-    mean_max_iter : int
-        Cap on the Riemannian Newton steps of each per-row mean.
     seed : int or None
         Recorded for provenance; the pipeline itself is deterministic.
     """
@@ -64,7 +62,6 @@ class AdaptationConfig:
     mass: str = "uniform"
     kde_sigma: float | str = "auto"
     top_k: int | None = None
-    mean_max_iter: int = manifold.MEAN_MAX_ITER
     seed: int | None = None
 
     def __post_init__(self):
@@ -178,7 +175,6 @@ def barycentric_map(
     target,
     plan,
     top_k=None,
-    mean_max_iter=manifold.MEAN_MAX_ITER,
     return_info=False,
 ):
     """Send each source point to the plan-weighted Riemannian mean of targets.
@@ -199,8 +195,6 @@ def barycentric_map(
     plan : TransportPlan
     top_k : int or None
         Must be <= n2 when set.
-    mean_max_iter : int
-        Newton-step cap of each row's :func:`spdot.manifold.frechet_mean`.
     return_info : bool
         Also return ``mean_iterations``, the Riemannian Newton steps each
         row's mean took (0 for a one-hot row), and ``mean_residuals``.
@@ -239,7 +233,7 @@ def barycentric_map(
         totals = rows.sum(axis=1)
     manifold.check_spd(tgt, name="target set")
     adapted, iterations, residuals = manifold._karcher_means(
-        tgt, rows / totals[:, None], max_iter=mean_max_iter
+        tgt, rows / totals[:, None], manifold.MEAN_MAX_ITER
     )
     if return_info:
         return adapted, {
@@ -355,7 +349,6 @@ def adapt(source, target, source_labels=None, config=None):
             tgt,
             plan,
             top_k=cfg.top_k,
-            mean_max_iter=cfg.mean_max_iter,
             return_info=True,
         )
         manifold.check_spd(adapted, name="adapted source")
@@ -398,7 +391,7 @@ def mdm_fit(train, labels):
     weights = (labels == classes[:, None]).astype(float)
     weights /= weights.sum(axis=1, keepdims=True)
     manifold.check_spd(pts, name="mdm_fit points")
-    means, _, _ = manifold._karcher_means(pts, weights)
+    means, _, _ = manifold._karcher_means(pts, weights, manifold.MEAN_MAX_ITER)
     return {y.item() if hasattr(y, "item") else y: M for y, M in zip(classes, means)}
 
 

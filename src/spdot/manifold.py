@@ -328,6 +328,8 @@ def log_map(P, Q):
 
 def tangent_norm(P, A):
     """Norm of tangent vector ``A`` at base ``P``: ``||P^{-1/2} A P^{-1/2}||_F``."""
+    P, A = _check_pair(P, A, "tangent_norm")
+    check_symmetric(A, name="tangent vector")
     _, Y = _whiten(P, A, "tangent_norm")
     return float(np.linalg.norm(Y))
 
@@ -400,7 +402,7 @@ def _newton_direction(hess, T):
 KARCHER_BLOCK_DOUBLES = 2**19
 
 
-def _karcher_means(points, weights, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER):
+def _karcher_means(points, weights, max_iter):
     """:func:`frechet_mean` of validated ``points`` for each row of ``weights``.
 
     Returns ``(means, iterations, residuals)``.  A row with one positive
@@ -446,7 +448,7 @@ def _karcher_means(points, weights, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER):
             Fa = F[act]
             res = np.linalg.norm(sym(Fa @ T @ np.swapaxes(Fa, -1, -2)), axis=(-2, -1))
             residuals[act] = res
-            go = res > tol
+            go = res > MEAN_TOL
             act, U, L, T, Fa = act[go], U[go], L[go], T[go], Fa[go]
             if not act.size:
                 break
@@ -457,7 +459,7 @@ def _karcher_means(points, weights, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER):
             Finv[act] = (Qt * np.exp(-0.5 * e)[:, :, None]) @ Finv[act]
             X[act] = sym(F[act] @ np.swapaxes(F[act], -1, -2))
             iterations[act] += 1
-    failed = np.flatnonzero((residuals > tol) | (low <= EPS_PD))
+    failed = np.flatnonzero((residuals > MEAN_TOL) | (low <= EPS_PD))
     if not failed.size:
         return X, iterations, residuals
     i = failed[0]
@@ -469,16 +471,14 @@ def _karcher_means(points, weights, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER):
         )
     raise ConvergenceFailure(
         f"Karcher mean of row {i}: residual {residuals[i]:.3e} > tol "
-        f"{tol:.1e} after {max_iter} iterations",
+        f"{MEAN_TOL:.1e} after {max_iter} iterations",
         last=X[i].copy(),
         residual=float(residuals[i]),
         iterations=max_iter,
     )
 
 
-def frechet_mean(
-    points, weights=None, tol=MEAN_TOL, max_iter=MEAN_MAX_ITER, return_info=False
-):
+def frechet_mean(points, weights=None, max_iter=MEAN_MAX_ITER, return_info=False):
     """Weighted Fréchet (Karcher) mean of SPD matrices.
 
     Minimizes ``f(X) = 1/2 sum_i w_i d(X, P_i)^2`` by Riemannian Newton
@@ -490,7 +490,7 @@ def frechet_mean(
     is never longer than the fixed-point step ``D = T``, and near the mean
     convergence is quadratic.  Iteration stops once the tangent average
     ``sum_i w_i Log_X(P_i) = X^{1/2} T X^{1/2}`` has Frobenius norm
-    ``<= tol``.  The problem is strictly convex, so the mean is unique.
+    ``<= MEAN_TOL``.  The problem is strictly convex, so the mean is unique.
 
     Parameters
     ----------
@@ -499,8 +499,6 @@ def frechet_mean(
         positive weight enter the iteration.
     weights : array-like, shape (n,), optional
         Nonnegative weights summing to 1.  Uniform when omitted.
-    tol : float, default=MEAN_TOL
-        Stopping threshold on the Frobenius norm of the tangent average.
     max_iter : int, default=MEAN_MAX_ITER
         Cap on Newton steps.
     return_info : bool, default=False
@@ -536,7 +534,7 @@ def frechet_mean(
         if abs(w.sum() - 1.0) > 1e-12:
             raise InvalidInput(f"weights must sum to 1, got {w.sum()!r}")
     check_spd(pts, name="frechet_mean points")
-    means, iterations, residuals = _karcher_means(pts, w[None], tol, max_iter)
+    means, iterations, residuals = _karcher_means(pts, w[None], max_iter)
     info = {"iterations": int(iterations[0]), "residual": float(residuals[0])}
     return (means[0], info) if return_info else means[0]
 

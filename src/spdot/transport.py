@@ -376,7 +376,6 @@ def sinkhorn_with_labels(
     labels=None,
     lam=1.0,
     eta=0.0,
-    sinkhorn_max_iter=SINKHORN_MAX_ITER,
     return_info=False,
 ):
     """Sinkhorn transport with a group penalty tied to source class labels.
@@ -395,7 +394,7 @@ def sinkhorn_with_labels(
     by the shrinking offset change, so the scaling is already close to its
     fixed point.  Every solve stops on the same
     relative-change test as :func:`sinkhorn`, bounded by ``SINKHORN_TOL``
-    and ``sinkhorn_max_iter``.  With ``eta = 0`` the offset never moves and
+    and ``SINKHORN_MAX_ITER``.  With ``eta = 0`` the offset never moves and
     the plan of the single (cold-started) solve is returned, bit-identical
     to :func:`sinkhorn` on ``cost0``; with a single class the offset is
     constant per column and the plan is unchanged as well.
@@ -410,8 +409,6 @@ def sinkhorn_with_labels(
         Entropic regularization strength, > 0.
     eta : float, default=0.0
         Penalty weight, >= 0.
-    sinkhorn_max_iter : int, default=SINKHORN_MAX_ITER
-        Iteration cap of each step's Sinkhorn solve.
     return_info : bool, default=False
         Also return ``{"iterations": k, "outer_iterations": m}``: the
         scaling iterations summed over all solves, and the number of solves.
@@ -436,7 +433,7 @@ def sinkhorn_with_labels(
     iterations = 0
     for outer in range(1, LABEL_MAX_ITER + 1):
         K = _gibbs_kernel(C0 + G, lam)
-        u, k = _scale(K, p, q, u, SINKHORN_TOL, sinkhorn_max_iter)
+        u, k = _scale(K, p, q, u, SINKHORN_TOL, SINKHORN_MAX_ITER)
         iterations += k
         gamma = _coupling(K, q, u)
         plan = TransportPlan(gamma, p, q)

@@ -41,8 +41,7 @@ class TestConfig:
     def test_fields(self):
         # stopping tolerances are module constants of manifold and transport
         assert [f.name for f in dataclasses.fields(ad.AdaptationConfig)] == [
-            "metric", "solver", "lam", "eta", "mass", "kde_sigma", "top_k",
-            "mean_max_iter", "seed",
+            "metric", "solver", "lam", "eta", "mass", "kde_sigma", "top_k", "seed",
         ]
 
 
@@ -257,13 +256,14 @@ class TestBarycentricMap:
                 assert info["mean_iterations"][i] == row_info["iterations"]
             assert np.array_equal(out[2], tgt[4])
 
-    def test_failure_names_row(self):
+    def test_failure_names_row(self, monkeypatch):
+        monkeypatch.setattr(mf, "MEAN_MAX_ITER", 1)
         tgt = make_spd(3, 4, seed=35)
         gamma = np.full((3, 4), 1 / 12)
         gamma[0] = [0.0, 0.25, 0.0, 0.0]
         plan = tp.TransportPlan(gamma, None, None)
         with pytest.raises(ConvergenceFailure, match="row 1") as err:
-            ad.barycentric_map(make_spd(3, 3, seed=36), tgt, plan, mean_max_iter=1)
+            ad.barycentric_map(make_spd(3, 3, seed=36), tgt, plan)
         assert err.value.iterations == 1
         assert err.value.residual > 1e-10
         assert err.value.last.shape == (3, 3)
@@ -369,14 +369,13 @@ class TestAdaptPipeline:
         assert res.diagnostics["plan_iterations"] is None
         assert res.diagnostics["plan_outer_iterations"] is None
         res = ad.adapt(src, tgt, config=ad.AdaptationConfig(solver="sinkhorn", lam=2.0))
-        _, info = tp.sinkhorn(res.cost, lam=2.0, max_iter=100000, return_info=True)
+        _, info = tp.sinkhorn(res.cost, lam=2.0, return_info=True)
         assert res.diagnostics["plan_iterations"] == info["iterations"] > 0
         assert res.diagnostics["plan_outer_iterations"] == 1
         cfg = ad.AdaptationConfig(solver="sinkhorn-labels", lam=2.0, eta=0.1)
         res = ad.adapt(src, tgt, labels, cfg)
         _, info = tp.sinkhorn_with_labels(
-            res.cost, labels=labels, lam=2.0, eta=0.1, sinkhorn_max_iter=100000,
-            return_info=True,
+            res.cost, labels=labels, lam=2.0, eta=0.1, return_info=True
         )
         assert res.diagnostics["plan_iterations"] == info["iterations"]
         assert res.diagnostics["plan_outer_iterations"] == info["outer_iterations"] > 1
@@ -453,9 +452,10 @@ class TestAdaptPipeline:
         assert list(stages) == ["mass", "cost", "plan", "map"]
         assert all(t >= 0.0 for t in stages.values())
 
-    def test_map_failure_tagged(self):
+    def test_map_failure_tagged(self, monkeypatch):
+        monkeypatch.setattr(mf, "MEAN_MAX_ITER", 1)
         src = make_spd(3, 4, seed=53)
-        cfg = ad.AdaptationConfig(solver="sinkhorn", mean_max_iter=1)
+        cfg = ad.AdaptationConfig(solver="sinkhorn")
         step = r"^\[step: map\] Karcher mean of row 0"
         with pytest.raises(ConvergenceFailure, match=step):
             ad.adapt(src, make_spd(3, 5, seed=54), config=cfg)

@@ -236,6 +236,10 @@ class TestExpLog:
         with pytest.raises(InvalidInput):
             mf.log_map(np.eye(2), np.array([[2.0, 0.3], [0.9, 1.0]]))
 
+    def test_norm_rejects_non_symmetric_tangent(self):
+        with pytest.raises(InvalidInput):
+            mf.tangent_norm(np.eye(2), np.array([[0.0, 0.3], [0.9, 0.0]]))
+
 
 # positive eigenvalues, but not symmetric: eigh would read its lower triangle
 NON_SYMMETRIC_BASE = np.array([[2.0, 0.3], [0.9, 1.0]])
@@ -280,7 +284,7 @@ class TestFrechetMean:
     def test_first_order_condition(self):
         pts = make_spd(4, 5, seed=54)
         w = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
-        mean = mf.frechet_mean(pts, w, tol=1e-10)
+        mean = mf.frechet_mean(pts, w)
         grad = np.einsum("i,iab->ab", w, mf.log_map(mean, pts))
         assert np.linalg.norm(grad) <= 1e-10
 
@@ -323,7 +327,7 @@ class TestFrechetMean:
     def test_convergence_failure_carries_state(self):
         pts = make_spd(3, 4, seed=58)
         with pytest.raises(ConvergenceFailure) as err:
-            mf.frechet_mean(pts, tol=1e-10, max_iter=1)
+            mf.frechet_mean(pts, max_iter=1)
         assert err.value.last is not None
         assert err.value.residual > 1e-10
         assert err.value.iterations == 1
@@ -455,7 +459,7 @@ class TestKarcherMeans:
     def test_mixed_rows_match_per_row_reference(self):
         pts = make_wide_spd(4, 8, seed=70, spread=1.0)
         W = mixed_weights(8, seed=71)
-        means, iterations, residuals = mf._karcher_means(pts, W, 1e-10, 200)
+        means, iterations, residuals = mf._karcher_means(pts, W, 200)
         self.check_against_reference(pts, W, means, iterations, residuals)
         assert (iterations[[0, 4]] == 0).all() and (residuals[[0, 4]] == 0.0).all()
         assert (iterations[[1, 2, 3, 5]] > 0).all()
@@ -469,19 +473,19 @@ class TestKarcherMeans:
         W[0, :6] = 1.0 / 6
         W[1, [2, 4]] = [0.25, 0.75]
         W[2, [0, 1, 5]] = [0.2, 0.3, 0.5]
-        got = mf._karcher_means(far, W, 1e-10, 200)
-        want = mf._karcher_means(pts, W[:, :6], 1e-10, 200)
+        got = mf._karcher_means(far, W, 200)
+        want = mf._karcher_means(pts, W[:, :6], 200)
         assert np.array_equal(got[1], want[1])
         assert np.abs(got[0] - want[0]).max() <= 1e-13 * np.abs(want[0]).max()
 
     def test_row_blocks_agree(self, monkeypatch):
         pts = make_wide_spd(4, 8, seed=73, spread=1.0)
         W = mixed_weights(8, seed=74)
-        one = mf._karcher_means(pts, W, 1e-10, 200)
+        one = mf._karcher_means(pts, W, 200)
         # 8 * 16 doubles per row: one row, then two rows per block
         for cap in (1, 2 * 8 * 16):
             monkeypatch.setattr(mf, "KARCHER_BLOCK_DOUBLES", cap)
-            means, iterations, residuals = mf._karcher_means(pts, W, 1e-10, 200)
+            means, iterations, residuals = mf._karcher_means(pts, W, 200)
             assert np.array_equal(iterations, one[1])
             assert np.abs(means - one[0]).max() <= 1e-13 * np.abs(one[0]).max()
             self.check_against_reference(pts, W, means, iterations, residuals)
@@ -504,16 +508,16 @@ class TestKarcherMeans:
         # row 1's padding entry, whitened by its starting mean, is below the floor
         start = 0.4 * pts[2] + 0.6 * pts[3]
         assert np.linalg.eigvals(pts[0] @ np.linalg.inv(start)).real.min() <= mf.EPS_PD
-        means, iterations, residuals = mf._karcher_means(pts, W[:2], 1e-10, 200)
+        means, iterations, residuals = mf._karcher_means(pts, W[:2], 200)
         self.check_against_reference(pts, W[:2], means, iterations, residuals)
         with pytest.raises(NotPositiveDefinite, match="row 2: .* at iteration 0"):
-            mf._karcher_means(pts, W, 1e-10, 200)
+            mf._karcher_means(pts, W, 200)
 
     def test_failure_names_lowest_row(self):
         pts = make_spd(3, 4, seed=58)
         W = np.array([[0.0, 1.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4], [0.25] * 4])
         with pytest.raises(ConvergenceFailure, match="row 1") as err:
-            mf._karcher_means(pts, W, 1e-10, 1)
+            mf._karcher_means(pts, W, 1)
         with pytest.raises(ConvergenceFailure) as single:
             mf.frechet_mean(pts, W[1], max_iter=1)
         assert err.value.iterations == 1
