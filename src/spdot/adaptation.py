@@ -14,6 +14,8 @@ is included for evaluating adapted sets.
 runs share no state.
 """
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -24,6 +26,10 @@ from .errors import DegeneratePlan, InvalidInput, SpdotError
 
 METRICS = ("riemannian", "euclidean")
 SOLVERS = ("exact", "sinkhorn", "sinkhorn-labels")
+
+
+def _finite_real(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -38,21 +44,25 @@ class AdaptationConfig:
     solver : str
         "exact", "sinkhorn", or "sinkhorn-labels".
     lam : float or "auto"
-        Entropic regularization strength; "auto" derives it from the cost
-        median via :func:`spdot.transport.adaptive_lambda`.
+        Entropic regularization strength, finite and > 0; "auto" derives it
+        from the cost median via :func:`spdot.transport.adaptive_lambda`.
     eta : float or None
-        Label-penalty weight for "sinkhorn-labels"; ``None`` resolves to
-        ``2 * median(cost)`` so the penalty is on the cost's own scale.
+        Label-penalty weight for "sinkhorn-labels", finite and >= 0;
+        ``None`` resolves to ``2 * median(cost)`` so the penalty is on the
+        cost's own scale.
     mass : str
         "uniform" or "kde" marginals.
     kde_sigma : float or "auto"
-        Kernel bandwidth (sigma squared); "auto" uses the median pairwise
-        squared distance within each set.
+        Kernel bandwidth (sigma squared), finite and > 0; "auto" uses the
+        median pairwise squared distance within each set.
     top_k : int or None
-        Keep only the k largest entries of each plan row (renormalized)
+        Keep only the k >= 1 largest entries of each plan row (renormalized)
         before the barycentric mean; ``None`` keeps dense rows.
     seed : int or None
         Recorded for provenance; the pipeline itself is deterministic.
+
+    Numeric fields reject ``bool``.  A value outside its range raises
+    :class:`InvalidInput` here, before any pipeline stage runs.
     """
 
     metric: str = "riemannian"
@@ -69,23 +79,20 @@ class AdaptationConfig:
             raise InvalidInput(f"metric must be one of {METRICS}, got {self.metric!r}")
         if self.solver not in SOLVERS:
             raise InvalidInput(f"solver must be one of {SOLVERS}, got {self.solver!r}")
-        try:
-            if self.lam != "auto" and not float(self.lam) > 0:
-                raise InvalidInput(f"lam must be positive or 'auto', got {self.lam!r}")
-            if self.eta is not None and not float(self.eta) >= 0:
-                raise InvalidInput(f"eta must be nonnegative, got {self.eta!r}")
-            if self.kde_sigma != "auto" and not float(self.kde_sigma) > 0:
+        for name in ("lam", "kde_sigma"):
+            value = getattr(self, name)
+            if value != "auto" and not (_finite_real(value) and value > 0):
                 raise InvalidInput(
-                    f"kde_sigma must be positive or 'auto', got {self.kde_sigma!r}"
+                    f"{name} must be finite and > 0 or 'auto', got {value!r}"
                 )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, InvalidInput):
-                raise
-            raise InvalidInput(f"non-numeric config value ({exc})") from exc
+        if self.eta is not None and not (_finite_real(self.eta) and self.eta >= 0):
+            raise InvalidInput(f"eta must be finite and >= 0 or None, got {self.eta!r}")
         if self.mass not in ("uniform", "kde"):
             raise InvalidInput(f"mass must be 'uniform' or 'kde', got {self.mass!r}")
-        if self.top_k is not None and self.top_k < 1:
-            raise InvalidInput(f"top_k must be >= 1, got {self.top_k}")
+        top_k = self.top_k
+        integral = isinstance(top_k, numbers.Integral) and not isinstance(top_k, bool)
+        if top_k is not None and not (integral and top_k >= 1):
+            raise InvalidInput(f"top_k must be an integer >= 1 or None, got {top_k!r}")
 
 
 @dataclass(frozen=True)
@@ -132,9 +139,7 @@ def kde_weights(points, sigma2):
     :func:`median_sq_distance` of the set, read off the same self-distance
     matrix the kernel sums, so the set's distances are computed once.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 3 or pts.shape[0] == 0:
-        raise InvalidInput("kde_weights needs a nonempty stack of (d, d) matrices")
+    pts = manifold.check_stack(points, "kde_weights points")
     auto = isinstance(sigma2, str) and sigma2 == "auto"
     if not auto and (isinstance(sigma2, str) or not sigma2 > 0):
         raise InvalidInput(f"sigma2 must be positive or 'auto', got {sigma2!r}")
@@ -153,14 +158,8 @@ def build_cost(source, target, metric="riemannian"):
     """
     if metric not in METRICS:
         raise InvalidInput(f"metric must be one of {METRICS}, got {metric!r}")
-    src = np.asarray(source, dtype=float)
-    tgt = np.asarray(target, dtype=float)
-    if src.ndim != 3 or tgt.ndim != 3 or src.shape[0] == 0 or tgt.shape[0] == 0:
-        raise InvalidInput("build_cost needs nonempty stacks of (d, d) matrices")
-    if src.shape[-2:] != tgt.shape[-2:]:
-        raise InvalidInput(
-            f"build_cost: dimension mismatch, {src.shape[-2:]} vs {tgt.shape[-2:]}"
-        )
+    src = manifold.check_stack(source, "source set")
+    tgt = manifold.check_stack(target, "target set", src.shape[2])
     if metric == "riemannian":
         values = manifold.sq_distance_matrix(src, tgt)
     else:
@@ -257,7 +256,10 @@ def adapt(source, target, source_labels=None, config=None):
     mapping according to ``config``; see :class:`AdaptationConfig` for the
     knobs.  Deterministic given inputs and config.  Errors raised by a stage
     are re-raised with ``pipeline_step`` set to the stage name ("mass",
-    "cost", "plan", or "map").
+    "cost", "plan", or "map").  Argument errors, raised before any stage
+    runs (a malformed or empty stack, a dimension mismatch, labels given
+    or missing against the solver, ``top_k`` above the target size), carry
+    ``pipeline_step = None``.
 
     Parameters
     ----------
@@ -278,10 +280,8 @@ def adapt(source, target, source_labels=None, config=None):
         seconds of each stage ("mass", "cost", "plan", "map").
     """
     cfg = config or AdaptationConfig()
-    src = np.asarray(source, dtype=float)
-    tgt = np.asarray(target, dtype=float)
-    if src.ndim != 3 or tgt.ndim != 3 or src.shape[0] == 0 or tgt.shape[0] == 0:
-        raise InvalidInput("adapt needs nonempty stacks of (d, d) matrices")
+    src = manifold.check_stack(source, "source set")
+    tgt = manifold.check_stack(target, "target set", src.shape[2])
     if (cfg.solver == "sinkhorn-labels") != (source_labels is not None):
         raise InvalidInput(
             "source labels must be given exactly when solver='sinkhorn-labels'"
@@ -295,9 +295,8 @@ def adapt(source, target, source_labels=None, config=None):
             p = transport.uniform_mass(src.shape[0])
             q = transport.uniform_mass(tgt.shape[0])
         else:
-            sigma2 = "auto" if cfg.kde_sigma == "auto" else float(cfg.kde_sigma)
-            p = kde_weights(src, sigma2)
-            q = kde_weights(tgt, sigma2)
+            p = kde_weights(src, cfg.kde_sigma)
+            q = kde_weights(tgt, cfg.kde_sigma)
     except SpdotError as exc:
         raise _tag_step(exc, "mass")
     clock.append(time.perf_counter())
@@ -379,10 +378,8 @@ def mdm_fit(train, labels):
     Returns a dict mapping every distinct label to the unweighted Fréchet
     mean of its training matrices.
     """
-    pts = np.asarray(train, dtype=float)
+    pts = manifold.check_stack(train, "mdm_fit points")
     labels = np.asarray(labels)
-    if pts.ndim != 3 or pts.shape[0] == 0:
-        raise InvalidInput("mdm_fit needs a nonempty stack of (d, d) matrices")
     if labels.shape != (pts.shape[0],):
         raise InvalidInput(
             f"labels shape {labels.shape} does not match {pts.shape[0]} points"

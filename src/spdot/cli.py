@@ -8,7 +8,10 @@ Subcommands::
     spdot cosine  --out DIR [--n 40] [--channels 5] [--samples 101] [--ts 0.01] [--seed 0]
     spdot covariance TIMESERIES --out DIR
 
-Exit codes: 0 success, 2 input error, 3 numerical/solver error.  Every
+Exit codes: 0 success; 2 an input was rejected before any stage ran (a bad
+file or flag, or an argument ``adapt`` checks up front); 3 a stage failed
+(``adapt`` names the pipeline step).  The generators and ``covariance``
+exit 3 on any error raised after their input files are read.  Every
 command writes a ``report.json`` echoing its configuration, seeds, and input
 digests, so any run can be reproduced from its report.  Data files (JSON
 datasets, CSV plans and curves) are deterministic for a fixed seed; floats
@@ -108,19 +111,6 @@ def cmd_adapt(args):
             raise InvalidInput(f"{args.source}: expected an 'spd' dataset")
         if not isinstance(target, datasets.SpdDataset):
             raise InvalidInput(f"{args.target}: expected an 'spd' dataset")
-        if source.dim != target.dim:
-            raise InvalidInput(
-                f"dimension mismatch: {args.source} has dim {source.dim}, "
-                f"{args.target} has dim {target.dim}"
-            )
-        if args.solver == "sinkhorn-labels" and source.labels is None:
-            raise InvalidInput(
-                f"{args.source}: solver 'sinkhorn-labels' needs labels in the source file"
-            )
-        if args.top_k is not None and args.top_k > len(target.matrices):
-            raise InvalidInput(
-                f"--top-k {args.top_k} exceeds target size {len(target.matrices)}"
-            )
         config = AdaptationConfig(
             metric=args.metric,
             solver=args.solver,
@@ -134,16 +124,17 @@ def cmd_adapt(args):
     except SpdotError as exc:
         return _fail(EXIT_INPUT, exc)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     try:
         labels = source.labels if args.solver == "sinkhorn-labels" else None
         result = adapt(source.matrices, target.matrices, labels, config)
     except SpdotError as exc:
-        return _fail(EXIT_SOLVER, exc)
+        # adapt tags every stage error with its step; the rest are argument errors
+        return _fail(EXIT_INPUT if exc.pipeline_step is None else EXIT_SOLVER, exc)
     elapsed = time.perf_counter() - start
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     datasets.save_spd_dataset(out / "adapted.json", result.adapted_source, source.labels)
     _write_matrix_csv(out / "plan.csv", result.plan.matrix)
     _write_report(

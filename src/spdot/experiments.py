@@ -125,12 +125,8 @@ def isotropic_spd_cloud(count, sigma=0.5, seed=0):
 
 def apply_congruence(cmap, points):
     """Apply ``P -> S P S^T`` to a stack of SPD matrices; outputs stay SPD."""
-    pts = np.asarray(points, dtype=float)
     S = cmap.matrix
-    if pts.shape[-2:] != S.shape:
-        raise InvalidInput(
-            f"apply_congruence: dimension mismatch, {pts.shape[-2:]} vs {S.shape}"
-        )
+    pts = manifold.check_stack(points, "apply_congruence points", S.shape[0])
     return manifold.sym(np.einsum("ab,ibc,dc->iad", S, pts, S))
 
 

@@ -25,6 +25,7 @@ from .errors import (
     NotPositiveDefinite,
     NumericalFailure,
 )
+from .transport import check_mass
 
 # Eigenvalue floor below which a matrix is rejected as not positive-definite.
 EPS_PD = 1e-10
@@ -61,6 +62,17 @@ def check_symmetric(M, name="matrix"):
     return M
 
 
+def check_stack(A, name="stack", dim=None):
+    """``A`` as a float array; :class:`InvalidInput` unless it is a nonempty
+    ``(n, d, d)`` stack, with ``d == dim`` when ``dim`` is given."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 3 or A.shape[1] != A.shape[2] or not A.size:
+        raise InvalidInput(f"{name} must be a nonempty (n, d, d) stack, got {A.shape}")
+    if dim is not None and A.shape[2] != dim:
+        raise InvalidInput(f"{name}: dimension mismatch, d={A.shape[2]}, expected {dim}")
+    return A
+
+
 def check_spd(P, name="matrix"):
     """Validate that ``P`` is symmetric with all eigenvalues above ``EPS_PD``.
 
@@ -69,7 +81,7 @@ def check_spd(P, name="matrix"):
     """
     P = check_symmetric(P, name=name)
     w = np.linalg.eigvalsh(P)
-    wmin = w[..., 0].min()
+    wmin = w[..., 0].min(initial=np.inf)
     if wmin <= EPS_PD:
         raise NotPositiveDefinite(
             f"{name} has smallest eigenvalue {wmin:.3e} <= floor {EPS_PD:.1e}"
@@ -110,7 +122,7 @@ def _eigh(M, floor=None, op="matrix function"):
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed in {op}: {exc}") from exc
     if floor is not None:
-        wmin = w[..., 0].min()
+        wmin = w[..., 0].min(initial=np.inf)
         if wmin <= floor:
             raise NotPositiveDefinite(
                 f"{op} needs eigenvalues > {floor:.1e}, got {wmin:.3e}"
@@ -238,17 +250,8 @@ def sq_distance_matrix(A, B=None):
         ``out[i, j] = d(A[i], B[j])^2``.
     """
     self_distances = B is None
-    A = np.asarray(A, dtype=float)
-    B = A if self_distances else np.asarray(B, dtype=float)
-    if A.ndim != 3 or B.ndim != 3 or not (len(A) and len(B)):
-        raise InvalidInput(
-            f"sq_distance_matrix needs nonempty (n, d, d) stacks, got {A.shape} "
-            f"and {B.shape}"
-        )
-    if A.shape[-2:] != B.shape[-2:]:
-        raise InvalidInput(
-            f"sq_distance_matrix: dimension mismatch, {A.shape[-2:]} vs {B.shape[-2:]}"
-        )
+    A = check_stack(A, "first set")
+    B = A if self_distances else check_stack(B, "second set", A.shape[2])
     if not self_distances:
         check_spd(A, name="first set")
     W = invsqrtm(B)  # validates B
@@ -298,7 +301,7 @@ def geodesic(P, Q, t):
     P, Q = _check_pair(P, Q, "geodesic")
     check_spd(Q, name="geodesic end")
     S, Y = _whiten(P, Q, "geodesic")
-    return sym(S @ powm(Y, t) @ S)
+    return sym(S @ _eigh_fun(Y, lambda w: w**t, EPS_PD, "powm") @ S)
 
 
 def exp_map(P, A):
@@ -310,7 +313,7 @@ def exp_map(P, A):
     P, A = _check_pair(P, A, "exp_map")
     check_symmetric(A, name="tangent vector")
     S, Y = _whiten(P, A, "exp_map")
-    return sym(S @ expm(Y) @ S)
+    return sym(S @ _eigh_fun(Y, np.exp, op="expm") @ S)
 
 
 def log_map(P, Q):
@@ -323,7 +326,7 @@ def log_map(P, Q):
     P, Q = _check_pair(P, Q, "log_map")
     check_spd(Q, name="log_map target")
     S, Y = _whiten(P, Q, "log_map")
-    return sym(S @ logm(Y) @ S)
+    return sym(S @ _eigh_fun(Y, np.log, EPS_PD, "logm") @ S)
 
 
 def tangent_norm(P, A):
@@ -498,7 +501,7 @@ def frechet_mean(points, weights=None, max_iter=MEAN_MAX_ITER, return_info=False
         SPD matrices.  All of them are validated, but only those with
         positive weight enter the iteration.
     weights : array-like, shape (n,), optional
-        Nonnegative weights summing to 1.  Uniform when omitted.
+        Finite, nonnegative weights summing to 1.  Uniform when omitted.
     max_iter : int, default=MEAN_MAX_ITER
         Cap on Newton steps.
     return_info : bool, default=False
@@ -519,20 +522,9 @@ def frechet_mean(points, weights=None, max_iter=MEAN_MAX_ITER, return_info=False
     NotPositiveDefinite
         If a whitened point's eigenvalue reaches the log's floor ``EPS_PD``.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 3 or pts.shape[0] == 0:
-        raise InvalidInput("frechet_mean needs a nonempty stack of (d, d) matrices")
+    pts = check_stack(points, "frechet_mean points")
     n = pts.shape[0]
-    if weights is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,):
-            raise InvalidInput(f"weights shape {w.shape} does not match {n} points")
-        if (w < 0).any():
-            raise InvalidInput("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise InvalidInput(f"weights must sum to 1, got {w.sum()!r}")
+    w = np.full(n, 1.0 / n) if weights is None else check_mass(weights, n, "weights")
     check_spd(pts, name="frechet_mean points")
     means, iterations, residuals = _karcher_means(pts, w[None], max_iter)
     info = {"iterations": int(iterations[0]), "residual": float(residuals[0])}
@@ -560,12 +552,8 @@ def tangent_coordinates(points, base):
     ndarray, shape (n, d, d)
         Symmetric coordinate matrices.
     """
-    pts = np.asarray(points, dtype=float)
-    base = np.asarray(base, dtype=float)
-    if pts.shape[-2:] != base.shape:
-        raise InvalidInput(
-            f"tangent_coordinates: dimension mismatch, {pts.shape[-2:]} vs {base.shape}"
-        )
+    base = check_stack(np.asarray(base)[None], "tangent_coordinates base")[0]
+    pts = check_stack(points, "tangent_coordinates points", base.shape[0])
     check_spd(pts, name="tangent_coordinates points")
     _, Y = _whiten(base, pts, "tangent_coordinates")
-    return logm(Y)
+    return _eigh_fun(Y, np.log, EPS_PD, "logm")

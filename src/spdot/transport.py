@@ -419,8 +419,6 @@ def sinkhorn_with_labels(
     """
     C0, p, q = _check_problem(cost0, p, q, lam, "sinkhorn_with_labels")
     n1 = C0.shape[0]
-    if labels is None:
-        raise InvalidInput("sinkhorn_with_labels requires source labels")
     if not (eta >= 0 and math.isfinite(eta)):
         raise InvalidInput(f"eta must be finite and nonnegative, got {eta}")
     _, groups = _class_groups(labels, n1)

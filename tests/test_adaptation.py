@@ -32,11 +32,21 @@ class TestConfig:
             {"mass": "weighted"},
             {"kde_sigma": 0.0},
             {"top_k": 0},
+            {"top_k": 2.5},
+            {"top_k": "3"},
+            {"top_k": True},
+            {"lam": float("inf")},
+            {"lam": "0.5"},
+            {"lam": True},
+            {"eta": float("nan")},
+            {"eta": "0.1"},
+            {"kde_sigma": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput) as err:
             ad.AdaptationConfig(**kwargs)
+        assert type(err.value) is InvalidInput
 
     def test_fields(self):
         # stopping tolerances are module constants of manifold and transport
@@ -104,6 +114,50 @@ def _sym_basis_5():
         np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(3),
     ]
     return mats
+
+
+EMPTY = np.zeros((0, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mf.check_spd(EMPTY),
+        lambda: mf.logm(EMPTY),
+        lambda: mf.expm(EMPTY),
+        lambda: mf.sqrtm(EMPTY),
+        lambda: mf.invsqrtm(EMPTY),
+        lambda: mf.powm(EMPTY, 0.5),
+        lambda: mf.paired_sq_distances(EMPTY, EMPTY),
+    ],
+    ids=["check_spd", "logm", "expm", "sqrtm", "invsqrtm", "powm", "paired"],
+)
+def test_empty_stack_elementwise_returns_empty(call):
+    assert len(call()) == 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mf.sq_distance_matrix(EMPTY),
+        lambda: mf.sq_distance_matrix(make_spd(2, 2, seed=1), EMPTY),
+        lambda: mf.frechet_mean(EMPTY),
+        lambda: mf.tangent_coordinates(EMPTY, np.eye(2)),
+        lambda: ad.kde_weights(EMPTY, "auto"),
+        lambda: ad.mdm_fit(EMPTY, []),
+        lambda: ad.adapt(EMPTY, make_spd(2, 2, seed=1)),
+        lambda: ad.adapt(make_spd(2, 2, seed=1), EMPTY),
+    ],
+    ids=["sq_distance_matrix", "sq_distance_matrix_b", "frechet_mean",
+         "tangent_coordinates", "kde_weights", "mdm_fit", "adapt_source",
+         "adapt_target"],
+)
+def test_empty_stack_set_level_raises(call):
+    # exactly InvalidInput: numpy's bare ValueError on an empty reduction
+    # must not pass
+    with pytest.raises(InvalidInput) as err:
+        call()
+    assert type(err.value) is InvalidInput
 
 
 class TestMedianSqDistance:
@@ -431,6 +485,22 @@ class TestAdaptPipeline:
         src = make_spd(2, 3, seed=48)
         with pytest.raises(InvalidInput):
             ad.adapt(src, src, config=exact_config(top_k=4))
+
+    @pytest.mark.parametrize(
+        "target, config",
+        [
+            (make_spd(3, 3, seed=48), None),
+            (make_spd(2, 3, seed=48), ad.AdaptationConfig(solver="sinkhorn-labels")),
+            (make_spd(2, 3, seed=48), ad.AdaptationConfig(top_k=4)),
+        ],
+        ids=["dimension", "labels", "top_k"],
+    )
+    def test_argument_errors_carry_no_step(self, target, config):
+        # rejected before any stage runs, so the error names no step
+        with pytest.raises(InvalidInput) as err:
+            ad.adapt(make_spd(2, 3, seed=48), target, config=config)
+        assert err.value.pipeline_step is None
+        assert "[step:" not in str(err.value)
 
     def test_determinism(self):
         src = make_spd(3, 7, seed=49)

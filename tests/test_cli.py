@@ -56,6 +56,7 @@ class TestAdaptCommand:
         src = write_spd(tmp_path / "s.json", make_spd(2, 4, seed=4))
         assert main(["adapt", src, src, "--solver", "sinkhorn-labels",
                      "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_labels_solver_works_with_labels(self, tmp_path):
         src = write_spd(tmp_path / "s.json", make_spd(2, 4, seed=5), labels=[0, 0, 1, 1])
@@ -112,6 +113,7 @@ class TestAdaptCommand:
         a = write_spd(tmp_path / "a.json", make_spd(2, 3, seed=9))
         b = write_spd(tmp_path / "b.json", make_spd(3, 3, seed=10))
         assert main(["adapt", a, b, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_solver_failure_exits_3_with_step(self, tmp_path, capsys):
         # single identical pair + euclidean metric: zero cost, auto lambda
@@ -121,7 +123,8 @@ class TestAdaptCommand:
         code = main(["adapt", src, src, "--solver", "sinkhorn",
                      "--metric", "euclidean", "--out", str(tmp_path / "o")])
         assert code == 3
-        assert "plan" in capsys.readouterr().err
+        assert "[step: plan]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_top_k_flag(self, tmp_path):
         src = write_spd(tmp_path / "s.json", make_spd(5, 5, seed=12))
@@ -129,8 +132,10 @@ class TestAdaptCommand:
         out = tmp_path / "out"
         assert main(["adapt", src, tgt, "--solver", "sinkhorn", "--top-k", "2",
                      "--out", str(out)]) == 0
+        rejected = tmp_path / "rejected"
         assert main(["adapt", src, tgt, "--solver", "sinkhorn", "--top-k", "9",
-                     "--out", str(out)]) == 2
+                     "--out", str(rejected)]) == 2
+        assert not rejected.exists()
 
     def test_report_carries_rerun_information(self, tmp_path):
         src = write_spd(tmp_path / "s.json", make_spd(5, 4, seed=14))

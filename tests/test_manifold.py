@@ -311,6 +311,8 @@ class TestFrechetMean:
             mf.frechet_mean(pts, [-0.1, 1.1])
         with pytest.raises(InvalidInput):
             mf.frechet_mean(pts, [1.0])
+        with pytest.raises(InvalidInput):
+            mf.frechet_mean(make_spd(2, 3, seed=57), [np.nan, 0.5, 0.5])
 
     def test_rejects_bad_points(self):
         # every point is validated, also one with zero weight
