@@ -275,8 +275,10 @@ def adapt(source, target, source_labels=None, config=None):
         Its ``diagnostics`` hold the map's ``mean_iterations`` and
         ``mean_residuals`` (see :func:`barycentric_map`), and the plan
         solver's ``plan_iterations`` (Sinkhorn scaling iterations, summed
-        over majorization steps) and ``plan_outer_iterations`` (1 for
-        "sinkhorn"), both ``None`` for "exact", and ``stage_s``, the wall
+        over majorization steps, a multiple of ``transport.CHECK_EVERY``)
+        and ``plan_outer_iterations`` (1 for "sinkhorn"), both ``None`` for
+        "exact"; ``plan_marginal_error``, the plan's largest marginal
+        violation in infinity norm (every solver); and ``stage_s``, the wall
         seconds of each stage ("mass", "cost", "plan", "map").
     """
     cfg = config or AdaptationConfig()
@@ -365,6 +367,7 @@ def adapt(source, target, source_labels=None, config=None):
             **info,
             "plan_iterations": plan_info["iterations"],
             "plan_outer_iterations": plan_info["outer_iterations"],
+            "plan_marginal_error": max(plan.marginal_residuals()),
             "stage_s": dict(
                 zip(("mass", "cost", "plan", "map"), np.diff(clock).tolist())
             ),

@@ -8,14 +8,15 @@ Subcommands::
     spdot cosine  --out DIR [--n 40] [--channels 5] [--samples 101] [--ts 0.01] [--seed 0]
     spdot covariance TIMESERIES --out DIR
 
-Exit codes: 0 success; 2 an input was rejected before any stage ran (a bad
-file or flag, or an argument ``adapt`` checks up front); 3 a stage failed
-(``adapt`` names the pipeline step).  The generators and ``covariance``
-exit 3 on any error raised after their input files are read.  Every
-command writes a ``report.json`` echoing its configuration, seeds, and input
-digests, so any run can be reproduced from its report.  Data files (JSON
-datasets, CSV plans and curves) are deterministic for a fixed seed; floats
-are written with 17 significant digits so they reload bit-exactly.
+Exit codes: 0 success; 2 an input was rejected (a bad file or flag, or an
+argument a library call checks before computing, such as ``--n 0`` or
+``--grid 0``); 3 a computation failed (``adapt`` names the pipeline step).
+A command creates its ``--out`` directory only after its computation
+succeeded, so a rejected or failed run leaves none.  Every command writes a
+``report.json`` echoing its configuration, seeds, and input digests, so any
+run can be reproduced from its report.  Data files (JSON datasets, CSV plans
+and curves) are deterministic for a fixed seed; floats are written with 17
+significant digits so they reload bit-exactly.
 """
 
 import argparse
@@ -88,6 +89,19 @@ def _fail(code, message):
     return code
 
 
+def _exit_code(exc):
+    # stage errors carry their step; any other InvalidInput rejects an argument
+    argument_error = isinstance(exc, InvalidInput) and exc.pipeline_step is None
+    return EXIT_INPUT if argument_error else EXIT_SOLVER
+
+
+def _theta_grid(size, stop, endpoint=True):
+    """``size`` evenly spaced angles from 0 to ``stop``, at least one."""
+    if size < 1:
+        raise InvalidInput(f"--grid must be at least 1, got {size}")
+    return np.linspace(0.0, stop, size, endpoint=endpoint)
+
+
 def _auto_or_float(kind):
     def parse(value):
         if value == "auto":
@@ -129,8 +143,7 @@ def cmd_adapt(args):
         labels = source.labels if args.solver == "sinkhorn-labels" else None
         result = adapt(source.matrices, target.matrices, labels, config)
     except SpdotError as exc:
-        # adapt tags every stage error with its step; the rest are argument errors
-        return _fail(EXIT_INPUT if exc.pipeline_step is None else EXIT_SOLVER, exc)
+        return _fail(_exit_code(exc), exc)
     elapsed = time.perf_counter() - start
 
     out = Path(args.out)
@@ -163,15 +176,16 @@ def cmd_adapt(args):
 
 def cmd_toy_a(args):
     """Sweep the congruence-recovery experiment over rotation angles."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    grid = np.linspace(0.0, np.pi, args.grid)
     start = time.perf_counter()
     try:
+        grid = _theta_grid(args.grid, np.pi)
         results = experiments.toy_a_sweep(n=args.n, theta_grid=grid, seed=args.seed)
     except SpdotError as exc:
-        return _fail(EXIT_SOLVER, exc)
+        return _fail(_exit_code(exc), exc)
     elapsed = time.perf_counter() - start
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     _write_rows_csv(
         out / "toy_a.csv",
@@ -199,18 +213,19 @@ def cmd_toy_a(args):
 
 def cmd_toy_b(args):
     """Grid-search the rotation removing an unknown orthogonal component."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    grid = np.linspace(0.0, 2.0 * np.pi, args.grid, endpoint=False)
     start = time.perf_counter()
     try:
+        grid = _theta_grid(args.grid, 2.0 * np.pi, endpoint=False)
         source = experiments.isotropic_spd_cloud(args.n, seed=args.seed)
         truth = experiments.CongruenceMap(experiments.DEFAULT_T, args.theta_star)
         target = experiments.apply_congruence(truth, source)
         best_theta, curve, best_plan = experiments.toy_b_search(source, target, grid)
     except SpdotError as exc:
-        return _fail(EXIT_SOLVER, exc)
+        return _fail(_exit_code(exc), exc)
     elapsed = time.perf_counter() - start
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     _write_rows_csv(
         out / "toy_b.csv",
@@ -245,8 +260,6 @@ def cmd_toy_b(args):
 
 def cmd_cosine(args):
     """Generate paired cosine trials and compare the three cost constructions."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     try:
         xs, zs = experiments.cosine_trials(
@@ -255,8 +268,11 @@ def cmd_cosine(args):
         )
         reports = experiments._compare_configs(xs, zs)
     except SpdotError as exc:
-        return _fail(EXIT_SOLVER, exc)
+        return _fail(_exit_code(exc), exc)
     elapsed = time.perf_counter() - start
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     datasets.save_timeseries_dataset(out / "source_timeseries.json", xs)
     datasets.save_timeseries_dataset(out / "target_timeseries.json", zs)
@@ -298,14 +314,15 @@ def cmd_covariance(args):
     except SpdotError as exc:
         return _fail(EXIT_INPUT, exc)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     try:
         matrices, ridges = experiments.covariances(ds.trials, return_ridges=True)
     except SpdotError as exc:
-        return _fail(EXIT_SOLVER, exc)
+        return _fail(_exit_code(exc), exc)
     elapsed = time.perf_counter() - start
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     datasets.save_spd_dataset(out / "covariances.json", matrices, ds.labels)
     _write_report(

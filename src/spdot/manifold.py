@@ -225,14 +225,26 @@ def riemannian_distance(P, Q, squared=False):
     return d2 if squared else np.sqrt(d2)
 
 
+# Cap on the doubles in one (rows, n2, d, d) block of sq_distance_matrix.
+PAIR_BLOCK_DOUBLES = 2**14
+
+
+def _sq_log_norms(M):
+    """Squared Frobenius norms of the logs of a symmetric SPD stack ``M``."""
+    w = np.linalg.eigvalsh(sym(M))
+    return np.sum(np.log(np.maximum(w, 1e-300)) ** 2, axis=-1)
+
+
 def sq_distance_matrix(A, B=None):
     """Pairwise squared Riemannian distances between two stacks of SPD matrices.
 
     ``d(A[i], B[j])^2`` is the sum of squared logs of the eigenvalues of
     ``B[j]^{-1/2} A[i] B[j]^{-1/2}``.  The inverse roots of ``B`` come from
     one batched eigendecomposition; the congruences and eigenvalues are then
-    taken one source row at a time, so a call holds O(n2 d^2) working memory
-    on top of its ``(n1, n2)`` result rather than O(n1 n2 d^2).
+    taken for blocks of ``max(1, PAIR_BLOCK_DOUBLES // (n2 d^2))`` source
+    rows at a time, one batched eigensolve per block, so a call holds
+    O(max(PAIR_BLOCK_DOUBLES, n2 d^2)) working memory on top of its
+    ``(n1, n2)`` result rather than O(n1 n2 d^2).
 
     With ``B`` omitted, the self-distances of ``A`` are computed from their
     strict upper triangle (n(n-1)/2 eigensolves rather than n^2), mirrored,
@@ -255,13 +267,19 @@ def sq_distance_matrix(A, B=None):
     if not self_distances:
         check_spd(A, name="first set")
     W = invsqrtm(B)  # validates B
-    out = np.zeros((A.shape[0], B.shape[0]))
-    for i, P in enumerate(A):
-        cols = slice(i + 1, None) if self_distances else slice(None)
-        w = np.linalg.eigvalsh(sym(W[cols] @ P @ W[cols]))
-        out[i, cols] = np.sum(np.log(np.maximum(w, 1e-300)) ** 2, axis=-1)
+    n1, n2, d = A.shape[0], B.shape[0], A.shape[2]
+    rows = max(1, PAIR_BLOCK_DOUBLES // (n2 * d * d))
+    out = np.zeros((n1, n2))
     if self_distances:
+        # only the (i, j > i) pairs, in row order, cut at the block boundaries
+        iu, ju = np.triu_indices(n1, 1)
+        cuts = np.searchsorted(iu, range(rows, n1 - 1, rows))
+        for i, j in zip(np.split(iu, cuts), np.split(ju, cuts)):
+            out[i, j] = _sq_log_norms(W[j] @ A[i] @ W[j])
         out += out.T
+    else:
+        for s in range(0, n1, rows):
+            out[s:s + rows] = _sq_log_norms(W @ A[s:s + rows, None] @ W)
     return out
 
 
@@ -285,8 +303,7 @@ def paired_sq_distances(A, B):
         )
     check_spd(A, name="first set")
     W = invsqrtm(B)  # validates B
-    w = np.linalg.eigvalsh(sym(W @ A @ W))
-    return np.sum(np.log(np.maximum(w, 1e-300)) ** 2, axis=-1)
+    return _sq_log_norms(W @ A @ W)
 
 
 def geodesic(P, Q, t):

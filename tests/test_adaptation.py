@@ -434,8 +434,21 @@ class TestAdaptPipeline:
         assert res.diagnostics["plan_iterations"] == info["iterations"]
         assert res.diagnostics["plan_outer_iterations"] == info["outer_iterations"] > 1
 
+    def test_plan_marginal_error(self):
+        src = make_spd(2, 6, seed=38)
+        tgt = make_spd(2, 6, seed=39)
+        labels = np.array([0, 0, 0, 1, 1, 1])
+        for cfg, lab in (
+            (exact_config(), None),
+            (ad.AdaptationConfig(solver="sinkhorn", lam=2.0, mass="kde"), None),
+            (ad.AdaptationConfig(solver="sinkhorn-labels", lam=2.0, eta=0.1), labels),
+        ):
+            res = ad.adapt(src, tgt, lab, cfg)
+            err = res.diagnostics["plan_marginal_error"]
+            assert err == max(res.plan.marginal_residuals()) <= tp.MARGINAL_TOL
+
     def test_bare_sinkhorn_reproduces_default_plan(self):
-        # the default config needs 32 303 scaling iterations on this instance
+        # the default config needs 32 310 scaling iterations on this instance
         src = make_spd(4, 50, seed=0, scale=0.5)
         tgt = make_spd(4, 50, seed=1, scale=0.5)
         res = ad.adapt(src, tgt)

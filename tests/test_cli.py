@@ -6,6 +6,7 @@ import pytest
 from conftest import make_spd
 from spdot import datasets
 from spdot.cli import main
+from spdot.errors import ConvergenceFailure
 
 
 def write_spd(path, matrices, labels=None):
@@ -188,6 +189,33 @@ class TestToyCommands:
         assert 0.0 <= report["best_theta"] < 2 * np.pi
         assert report["best_objective"] <= report["objective_at_zero"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["toy-a", "--grid", "0", "--n", "8"], "--grid must be at least 1"),
+        (["toy-a", "--grid", "-2", "--n", "8"], "--grid must be at least 1"),
+        (["toy-a", "--grid", "3", "--n", "0"], "count >= 1"),
+        (["toy-b", "--grid", "0"], "--grid must be at least 1"),
+        (["toy-b", "--grid", "3", "--n", "3"], "at least 4 points"),
+        (["cosine", "--n", "0"], "cosine_trials needs n >= 1"),
+        (["cosine", "--channels", "0"], "cosine_trials needs n >= 1"),
+        (["cosine", "--samples", "1"], "cosine_trials needs n >= 1"),
+    ])
+    def test_bad_arguments_exit_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_sweep_exits_3(self, tmp_path, monkeypatch):
+        from spdot import experiments
+
+        def fail(**kw):
+            raise ConvergenceFailure("no plan")
+
+        monkeypatch.setattr(experiments, "toy_a_sweep", fail)
+        out = tmp_path / "o"
+        assert main(["toy-a", "--grid", "3", "--n", "8", "--out", str(out)]) == 3
+        assert not out.exists()
+
 
 class TestCosineAndCovariance:
     def test_cosine_outputs(self, tmp_path):
@@ -236,6 +264,7 @@ class TestCosineAndCovariance:
         datasets.save_timeseries_dataset(path, trials)
         assert main(["covariance", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "trial 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_covariance_wrong_kind_exits_2(self, tmp_path):
         src = write_spd(tmp_path / "s.json", make_spd(2, 2, seed=6))

@@ -169,6 +169,40 @@ class TestDistance:
             np.testing.assert_allclose(D2[off], full[off], rtol=1e-10)
         assert np.array_equal(mf.sq_distance_matrix(A[:1]), np.zeros((1, 1)))
 
+    @staticmethod
+    def per_row_sq_distances(A, B=None):
+        """The kernel one source row at a time (upper triangle for self)."""
+        self_distances = B is None
+        W = mf.invsqrtm(A if self_distances else B)
+        out = np.zeros((len(A), len(W)))
+        for i, P in enumerate(A):
+            cols = slice(i + 1, None) if self_distances else slice(None)
+            w = np.linalg.eigvalsh(mf.sym(W[cols] @ P @ W[cols]))
+            out[i, cols] = np.sum(np.log(np.maximum(w, 1e-300)) ** 2, axis=-1)
+        return out + out.T if self_distances else out
+
+    def test_row_blocks_match_per_row_loop(self, monkeypatch):
+        A = make_spd(3, 7, seed=31)
+        B = make_spd(3, 5, seed=32)
+        cross = self.per_row_sq_distances(A, B)
+        upper = self.per_row_sq_distances(A)
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda M: solved.append(len(M)) or eigvalsh(M)
+        )
+        # 1, 2 and 3 rows per block (7 rows: partial last blocks), then one block
+        for rows in (1, 2, 3, 7):
+            monkeypatch.setattr(mf, "PAIR_BLOCK_DOUBLES", rows * 5 * 9)
+            assert np.array_equal(mf.sq_distance_matrix(A, B), cross)
+            monkeypatch.setattr(mf, "PAIR_BLOCK_DOUBLES", rows * 7 * 9)
+            solved.clear()
+            D2 = mf.sq_distance_matrix(A)
+            assert np.array_equal(D2, upper)
+            assert np.array_equal(D2, D2.T) and (np.diag(D2) == 0.0).all()
+            # exactly the strict upper triangle, one nonempty solve per block
+            assert sum(solved) == 7 * 6 // 2 and len(solved) == -(-6 // rows)
+
 
 class TestGeodesic:
     def test_endpoints(self):

@@ -230,6 +230,50 @@ class TestSinkhorn:
         with pytest.raises(ConvergenceFailure):
             tp.sinkhorn(C, lam=8.0, max_iter=k - 1)
 
+    def test_iterations_are_whole_check_blocks(self):
+        rng = np.random.default_rng(20)
+        for lam in (0.5, 8.0, 40.0):
+            C = rng.random((7, 6))
+            _, info = tp.sinkhorn(C, lam=lam, return_info=True)
+            assert info["iterations"] > 0
+            assert info["iterations"] % tp.CHECK_EVERY == 0
+        C, labels = class_structured_cost(21, n=12)
+        _, info = tp.sinkhorn_with_labels(
+            C, labels=labels, lam=20.0 / np.median(C), eta=0.5, return_info=True
+        )
+        assert info["outer_iterations"] > 1
+        assert info["iterations"] % tp.CHECK_EVERY == 0
+
+    @staticmethod
+    def per_iteration_sinkhorn(C, p, q, lam):
+        """Scaling with the stopping test after every iteration."""
+        K = np.exp(-lam * C)
+        with np.errstate(divide="ignore"):
+            Kt = K / p[:, None]
+        u = np.full(len(p), 1.0 / len(p))
+        for _ in range(tp.SINKHORN_MAX_ITER):
+            u_new = 1.0 / (Kt @ (q / (K.T @ u)))
+            done = np.abs(u_new - u).max() / u_new.max() <= tp.SINKHORN_TOL
+            u = u_new
+            if done:
+                return u[:, None] * K * (q / (K.T @ u))[None, :]
+        raise AssertionError("reference loop did not converge")
+
+    def test_zero_marginal_entries(self):
+        rng = np.random.default_rng(22)
+        C = rng.random((5, 4))
+        uniform_p, uniform_q = tp.uniform_mass(5), tp.uniform_mass(4)
+        zero_p = np.array([0.3, 0.0, 0.2, 0.4, 0.1])
+        zero_q = np.array([0.25, 0.5, 0.0, 0.25])
+        # at this lambda both loops stop within the first block, so they
+        # differ only in where the zero entries enter the scaling
+        for p, q in ((zero_p, uniform_q), (uniform_p, zero_q)):
+            plan = tp.sinkhorn(C, p, q, lam=2.0).matrix
+            want = self.per_iteration_sinkhorn(C, p, q, 2.0)
+            assert np.isfinite(plan).all()
+            assert np.abs(plan - want).max() <= 1e-12
+            assert (plan[p == 0] == 0).all() and (plan[:, q == 0] == 0).all()
+
 
 class TestSinkhornWithLabels:
     # class 0 strongly prefers the first target column, class 1 is split;
