@@ -27,7 +27,6 @@ from .manifold import (
     log_map,
     riemannian_distance,
     sq_distance_matrix,
-    sym_eig,
     tangent_coordinates,
 )
 from .transport import (
@@ -70,6 +69,5 @@ __all__ = [
     "sinkhorn",
     "sinkhorn_with_labels",
     "sq_distance_matrix",
-    "sym_eig",
     "tangent_coordinates",
 ]

@@ -58,8 +58,8 @@ class AdaptationConfig:
     top_k : int or None
         Keep only the k >= 1 largest entries of each plan row (renormalized)
         before the barycentric mean; ``None`` keeps dense rows.
-    seed : int or None
-        Recorded for provenance; the pipeline itself is deterministic.
+
+    The pipeline is deterministic, so no seed is needed to reproduce a run.
 
     Numeric fields reject ``bool``.  A value outside its range raises
     :class:`InvalidInput` here, before any pipeline stage runs.
@@ -72,7 +72,6 @@ class AdaptationConfig:
     mass: str = "uniform"
     kde_sigma: float | str = "auto"
     top_k: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         if self.metric not in METRICS:
@@ -166,7 +165,7 @@ def build_cost(source, target, metric="riemannian"):
         manifold.check_spd(src, name="source set")
         manifold.check_spd(tgt, name="target set")
         values = transport.sq_euclidean_matrix(src, tgt)
-    return transport.CostMatrix(values, metric)
+    return transport.CostMatrix(values)
 
 
 def barycentric_map(
@@ -231,9 +230,7 @@ def barycentric_map(
         np.put_along_axis(rows, drop, 0.0, axis=1)
         totals = rows.sum(axis=1)
     manifold.check_spd(tgt, name="target set")
-    adapted, iterations, residuals = manifold._karcher_means(
-        tgt, rows / totals[:, None], manifold.MEAN_MAX_ITER
-    )
+    adapted, iterations, residuals = manifold._karcher_means(tgt, rows / totals[:, None])
     if return_info:
         return adapted, {
             "mean_iterations": iterations.tolist(),
@@ -258,8 +255,8 @@ def adapt(source, target, source_labels=None, config=None):
     are re-raised with ``pipeline_step`` set to the stage name ("mass",
     "cost", "plan", or "map").  Argument errors, raised before any stage
     runs (a malformed or empty stack, a dimension mismatch, labels given
-    or missing against the solver, ``top_k`` above the target size), carry
-    ``pipeline_step = None``.
+    or missing against the solver or not one per source point, ``top_k``
+    above the target size), carry ``pipeline_step = None``.
 
     Parameters
     ----------
@@ -273,13 +270,13 @@ def adapt(source, target, source_labels=None, config=None):
     -------
     AdaptationResult
         Its ``diagnostics`` hold the map's ``mean_iterations`` and
-        ``mean_residuals`` (see :func:`barycentric_map`), and the plan
-        solver's ``plan_iterations`` (Sinkhorn scaling iterations, summed
-        over majorization steps, a multiple of ``transport.CHECK_EVERY``)
-        and ``plan_outer_iterations`` (1 for "sinkhorn"), both ``None`` for
-        "exact"; ``plan_marginal_error``, the plan's largest marginal
-        violation in infinity norm (every solver); and ``stage_s``, the wall
-        seconds of each stage ("mass", "cost", "plan", "map").
+        ``mean_residuals`` (see :func:`barycentric_map`); the plan's
+        ``iterations`` and ``outer_iterations`` (see
+        :class:`~spdot.transport.TransportPlan`; ``None`` for "exact") as
+        ``plan_iterations`` and ``plan_outer_iterations``;
+        ``plan_marginal_error``, the plan's largest marginal violation in
+        infinity norm (every solver); and ``stage_s``, the wall seconds of
+        each stage ("mass", "cost", "plan", "map").
     """
     cfg = config or AdaptationConfig()
     src = manifold.check_stack(source, "source set")
@@ -287,6 +284,11 @@ def adapt(source, target, source_labels=None, config=None):
     if (cfg.solver == "sinkhorn-labels") != (source_labels is not None):
         raise InvalidInput(
             "source labels must be given exactly when solver='sinkhorn-labels'"
+        )
+    if source_labels is not None and np.shape(source_labels) != (src.shape[0],):
+        raise InvalidInput(
+            f"source labels have shape {np.shape(source_labels)}, "
+            f"expected ({src.shape[0]},)"
         )
     if cfg.top_k is not None and cfg.top_k > tgt.shape[0]:
         raise InvalidInput(f"top_k={cfg.top_k} exceeds target size {tgt.shape[0]}")
@@ -311,7 +313,6 @@ def adapt(source, target, source_labels=None, config=None):
 
     lambda_used = None
     eta_used = None
-    plan_info = {"iterations": None, "outer_iterations": None}
     try:
         if cfg.solver == "exact":
             plan = transport.exact_ot(cost, p, q)
@@ -322,23 +323,15 @@ def adapt(source, target, source_labels=None, config=None):
                 else float(cfg.lam)
             )
             if cfg.solver == "sinkhorn":
-                plan, plan_info = transport.sinkhorn(
-                    cost, p, q, lambda_used, return_info=True
-                )
+                plan = transport.sinkhorn(cost, p, q, lambda_used)
             else:
                 eta_used = (
                     2.0 * float(np.median(cost.values))
                     if cfg.eta is None
                     else float(cfg.eta)
                 )
-                plan, plan_info = transport.sinkhorn_with_labels(
-                    cost,
-                    p,
-                    q,
-                    labels=source_labels,
-                    lam=lambda_used,
-                    eta=eta_used,
-                    return_info=True,
+                plan = transport.sinkhorn_with_labels(
+                    cost, p, q, labels=source_labels, lam=lambda_used, eta=eta_used
                 )
     except SpdotError as exc:
         raise _tag_step(exc, "plan")
@@ -365,8 +358,8 @@ def adapt(source, target, source_labels=None, config=None):
         eta_used=eta_used,
         diagnostics={
             **info,
-            "plan_iterations": plan_info["iterations"],
-            "plan_outer_iterations": plan_info["outer_iterations"],
+            "plan_iterations": plan.iterations,
+            "plan_outer_iterations": plan.outer_iterations,
             "plan_marginal_error": max(plan.marginal_residuals()),
             "stage_s": dict(
                 zip(("mass", "cost", "plan", "map"), np.diff(clock).tolist())
@@ -391,7 +384,7 @@ def mdm_fit(train, labels):
     weights = (labels == classes[:, None]).astype(float)
     weights /= weights.sum(axis=1, keepdims=True)
     manifold.check_spd(pts, name="mdm_fit points")
-    means, _, _ = manifold._karcher_means(pts, weights, manifold.MEAN_MAX_ITER)
+    means, _, _ = manifold._karcher_means(pts, weights)
     return {y.item() if hasattr(y, "item") else y: M for y, M in zip(classes, means)}
 
 

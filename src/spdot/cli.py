@@ -133,7 +133,6 @@ def cmd_adapt(args):
             mass=args.mass,
             kde_sigma=args.kde_sigma,
             top_k=args.top_k,
-            seed=args.seed,
         )
     except SpdotError as exc:
         return _fail(EXIT_INPUT, exc)
@@ -358,7 +357,6 @@ def build_parser():
     p.add_argument("--mass", choices=["uniform", "kde"], default="uniform")
     p.add_argument("--kde-sigma", type=_auto_or_float("kde-sigma"), default="auto")
     p.add_argument("--top-k", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_adapt)
 

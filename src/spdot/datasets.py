@@ -31,15 +31,12 @@ from .errors import InvalidInput, SpdotError
 
 @dataclass(frozen=True)
 class SpdDataset:
-    dim: int
     matrices: np.ndarray  # (n, dim, dim)
     labels: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class TimeseriesDataset:
-    channels: int
-    samples: int
     trials: np.ndarray  # (n, channels, samples)
     labels: np.ndarray | None = None
 
@@ -94,7 +91,7 @@ def _load_spd(raw, path):
     except (TypeError, ValueError, SpdotError):
         matrices = _spd_records(records, dim, path)
     labels = _check_labels(raw.get("labels"), len(records), path)
-    return SpdDataset(dim=dim, matrices=matrices, labels=labels)
+    return SpdDataset(matrices, labels)
 
 
 def _spd_records(records, dim, path):
@@ -138,9 +135,7 @@ def _load_timeseries(raw, path):
             )
         trials[i] = arr.reshape(channels, samples)
     labels = _check_labels(raw.get("labels"), len(records), path)
-    return TimeseriesDataset(
-        channels=channels, samples=samples, trials=trials, labels=labels
-    )
+    return TimeseriesDataset(trials, labels)
 
 
 def _indented(value, depth):

@@ -148,6 +148,14 @@ def _exact_config():
     return AdaptationConfig(metric="riemannian", solver="exact", mass="uniform")
 
 
+def _angles(theta_grid, default):
+    """``theta_grid`` (``default`` when ``None``) as a nonempty 1-D float array."""
+    grid = default if theta_grid is None else np.asarray(theta_grid, dtype=float)
+    if grid.ndim != 1 or not grid.size:
+        raise InvalidInput(f"theta_grid must be a nonempty 1-D grid, got {grid.shape}")
+    return grid
+
+
 def toy_a_sweep(n=50, theta_grid=None, seed=0):
     """Recovery quality of the transport map across rotation angles.
 
@@ -156,13 +164,13 @@ def toy_a_sweep(n=50, theta_grid=None, seed=0):
     exact solver under the Riemannian cost, and the adapted set is compared
     to the ground-truth images.
 
-    Returns a list of ``(theta, MatchReport)`` in grid order.
+    Returns a list of ``(theta, MatchReport)`` in grid order; an empty grid
+    raises :class:`InvalidInput`.
     """
-    if theta_grid is None:
-        theta_grid = np.linspace(0.0, np.pi, TOY_A_GRID_SIZE)
+    grid = _angles(theta_grid, np.linspace(0.0, np.pi, TOY_A_GRID_SIZE))
     source = random_spd(2, n, scale=TOY_SCALE, seed=seed)
     results = []
-    for theta in np.asarray(theta_grid, dtype=float):
+    for theta in grid:
         target = apply_congruence(CongruenceMap(DEFAULT_T, theta), source)
         res = adapt(source, target, config=_exact_config())
         recovery = recovery_error(res.adapted_source, target)
@@ -183,18 +191,19 @@ def toy_b_search(source, target, theta_grid=None):
     -------
     (best_theta, curve, best_plan)
         ``curve`` is a list of ``(theta, MatchReport)``; recovery error is
-        NaN since this study never maps points.
+        NaN since this study never maps points.  An empty grid raises
+        :class:`InvalidInput`.
     """
     src = np.asarray(source, dtype=float)
     tgt = np.asarray(target, dtype=float)
     if src.shape[-2:] != (2, 2) or tgt.shape[-2:] != (2, 2):
         raise InvalidInput("toy_b_search supports 2x2 matrices only")
-    if theta_grid is None:
-        theta_grid = np.linspace(0.0, 2.0 * np.pi, TOY_B_GRID_SIZE, endpoint=False)
+    default = np.linspace(0.0, 2.0 * np.pi, TOY_B_GRID_SIZE, endpoint=False)
+    grid = _angles(theta_grid, default)
 
     curve = []
     best = (None, np.inf, None)
-    for theta in np.asarray(theta_grid, dtype=float):
+    for theta in grid:
         U = rotation_2d(theta)
         rotated = manifold.sym(np.einsum("ab,ibc,dc->iad", U, src, U))
         cost = manifold.sq_distance_matrix(rotated, tgt)
@@ -240,19 +249,16 @@ def cosine_trials(n=40, channels=5, samples=101, ts=0.01, seed=0, noise=True):
     return xs, zs
 
 
-def covariance(trial, return_ridge=False):
+def covariance(trial):
     """Sample covariance of a ``(d, M)`` trial, guarded against rank loss.
 
     Rows are mean-centered, then ``X X^T / (M - 1)``.  If the smallest
     eigenvalue falls at or below :data:`spdot.manifold.EPS_PD` the matrix
     is repaired with a ridge of ``1e-8 * trace / d``; a matrix still not
-    positive-definite after that is rejected.
-
-    With ``return_ridge=True`` also returns the ridge that was added (0.0
-    when none was needed).
+    positive-definite after that is rejected.  :func:`covariances` with
+    ``return_ridges=True`` reports the ridge that was added.
     """
-    C, ridges = covariances([trial], return_ridges=True)
-    return (C[0], ridges[0]) if return_ridge else C[0]
+    return covariances([trial])[0]
 
 
 def covariances(trials, return_ridges=False):

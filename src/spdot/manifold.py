@@ -89,27 +89,6 @@ def check_spd(P, name="matrix"):
     return P
 
 
-def sym_eig(M):
-    """Eigendecomposition of a symmetric matrix.
-
-    Parameters
-    ----------
-    M : ndarray, shape (d, d)
-        Symmetric matrix.
-
-    Returns
-    -------
-    w : ndarray, shape (d,)
-        Eigenvalues in descending order.
-    V : ndarray, shape (d, d)
-        Orthogonal matrix whose columns are the matching eigenvectors, so
-        that ``M = V diag(w) V^T``.
-    """
-    M = check_symmetric(M, name="sym_eig input")
-    w, V = _eigh(M, op="sym_eig")
-    return w[::-1].copy(), V[:, ::-1].copy()
-
-
 def _eigh(M, floor=None, op="matrix function"):
     """Eigendecomposition ``(w, V)`` of a symmetric matrix (batched).
 
@@ -158,12 +137,6 @@ def invsqrtm(P):
     """Inverse matrix square root of an SPD matrix (batched)."""
     P = check_symmetric(P, name="invsqrtm input")
     return _eigh_fun(P, lambda w: 1.0 / np.sqrt(w), floor=EPS_PD, op="invsqrtm")
-
-
-def powm(P, t):
-    """Matrix power ``P^t`` of an SPD matrix (batched)."""
-    P = check_symmetric(P, name="powm input")
-    return _eigh_fun(P, lambda w: w**t, floor=EPS_PD, op="powm")
 
 
 def _sqrt_invsqrt(P, op="sqrt/invsqrt"):
@@ -346,14 +319,6 @@ def log_map(P, Q):
     return sym(S @ _eigh_fun(Y, np.log, EPS_PD, "logm") @ S)
 
 
-def tangent_norm(P, A):
-    """Norm of tangent vector ``A`` at base ``P``: ``||P^{-1/2} A P^{-1/2}||_F``."""
-    P, A = _check_pair(P, A, "tangent_norm")
-    check_symmetric(A, name="tangent vector")
-    _, Y = _whiten(P, A, "tangent_norm")
-    return float(np.linalg.norm(Y))
-
-
 def _karcher_hessian(U, L, w):
     """Whitened Riemannian Hessian of ``f(X) = 1/2 sum_j w_j d(X, P_j)^2``.
 
@@ -422,7 +387,7 @@ def _newton_direction(hess, T):
 KARCHER_BLOCK_DOUBLES = 2**19
 
 
-def _karcher_means(points, weights, max_iter):
+def _karcher_means(points, weights):
     """:func:`frechet_mean` of validated ``points`` for each row of ``weights``.
 
     Returns ``(means, iterations, residuals)``.  A row with one positive
@@ -455,7 +420,7 @@ def _karcher_means(points, weights, max_iter):
         lam, V = _eigh(X[act], EPS_PD, op="frechet_mean")
         F[act] = V * np.sqrt(lam)[:, None, :]
         Finv[act] = np.swapaxes(V / np.sqrt(lam)[:, None, :], -1, -2)
-        for _ in range(max_iter):
+        for _ in range(MEAN_MAX_ITER):
             Fi = Finv[act][:, None]
             whitened = sym(Fi @ points[idx[act, :k]] @ np.swapaxes(Fi, -1, -2))
             lam, U = _eigh(whitened, op="logm")
@@ -491,14 +456,14 @@ def _karcher_means(points, weights, max_iter):
         )
     raise ConvergenceFailure(
         f"Karcher mean of row {i}: residual {residuals[i]:.3e} > tol "
-        f"{MEAN_TOL:.1e} after {max_iter} iterations",
+        f"{MEAN_TOL:.1e} after {MEAN_MAX_ITER} iterations",
         last=X[i].copy(),
         residual=float(residuals[i]),
-        iterations=max_iter,
+        iterations=MEAN_MAX_ITER,
     )
 
 
-def frechet_mean(points, weights=None, max_iter=MEAN_MAX_ITER, return_info=False):
+def frechet_mean(points, weights=None, return_info=False):
     """Weighted Fréchet (Karcher) mean of SPD matrices.
 
     Minimizes ``f(X) = 1/2 sum_i w_i d(X, P_i)^2`` by Riemannian Newton
@@ -510,7 +475,8 @@ def frechet_mean(points, weights=None, max_iter=MEAN_MAX_ITER, return_info=False
     is never longer than the fixed-point step ``D = T``, and near the mean
     convergence is quadratic.  Iteration stops once the tangent average
     ``sum_i w_i Log_X(P_i) = X^{1/2} T X^{1/2}`` has Frobenius norm
-    ``<= MEAN_TOL``.  The problem is strictly convex, so the mean is unique.
+    ``<= MEAN_TOL``, within ``MEAN_MAX_ITER`` steps.  The problem is
+    strictly convex, so the mean is unique.
 
     Parameters
     ----------
@@ -519,8 +485,6 @@ def frechet_mean(points, weights=None, max_iter=MEAN_MAX_ITER, return_info=False
         positive weight enter the iteration.
     weights : array-like, shape (n,), optional
         Finite, nonnegative weights summing to 1.  Uniform when omitted.
-    max_iter : int, default=MEAN_MAX_ITER
-        Cap on Newton steps.
     return_info : bool, default=False
         Also return ``{"iterations": k, "residual": r}``, where ``k`` is
         the number of Newton steps taken.
@@ -534,8 +498,8 @@ def frechet_mean(points, weights=None, max_iter=MEAN_MAX_ITER, return_info=False
     Raises
     ------
     ConvergenceFailure
-        If the cap is hit; carries the last iterate, the last residual and
-        the iteration count.
+        If ``MEAN_MAX_ITER`` steps are used up; carries the last iterate,
+        the last residual and the iteration count.
     NotPositiveDefinite
         If a whitened point's eigenvalue reaches the log's floor ``EPS_PD``.
     """
@@ -543,7 +507,7 @@ def frechet_mean(points, weights=None, max_iter=MEAN_MAX_ITER, return_info=False
     n = pts.shape[0]
     w = np.full(n, 1.0 / n) if weights is None else check_mass(weights, n, "weights")
     check_spd(pts, name="frechet_mean points")
-    means, iterations, residuals = _karcher_means(pts, w[None], max_iter)
+    means, iterations, residuals = _karcher_means(pts, w[None])
     info = {"iterations": int(iterations[0]), "residual": float(residuals[0])}
     return (means[0], info) if return_info else means[0]
 

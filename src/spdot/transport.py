@@ -35,10 +35,6 @@ from .errors import (
 # Entries of the Gibbs kernel below this are clamped; a fully clamped row or
 # column means the kernel carries no usable signal at the requested lambda.
 KERNEL_FLOOR = 1e-300
-# Additive guard inside the group-penalty update.
-EPS_REG = 1e-12
-# Exponent of the L1 group norms in the label penalty.
-GROUP_EXPONENT = 2
 
 # Tolerance for the marginal constraints of a valid plan (infinity norm).
 MARGINAL_TOL = 1e-6
@@ -93,28 +89,29 @@ def _cost_array(cost, name="cost"):
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Pairwise transport costs plus the metric they were computed under."""
+    """Pairwise transport costs: finite, nonnegative, nonempty."""
 
     values: np.ndarray
-    metric: str = "riemannian"  # "riemannian" | "euclidean"
 
     def __post_init__(self):
         object.__setattr__(self, "values", _cost_array(self.values))
-        if self.metric not in ("riemannian", "euclidean"):
-            raise InvalidInput(f"unknown cost metric {self.metric!r}")
-
-    @property
-    def shape(self):
-        return self.values.shape
 
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Nonnegative coupling with prescribed row and column marginals."""
+    """Nonnegative coupling with prescribed row and column marginals.
+
+    An entropic solver also records its work: ``iterations``, the scaling
+    iterations summed over its solves (a multiple of ``CHECK_EVERY``), and
+    ``outer_iterations``, the number of solves.  Both are ``None`` for
+    :func:`exact_ot`.
+    """
 
     matrix: np.ndarray
     source_marginal: np.ndarray
     target_marginal: np.ndarray
+    iterations: int | None = None
+    outer_iterations: int | None = None
 
     def validate(self):
         """Check nonnegativity and both marginal constraints.
@@ -266,19 +263,25 @@ def _coupling(K, q, u):
     return u[:, None] * K * v[None, :]
 
 
-def _scale(K, p, q, u, tol, max_iter):
+def _scale(K, p, q, u):
     """Sinkhorn scaling of ``K`` started from ``u``; returns ``(u, iterations)``.
 
     With ``K~ = K / p[:, None]`` and ``Kq = K / q[None, :]``, each iteration
     is ``u = 1 / (K~ (1 / (Kq^T u)))``.  Every ``CHECK_EVERY`` iterations the
     relative infinity-norm change of ``u`` over the last one is compared
-    with ``tol``, so a successful solve reports a multiple of
+    with ``SINKHORN_TOL``, so a successful solve reports a multiple of
     ``CHECK_EVERY`` iterations.  Raises :class:`ConvergenceFailure` with the
-    last plan after ``max_iter`` iterations.
+    last plan after ``SINKHORN_MAX_ITER`` iterations.  A zero entry of ``p``
+    (``q``) gets a zero scaling, so its plan row (column) is exactly zero.
     """
+    tol, max_iter = SINKHORN_TOL, SINKHORN_MAX_ITER
     with np.errstate(divide="ignore"):
         Kt = K / p[:, None]
         KqT = K.T / q[:, None]
+    if not (p.all() or q.all()):
+        # where both masses vanish, an infinite entry would meet a zero scaling
+        Kt[np.ix_(p == 0, q == 0)] = 0.0
+        KqT[np.ix_(q == 0, p == 0)] = 0.0
     delta = np.inf
     it = 0
     while it < max_iter:
@@ -301,15 +304,7 @@ def _scale(K, p, q, u, tol, max_iter):
     )
 
 
-def sinkhorn(
-    cost,
-    p=None,
-    q=None,
-    lam=1.0,
-    tol=SINKHORN_TOL,
-    max_iter=SINKHORN_MAX_ITER,
-    return_info=False,
-):
+def sinkhorn(cost, p=None, q=None, lam=1.0):
     """Entropy-regularized optimal transport via Sinkhorn matrix scaling.
 
     Minimizes ``<G, C> - h(G)/lam`` over couplings ``G`` with marginals
@@ -322,7 +317,9 @@ def sinkhorn(
         v = q / (K^T u);  G = diag(u) K diag(v)
 
     stopping when the relative infinity-norm change of ``u`` over one
-    iteration drops to ``tol``, tested every ``CHECK_EVERY`` iterations.
+    iteration drops to ``SINKHORN_TOL``, tested every ``CHECK_EVERY``
+    iterations, for at most ``SINKHORN_MAX_ITER`` iterations.  A zero mass
+    gets an exactly zero plan row or column.
     Larger ``lam`` weakens the entropy term and approaches the unregularized
     optimum, at the price of a narrower numerical range in ``K``: entries
     below ``KERNEL_FLOOR`` are clamped, and if an entire row or column
@@ -335,62 +332,44 @@ def sinkhorn(
         Marginals; default uniform.
     lam : float
         Regularization strength, > 0.
-    tol : float, default=SINKHORN_TOL
-        Relative stopping threshold on ``u``.
-    max_iter : int, default=SINKHORN_MAX_ITER
-    return_info : bool, default=False
-        Also return ``{"iterations": k, "outer_iterations": 1}``, where
-        ``k`` is the number of scaling iterations, a multiple of
-        ``CHECK_EVERY``.
 
     Returns
     -------
     TransportPlan
+        Its ``iterations`` are the scaling iterations, a multiple of
+        ``CHECK_EVERY``, and its ``outer_iterations`` is 1.
 
     Raises
     ------
     NumericalFailure
         If a whole kernel row/column underflows; lower ``lam``.
     ConvergenceFailure
-        If ``max_iter`` is exhausted; carries the last plan, the residual
-        and the iteration count.
+        If ``SINKHORN_MAX_ITER`` is exhausted; carries the last plan, the
+        residual and the iteration count.
     """
     C, p, q = _check_problem(cost, p, q, lam, "sinkhorn")
     K = _gibbs_kernel(C, lam)
     n1 = C.shape[0]
-    u, iterations = _scale(K, p, q, np.full(n1, 1.0 / n1), tol, max_iter)
-    plan = TransportPlan(_coupling(K, q, u), p, q).validate()
-    if return_info:
-        return plan, {"iterations": iterations, "outer_iterations": 1}
-    return plan
+    u, iterations = _scale(K, p, q, np.full(n1, 1.0 / n1))
+    return TransportPlan(_coupling(K, q, u), p, q, iterations, 1).validate()
 
 
-def _class_groups(labels, n1):
+def _class_indicator(labels, n1):
+    """0/1 matrix ``Y`` with ``Y[i, c] = 1`` iff point ``i`` is in class ``c``."""
     labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size != n1:
+    if labels.shape != (n1,):
         raise InvalidInput(f"labels must be a length-{n1} vector, got {labels.shape}")
-    classes = np.unique(labels)
-    return classes, [np.flatnonzero(labels == y) for y in classes]
+    return (labels[:, None] == np.unique(labels)).astype(float)
 
 
 def label_group_penalty(gamma, labels):
     """Group penalty ``sum_j sum_y ||gamma[rows(y), j]||_1 ^ 2`` of a plan."""
     gamma = np.asarray(gamma, dtype=float)
-    _, groups = _class_groups(labels, gamma.shape[0])
-    return float(
-        sum((gamma[idx, :].sum(axis=0) ** GROUP_EXPONENT).sum() for idx in groups)
-    )
+    Y = _class_indicator(labels, gamma.shape[0])
+    return float(((Y.T @ gamma) ** 2).sum())
 
 
-def sinkhorn_with_labels(
-    cost0,
-    p=None,
-    q=None,
-    labels=None,
-    lam=1.0,
-    eta=0.0,
-    return_info=False,
-):
+def sinkhorn_with_labels(cost0, p=None, q=None, labels=None, lam=1.0, eta=0.0):
     """Sinkhorn transport with a group penalty tied to source class labels.
 
     Adds ``eta * sum_j sum_y ||G(rows(y), j)||_1 ^ 2`` to the entropic
@@ -398,19 +377,21 @@ def sinkhorn_with_labels(
     starting from a zero offset ``G``, alternate a Sinkhorn solve on
     ``cost0 + G`` with the offset update::
 
-        G[rows(y), j] = eta * 2 * (||plan[rows(y), j]||_1 + EPS_REG)
+        G = 2 eta Y (Y^T plan),  Y[i, y] = 1 iff source point i has label y
 
-    (the gradient of the penalty at the current plan) until the plan changes
-    by at most ``LABEL_TOL`` in infinity norm, for at most ``LABEL_MAX_ITER``
-    solves.  Each solve after the first is warm-started from the previous
-    solve's scaling vector ``u``: the costs of consecutive steps differ only
-    by the shrinking offset change, so the scaling is already close to its
-    fixed point.  Every solve stops on the same
-    relative-change test as :func:`sinkhorn`, bounded by ``SINKHORN_TOL``
-    and ``SINKHORN_MAX_ITER``.  With ``eta = 0`` the offset never moves and
-    the plan of the single (cold-started) solve is returned, bit-identical
-    to :func:`sinkhorn` on ``cost0``; with a single class the offset is
-    constant per column and the plan is unchanged as well.
+    (the gradient of the penalty at the current plan: ``G[i, j]`` is
+    ``2 eta`` times the mass that column ``j`` receives from the class of
+    point ``i``) until the plan changes by at most ``LABEL_TOL`` in
+    infinity norm, for at most ``LABEL_MAX_ITER`` solves.  Each solve after
+    the first is warm-started from the previous solve's scaling vector
+    ``u``: the costs of consecutive steps differ only by the shrinking
+    offset change, so the scaling is already close to its fixed point.
+    Every solve stops on the same relative-change test as :func:`sinkhorn`,
+    bounded by ``SINKHORN_TOL`` and ``SINKHORN_MAX_ITER``.  With ``eta = 0``
+    the offset never moves and the plan of the single (cold-started) solve
+    is returned, bit-identical to :func:`sinkhorn` on ``cost0``; with a
+    single class the offset is constant per column and the plan is
+    unchanged as well.
 
     Parameters
     ----------
@@ -422,19 +403,24 @@ def sinkhorn_with_labels(
         Entropic regularization strength, > 0.
     eta : float, default=0.0
         Penalty weight, >= 0.
-    return_info : bool, default=False
-        Also return ``{"iterations": k, "outer_iterations": m}``: the
-        scaling iterations summed over all solves, and the number of solves.
 
     Returns
     -------
     TransportPlan
+        Its ``iterations`` are the scaling iterations summed over all
+        solves, and its ``outer_iterations`` the number of solves.
+
+    Raises
+    ------
+    ConvergenceFailure
+        If the plan still moves after ``LABEL_MAX_ITER`` solves; its
+        ``last`` is the last plan, counts included.
     """
     C0, p, q = _check_problem(cost0, p, q, lam, "sinkhorn_with_labels")
     n1 = C0.shape[0]
     if not (eta >= 0 and math.isfinite(eta)):
         raise InvalidInput(f"eta must be finite and nonnegative, got {eta}")
-    _, groups = _class_groups(labels, n1)
+    Y = _class_indicator(labels, n1)
 
     G = np.zeros_like(C0)
     u = np.full(n1, 1.0 / n1)
@@ -444,22 +430,16 @@ def sinkhorn_with_labels(
     iterations = 0
     for outer in range(1, LABEL_MAX_ITER + 1):
         K = _gibbs_kernel(C0 + G, lam)
-        u, k = _scale(K, p, q, u, SINKHORN_TOL, SINKHORN_MAX_ITER)
+        u, k = _scale(K, p, q, u)
         iterations += k
         gamma = _coupling(K, q, u)
-        plan = TransportPlan(gamma, p, q)
+        plan = TransportPlan(gamma, p, q, iterations, outer)
         if prev is not None:
             delta = float(np.abs(gamma - prev).max())
         if eta == 0 or delta <= LABEL_TOL:
-            plan.validate()
-            if return_info:
-                return plan, {"iterations": iterations, "outer_iterations": outer}
-            return plan
+            return plan.validate()
         prev = gamma
-        for idx in groups:
-            G[idx, :] = eta * GROUP_EXPONENT * (
-                gamma[idx, :].sum(axis=0) + EPS_REG
-            ) ** (GROUP_EXPONENT - 1)
+        G = eta * 2 * (Y @ (Y.T @ gamma))
     raise ConvergenceFailure(
         f"sinkhorn_with_labels: plan change {delta:.3e} > tol {LABEL_TOL:.1e} "
         f"after {LABEL_MAX_ITER} outer iterations",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import make_spd
 from spdot import datasets
+from spdot.adaptation import AdaptationConfig
 from spdot.cli import main
 from spdot.errors import ConvergenceFailure
 
@@ -142,11 +144,12 @@ class TestAdaptCommand:
         src = write_spd(tmp_path / "s.json", make_spd(5, 4, seed=14))
         tgt = write_spd(tmp_path / "t.json", make_spd(5, 4, seed=15))
         out = tmp_path / "out"
-        assert main(["adapt", src, tgt, "--solver", "sinkhorn", "--seed", "9",
-                     "--out", str(out)]) == 0
+        assert main(["adapt", src, tgt, "--solver", "sinkhorn", "--out", str(out)]) == 0
         report = read_report(out / "report.json")
         assert report["artifact"]["name"] == "spdot"
-        assert report["config"]["seed"] == 9
+        assert set(report["config"]) == {
+            f.name for f in dataclasses.fields(AdaptationConfig)
+        }
         assert report["config"]["solver"] == "sinkhorn"
         for path, meta in report["inputs"].items():
             assert len(meta["sha256"]) == 64
@@ -155,6 +158,11 @@ class TestAdaptCommand:
 
     def test_unknown_flag_exits_2(self, tmp_path):
         assert main(["adapt", "a", "b", "--frobnicate"]) == 2
+        # the pipeline is deterministic, so adapt takes no seed
+        src = write_spd(tmp_path / "s.json", make_spd(2, 3, seed=16))
+        out = tmp_path / "out"
+        assert main(["adapt", src, src, "--seed", "9", "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestToyCommands:

@@ -147,6 +147,15 @@ class TestToyB:
             ex.toy_b_search(src, src)
 
 
+@pytest.mark.parametrize("grid", [[], np.zeros((0,)), np.zeros((2, 2))])
+def test_empty_or_malformed_grid_rejected(grid):
+    src = ex.isotropic_spd_cloud(6, seed=8)
+    with pytest.raises(InvalidInput, match="theta_grid"):
+        ex.toy_b_search(src, src, grid)
+    with pytest.raises(InvalidInput, match="theta_grid"):
+        ex.toy_a_sweep(n=5, theta_grid=grid)
+
+
 class TestCosineTrials:
     def test_deterministic(self):
         a = ex.cosine_trials(n=3, seed=12)
@@ -179,9 +188,10 @@ class TestCovariance:
 
     def test_identical_rows_need_ridge(self):
         X = np.tile(np.linspace(0.0, 1.0, 30), (3, 1))
-        C, ridge = ex.covariance(X, return_ridge=True)
-        assert ridge > 0
-        mf.check_spd(C)
+        C, ridges = ex.covariances([X], return_ridges=True)
+        assert ridges[0] > 0
+        mf.check_spd(C[0])
+        assert np.array_equal(ex.covariance(X), C[0])
 
     def test_zero_trial_rejected(self):
         with pytest.raises(NotPositiveDefinite):

@@ -50,14 +50,14 @@ def cold_start_labels(C, labels, lam, eta, p=None, q=None, tol=1e-8, max_iter=50
     prev = None
     total = 0
     for outer in range(1, max_iter + 1):
-        plan, info = tp.sinkhorn(C + G, p, q, lam, return_info=True)
-        total += info["iterations"]
+        plan = tp.sinkhorn(C + G, p, q, lam)
+        total += plan.iterations
         gamma = plan.matrix
         if prev is not None and np.abs(gamma - prev).max() <= tol:
             return gamma, total, outer
         prev = gamma
         for y in np.unique(labels):
-            G[labels == y] = eta * 2 * (gamma[labels == y].sum(axis=0) + tp.EPS_REG)
+            G[labels == y] = eta * 2 * gamma[labels == y].sum(axis=0)
     raise AssertionError("cold-start reference did not converge")
 
 
@@ -213,36 +213,38 @@ class TestSinkhorn:
         with pytest.raises(NumericalFailure):
             tp.sinkhorn(C, lam=1.0)
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
         rng = np.random.default_rng(14)
         C = rng.random((8, 8))
+        monkeypatch.setattr(tp, "SINKHORN_TOL", 1e-12)
+        monkeypatch.setattr(tp, "SINKHORN_MAX_ITER", 3)
         with pytest.raises(ConvergenceFailure) as err:
-            tp.sinkhorn(C, lam=500.0, tol=1e-12, max_iter=3)
+            tp.sinkhorn(C, lam=500.0)
         assert err.value.last is not None
         assert err.value.iterations == 3
 
-    def test_info_counts_scaling_iterations(self):
+    def test_info_counts_scaling_iterations(self, monkeypatch):
         C = np.random.default_rng(19).random((6, 5))
-        plan, info = tp.sinkhorn(C, lam=8.0, return_info=True)
-        k = info["iterations"]
-        assert info["outer_iterations"] == 1 and k > 1
-        assert np.array_equal(tp.sinkhorn(C, lam=8.0, max_iter=k).matrix, plan.matrix)
+        plan = tp.sinkhorn(C, lam=8.0)
+        k = plan.iterations
+        assert plan.outer_iterations == 1 and k > 1
+        monkeypatch.setattr(tp, "SINKHORN_MAX_ITER", k)
+        assert np.array_equal(tp.sinkhorn(C, lam=8.0).matrix, plan.matrix)
+        monkeypatch.setattr(tp, "SINKHORN_MAX_ITER", k - 1)
         with pytest.raises(ConvergenceFailure):
-            tp.sinkhorn(C, lam=8.0, max_iter=k - 1)
+            tp.sinkhorn(C, lam=8.0)
 
     def test_iterations_are_whole_check_blocks(self):
         rng = np.random.default_rng(20)
         for lam in (0.5, 8.0, 40.0):
             C = rng.random((7, 6))
-            _, info = tp.sinkhorn(C, lam=lam, return_info=True)
-            assert info["iterations"] > 0
-            assert info["iterations"] % tp.CHECK_EVERY == 0
+            plan = tp.sinkhorn(C, lam=lam)
+            assert plan.iterations > 0
+            assert plan.iterations % tp.CHECK_EVERY == 0
         C, labels = class_structured_cost(21, n=12)
-        _, info = tp.sinkhorn_with_labels(
-            C, labels=labels, lam=20.0 / np.median(C), eta=0.5, return_info=True
-        )
-        assert info["outer_iterations"] > 1
-        assert info["iterations"] % tp.CHECK_EVERY == 0
+        plan = tp.sinkhorn_with_labels(C, labels=labels, lam=20.0 / np.median(C), eta=0.5)
+        assert plan.outer_iterations > 1
+        assert plan.iterations % tp.CHECK_EVERY == 0
 
     @staticmethod
     def per_iteration_sinkhorn(C, p, q, lam):
@@ -274,6 +276,23 @@ class TestSinkhorn:
             assert np.abs(plan - want).max() <= 1e-12
             assert (plan[p == 0] == 0).all() and (plan[:, q == 0] == 0).all()
 
+    def test_zero_mass_on_both_sides(self):
+        # a zero in both p and q: the plan is the solve on the supports of p
+        # and q, padded with exact zero rows and columns
+        rng = np.random.default_rng(23)
+        cases = [(rng.random((3, 3)), [0.5, 0.5, 0.0], [0.0, 0.5, 0.5])]
+        p, q = rng.random(6), rng.random(5)
+        p[[1, 5]] = q[[0, 2]] = 0.0
+        cases.append((rng.random((6, 5)), p / p.sum(), q / q.sum()))
+        for C, p, q in cases:
+            p, q = np.asarray(p), np.asarray(q)
+            plan = tp.sinkhorn(C, p, q, lam=2.0)
+            assert plan.iterations <= 3 * tp.CHECK_EVERY
+            assert (plan.matrix[p == 0] == 0).all()
+            assert (plan.matrix[:, q == 0] == 0).all()
+            want = tp.sinkhorn(C[p > 0][:, q > 0], p[p > 0], q[q > 0], lam=2.0)
+            assert np.abs(plan.matrix[np.ix_(p > 0, q > 0)] - want.matrix).max() <= 1e-9
+
 
 class TestSinkhornWithLabels:
     # class 0 strongly prefers the first target column, class 1 is split;
@@ -292,11 +311,9 @@ class TestSinkhornWithLabels:
 
     def test_zero_eta_is_one_solve(self):
         C = np.random.default_rng(17).random((5, 4))
-        _, info = tp.sinkhorn_with_labels(
-            C, labels=[0, 1, 2, 0, 1], lam=8.0, eta=0.0, return_info=True
-        )
-        _, plain = tp.sinkhorn(C, lam=8.0, return_info=True)
-        assert info == {"iterations": plain["iterations"], "outer_iterations": 1}
+        plan = tp.sinkhorn_with_labels(C, labels=[0, 1, 2, 0, 1], lam=8.0, eta=0.0)
+        plain = tp.sinkhorn(C, lam=8.0)
+        assert (plan.iterations, plan.outer_iterations) == (plain.iterations, 1)
 
     def test_warm_start_matches_cold_reference(self):
         rng = np.random.default_rng(18)
@@ -307,11 +324,9 @@ class TestSinkhornWithLabels:
             p = rng.random(n1) + 0.2
             p /= p.sum()
             want, _, outer = cold_start_labels(C, labels, 5.0, 0.2, p=p)
-            got, info = tp.sinkhorn_with_labels(
-                C, p, labels=labels, lam=5.0, eta=0.2, return_info=True
-            )
+            got = tp.sinkhorn_with_labels(C, p, labels=labels, lam=5.0, eta=0.2)
             assert np.abs(got.matrix - want).max() <= 1e-8
-            assert info["outer_iterations"] == outer
+            assert got.outer_iterations == outer
 
     def test_warm_start_saves_scaling_iterations(self):
         # the plan layer's benchmark size: n = 48, 3 classes, auto lambda,
@@ -320,12 +335,10 @@ class TestSinkhornWithLabels:
         lam = tp.adaptive_lambda(C)
         eta = 2.0 * float(np.median(C))
         want, cold, outer = cold_start_labels(C, labels, lam, eta)
-        got, info = tp.sinkhorn_with_labels(
-            C, labels=labels, lam=lam, eta=eta, return_info=True
-        )
+        got = tp.sinkhorn_with_labels(C, labels=labels, lam=lam, eta=eta)
         assert np.abs(got.matrix - want).max() <= 1e-8
-        assert info["outer_iterations"] == outer > 2
-        assert info["iterations"] < cold
+        assert got.outer_iterations == outer > 2
+        assert got.iterations < cold
 
     def test_penalty_strictly_decreases(self):
         base = tp.sinkhorn(self.C0, lam=1.5).matrix
@@ -361,13 +374,37 @@ class TestSinkhornWithLabels:
             tp.sinkhorn_with_labels(self.C0, labels=self.labels, lam=4.0, eta=1.0)
         assert isinstance(err.value.last, tp.TransportPlan)
         assert err.value.residual > 1e-8
-        assert err.value.iterations == 50
+        assert err.value.iterations == err.value.last.outer_iterations == 50
+        assert err.value.last.iterations >= 50 * tp.CHECK_EVERY
 
     def test_penalty_value_direct(self):
         gamma = np.array([[0.3, 0.1], [0.1, 0.0], [0.0, 0.2], [0.1, 0.2]])
         got = tp.label_group_penalty(gamma, self.labels)
         want = (0.4**2 + 0.1**2) + (0.1**2 + 0.4**2)
         assert got == pytest.approx(want)
+
+    def test_penalty_matches_per_class_loop(self):
+        # arbitrary, unsorted label values; classes need not be contiguous
+        rng = np.random.default_rng(24)
+        labels = np.array([7, -1, 7, 3, -1, 7, 3, 3, 7])
+        for _ in range(3):
+            gamma = rng.random((9, 6))
+            want = sum(
+                (gamma[labels == y].sum(axis=0) ** 2).sum() for y in set(labels)
+            )
+            assert tp.label_group_penalty(gamma, labels) == pytest.approx(
+                want, rel=1e-14
+            )
+
+    def test_zero_mass_on_both_sides(self):
+        rng = np.random.default_rng(25)
+        C = rng.random((6, 5))
+        p = np.array([0.3, 0.0, 0.2, 0.1, 0.4, 0.0])
+        q = np.array([0.0, 0.25, 0.0, 0.5, 0.25])
+        plan = tp.sinkhorn_with_labels(C, p, q, labels=np.arange(6) % 2, lam=2.0, eta=0.1)
+        assert plan.outer_iterations > 1
+        assert (plan.matrix[p == 0] == 0).all()
+        assert (plan.matrix[:, q == 0] == 0).all()
 
 
 class TestPlanValidation:
@@ -376,6 +413,10 @@ class TestPlanValidation:
         plan = tp.TransportPlan(gamma, tp.uniform_mass(2), tp.uniform_mass(2))
         with pytest.raises(InvalidInput):
             plan.validate()
+
+    def test_exact_plan_carries_no_counts(self):
+        plan = tp.exact_ot(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert plan.iterations is None and plan.outer_iterations is None
 
     def test_bad_marginals_rejected(self):
         gamma = np.full((2, 2), 0.3)
@@ -406,8 +447,6 @@ class TestPlanValidation:
             tp.CostMatrix(np.array([[1.0, -2.0]]))
         with pytest.raises(InvalidInput):
             tp.CostMatrix(np.array([[np.inf]]))
-        with pytest.raises(InvalidInput):
-            tp.CostMatrix(np.ones((2, 2)), metric="manhattan")
 
 
 @settings(max_examples=30, deadline=None)
