@@ -168,13 +168,7 @@ def build_cost(source, target, metric="riemannian"):
     return transport.CostMatrix(values)
 
 
-def barycentric_map(
-    source,
-    target,
-    plan,
-    top_k=None,
-    return_info=False,
-):
+def barycentric_map(source, target, plan, top_k=None, return_info=False):
     """Send each source point to the plan-weighted Riemannian mean of targets.
 
     Row ``i`` of the plan, renormalized to sum to 1, weights the targets in a
@@ -246,6 +240,14 @@ def _tag_step(exc, step):
     return exc
 
 
+def _row_perplexity(gamma):
+    """Median over nonzero plan rows of ``exp(entropy)`` of the normalized row."""
+    rows = gamma[gamma.sum(axis=1) > 0]
+    r = rows / rows.sum(axis=1, keepdims=True)
+    entropy = -(r * np.log(np.where(r > 0, r, 1.0))).sum(axis=1)
+    return float(np.median(np.exp(entropy)))
+
+
 def adapt(source, target, source_labels=None, config=None):
     """Run the full adaptation pipeline and return the adapted source set.
 
@@ -275,8 +277,11 @@ def adapt(source, target, source_labels=None, config=None):
         :class:`~spdot.transport.TransportPlan`; ``None`` for "exact") as
         ``plan_iterations`` and ``plan_outer_iterations``;
         ``plan_marginal_error``, the plan's largest marginal violation in
-        infinity norm (every solver); and ``stage_s``, the wall seconds of
-        each stage ("mass", "cost", "plan", "map").
+        infinity norm (every solver); ``lambda_median_cost``, ``lambda
+        median(C)``, and ``kernel_log10_range``, ``-lambda (max C - min C) /
+        ln 10`` (both ``None`` for "exact"); ``plan_row_perplexity`` (see
+        :func:`_row_perplexity`); and ``stage_s``, the wall seconds of each
+        stage ("mass", "cost", "plan", "map").
     """
     cfg = config or AdaptationConfig()
     src = manifold.check_stack(source, "source set")
@@ -311,25 +316,21 @@ def adapt(source, target, source_labels=None, config=None):
         raise _tag_step(exc, "cost")
     clock.append(time.perf_counter())
 
-    lambda_used = None
-    eta_used = None
+    lambda_used = eta_used = lambda_median_cost = kernel_log10_range = None
     try:
         if cfg.solver == "exact":
             plan = transport.exact_ot(cost, p, q)
         else:
+            median_cost = float(np.median(cost.values))
             lambda_used = (
-                transport.adaptive_lambda(cost)
-                if cfg.lam == "auto"
-                else float(cfg.lam)
+                transport.adaptive_lambda(cost) if cfg.lam == "auto" else float(cfg.lam)
             )
+            lambda_median_cost = lambda_used * median_cost
+            kernel_log10_range = -lambda_used * float(np.ptp(cost.values)) / math.log(10)
             if cfg.solver == "sinkhorn":
                 plan = transport.sinkhorn(cost, p, q, lambda_used)
             else:
-                eta_used = (
-                    2.0 * float(np.median(cost.values))
-                    if cfg.eta is None
-                    else float(cfg.eta)
-                )
+                eta_used = 2.0 * median_cost if cfg.eta is None else float(cfg.eta)
                 plan = transport.sinkhorn_with_labels(
                     cost, p, q, labels=source_labels, lam=lambda_used, eta=eta_used
                 )
@@ -338,13 +339,7 @@ def adapt(source, target, source_labels=None, config=None):
     clock.append(time.perf_counter())
 
     try:
-        adapted, info = barycentric_map(
-            src,
-            tgt,
-            plan,
-            top_k=cfg.top_k,
-            return_info=True,
-        )
+        adapted, info = barycentric_map(src, tgt, plan, cfg.top_k, return_info=True)
         manifold.check_spd(adapted, name="adapted source")
     except SpdotError as exc:
         raise _tag_step(exc, "map")
@@ -361,6 +356,9 @@ def adapt(source, target, source_labels=None, config=None):
             "plan_iterations": plan.iterations,
             "plan_outer_iterations": plan.outer_iterations,
             "plan_marginal_error": max(plan.marginal_residuals()),
+            "lambda_median_cost": lambda_median_cost,
+            "kernel_log10_range": kernel_log10_range,
+            "plan_row_perplexity": _row_perplexity(plan.matrix),
             "stage_s": dict(
                 zip(("mass", "cost", "plan", "map"), np.diff(clock).tolist())
             ),

@@ -21,6 +21,7 @@ significant digits so they reload bit-exactly.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -125,15 +126,9 @@ def cmd_adapt(args):
             raise InvalidInput(f"{args.source}: expected an 'spd' dataset")
         if not isinstance(target, datasets.SpdDataset):
             raise InvalidInput(f"{args.target}: expected an 'spd' dataset")
-        config = AdaptationConfig(
-            metric=args.metric,
-            solver=args.solver,
-            lam=args.lam,
-            eta=args.eta,
-            mass=args.mass,
-            kde_sigma=args.kde_sigma,
-            top_k=args.top_k,
-        )
+        # every config field is the flag of the same name
+        fields = dataclasses.fields(AdaptationConfig)
+        config = AdaptationConfig(**{f.name: getattr(args, f.name) for f in fields})
     except SpdotError as exc:
         return _fail(EXIT_INPUT, exc)
 
@@ -161,6 +156,9 @@ def cmd_adapt(args):
                 **_plan_stats(result.plan, result.cost),
                 "iterations": result.diagnostics["plan_iterations"],
                 "outer_iterations": result.diagnostics["plan_outer_iterations"],
+                "lambda_median_cost": result.diagnostics["lambda_median_cost"],
+                "kernel_log10_range": result.diagnostics["kernel_log10_range"],
+                "plan_row_perplexity": result.diagnostics["plan_row_perplexity"],
             },
             "barycenter": {
                 "iterations": result.diagnostics["mean_iterations"],
@@ -338,6 +336,7 @@ def cmd_covariance(args):
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one per process
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spdot",

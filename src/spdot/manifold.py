@@ -25,7 +25,7 @@ from .errors import (
     NotPositiveDefinite,
     NumericalFailure,
 )
-from .transport import check_mass
+from .transport import PAIR_BLOCK_DOUBLES, check_mass
 
 # Eigenvalue floor below which a matrix is rejected as not positive-definite.
 EPS_PD = 1e-10
@@ -196,10 +196,6 @@ def riemannian_distance(P, Q, squared=False):
     w = scipy.linalg.eigvalsh(P, Q)
     d2 = float(np.sum(np.log(np.maximum(w, 1e-300)) ** 2))
     return d2 if squared else np.sqrt(d2)
-
-
-# Cap on the doubles in one (rows, n2, d, d) block of sq_distance_matrix.
-PAIR_BLOCK_DOUBLES = 2**14
 
 
 def _sq_log_norms(M):

@@ -47,6 +47,9 @@ SINKHORN_MAX_ITER = 100000
 # Scaling iterations between two stopping tests; the test costs more than
 # an iteration at desk scale.
 CHECK_EVERY = 10
+# Cap on the doubles in one (rows, n2, ...) block of a pairwise cost kernel,
+# sq_euclidean_matrix or manifold.sq_distance_matrix.
+PAIR_BLOCK_DOUBLES = 2**14
 # Outer stopping threshold (plan change, infinity norm) and cap of the
 # label solver's majorization.
 LABEL_TOL = 1e-8
@@ -165,14 +168,20 @@ def sq_euclidean_matrix(A, B):
 
     Trailing axes of each element are flattened, so this works for both
     vector and matrix samples (Frobenius distance for the latter).  Computed
-    by direct differencing, which is exact (0.0) on identical pairs.
+    by direct differencing, which is exact (0.0) on identical pairs, for
+    ``max(1, PAIR_BLOCK_DOUBLES // (n2 m))`` rows of ``A`` at a time (``m``
+    the flattened size) rather than all ``n1 n2 m`` differences at once.
     """
     A = np.asarray(A, dtype=float).reshape(len(A), -1)
     B = np.asarray(B, dtype=float).reshape(len(B), -1)
     if A.shape[1] != B.shape[1]:
         raise InvalidInput("sq_euclidean_matrix: element sizes differ")
-    diff = A[:, None, :] - B[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    rows = max(1, PAIR_BLOCK_DOUBLES // max(1, B.size))
+    out = np.empty((len(A), len(B)))
+    for s in range(0, len(A), rows):
+        diff = A[s:s + rows, None, :] - B[None, :, :]
+        out[s:s + rows] = np.einsum("ijk,ijk->ij", diff, diff)
+    return out
 
 
 def exact_ot(cost, p=None, q=None):
@@ -259,7 +268,7 @@ def _gibbs_kernel(C, lam):
 
 def _coupling(K, q, u):
     """The plan ``diag(u) K diag(v)`` with ``v = q / (K^T u)``."""
-    v = q / (K.T @ u)
+    v = q / K.T.dot(u)
     return u[:, None] * K * v[None, :]
 
 
@@ -273,6 +282,8 @@ def _scale(K, p, q, u):
     ``CHECK_EVERY`` iterations.  Raises :class:`ConvergenceFailure` with the
     last plan after ``SINKHORN_MAX_ITER`` iterations.  A zero entry of ``p``
     (``q``) gets a zero scaling, so its plan row (column) is exactly zero.
+    The iteration is unchanged, bit for bit, from its ``@`` and ``1.0 /``
+    spelling; bound ``ndarray.dot`` and ``np.reciprocal`` only cut dispatch.
     """
     tol, max_iter = SINKHORN_TOL, SINKHORN_MAX_ITER
     with np.errstate(divide="ignore"):
@@ -282,13 +293,14 @@ def _scale(K, p, q, u):
         # where both masses vanish, an infinite entry would meet a zero scaling
         Kt[np.ix_(p == 0, q == 0)] = 0.0
         KqT[np.ix_(q == 0, p == 0)] = 0.0
+    dot_p, dot_q, rec = Kt.dot, KqT.dot, np.reciprocal
     delta = np.inf
     it = 0
     while it < max_iter:
         block = min(CHECK_EVERY, max_iter - it)
         for _ in range(block - 1):
-            u = 1.0 / (Kt @ (1.0 / (KqT @ u)))
-        u_new = 1.0 / (Kt @ (1.0 / (KqT @ u)))
+            u = rec(dot_p(rec(dot_q(u))))
+        u_new = rec(dot_p(rec(dot_q(u))))
         # u_new >= 0, so its max is its infinity norm
         delta = float(np.abs(u_new - u).max() / u_new.max())
         u = u_new

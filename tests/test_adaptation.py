@@ -451,6 +451,39 @@ class TestAdaptPipeline:
             err = res.diagnostics["plan_marginal_error"]
             assert err == max(res.plan.marginal_residuals()) <= tp.MARGINAL_TOL
 
+    def test_plan_scale_diagnostics(self):
+        src = make_spd(2, 6, seed=38)
+        tgt = make_spd(2, 7, seed=39)
+        labels = np.array([0, 0, 0, 1, 1, 1])
+        res = ad.adapt(src, tgt[:6], config=exact_config())
+        assert res.diagnostics["lambda_median_cost"] is None
+        assert res.diagnostics["kernel_log10_range"] is None
+        assert res.diagnostics["plan_row_perplexity"] == 1.0
+        for cfg, lab in (
+            (ad.AdaptationConfig(solver="sinkhorn"), None),
+            (ad.AdaptationConfig(solver="sinkhorn", lam=2.0, mass="kde"), None),
+            (ad.AdaptationConfig(solver="sinkhorn-labels", lam=2.0, eta=0.1), labels),
+        ):
+            res = ad.adapt(src, tgt, lab, cfg)
+            C, G, lam = res.cost.values, res.plan.matrix, res.lambda_used
+            diag = res.diagnostics
+            assert diag["lambda_median_cost"] == pytest.approx(lam * np.median(C))
+            K = np.exp(-lam * C)
+            assert diag["kernel_log10_range"] == pytest.approx(
+                np.log10(K.min()) - np.log10(K.max())
+            )
+            perplexity = [
+                np.exp(-sum(r * np.log(r) for r in row / row.sum() if r > 0))
+                for row in G
+            ]
+            assert diag["plan_row_perplexity"] == pytest.approx(np.median(perplexity))
+            assert 1.0 <= diag["plan_row_perplexity"] <= 7.0
+
+    def test_row_perplexity_skips_empty_rows(self):
+        G = np.array([[0.25, 0.25, 0.0], [0.0, 0.0, 0.0], [0.1, 0.1, 0.1]])
+        assert ad._row_perplexity(G) == pytest.approx(2.5)
+        assert ad._row_perplexity(np.eye(4) / 4) == 1.0
+
     def test_bare_sinkhorn_reproduces_default_plan(self):
         # the default config needs 32 310 scaling iterations on this instance
         src = make_spd(4, 50, seed=0, scale=0.5)

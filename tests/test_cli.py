@@ -7,7 +7,7 @@ import pytest
 from conftest import make_spd
 from spdot import datasets
 from spdot.adaptation import AdaptationConfig
-from spdot.cli import main
+from spdot.cli import build_parser, main
 from spdot.errors import ConvergenceFailure
 
 
@@ -37,6 +37,10 @@ class TestAdaptCommand:
         np.testing.assert_array_equal(plan, np.eye(6) / 6)
         adapted = datasets.load_dataset(out / "adapted.json")
         assert adapted.matrices.shape == (6, 3, 3)
+        plan_report = read_report(out / "report.json")["plan"]
+        assert plan_report["lambda_median_cost"] is None
+        assert plan_report["kernel_log10_range"] is None
+        assert plan_report["plan_row_perplexity"] == 1.0
 
     def test_lambda_auto_echoed(self, tmp_path):
         # dim-5 sets keep the data-driven lambda in the smooth regime
@@ -54,6 +58,12 @@ class TestAdaptCommand:
         assert report["plan"]["marginal_residuals"]["source"] <= 1e-6
         assert report["plan"]["iterations"] > 0
         assert report["plan"]["outer_iterations"] == 1
+        lam = report["lambda_used"]
+        assert report["plan"]["lambda_median_cost"] == pytest.approx(lam * np.median(cost))
+        assert report["plan"]["kernel_log10_range"] == pytest.approx(
+            -lam * (cost.max() - cost.min()) / np.log(10)
+        )
+        assert 1.0 <= report["plan"]["plan_row_perplexity"] <= 5.0
 
     def test_labels_missing_exits_2(self, tmp_path):
         src = write_spd(tmp_path / "s.json", make_spd(2, 4, seed=4))
@@ -156,7 +166,11 @@ class TestAdaptCommand:
         assert set(report["inputs"]) == {src, tgt}
         assert set(report["timings"]["stage_s"]) == {"mass", "cost", "plan", "map"}
 
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
     def test_unknown_flag_exits_2(self, tmp_path):
+        assert main(["adapt", "a", "b", "--frobnicate"]) == 2
         assert main(["adapt", "a", "b", "--frobnicate"]) == 2
         # the pipeline is deterministic, so adapt takes no seed
         src = write_spd(tmp_path / "s.json", make_spd(2, 3, seed=16))

@@ -125,6 +125,25 @@ class TestDiagonalMass:
         assert tp.diagonal_mass(np.zeros((3, 3))) == 0.0
 
 
+class TestSqEuclideanMatrix:
+    def test_row_blocks_match_full_differencing(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        A = rng.standard_normal((7, 3, 4))
+        B = rng.standard_normal((5, 3, 4))
+        B[2] = A[4]
+        diff = A.reshape(7, 1, 12) - B.reshape(1, 5, 12)
+        want = np.einsum("ijk,ijk->ij", diff, diff)
+        # 1, 2 and 3 rows per block (7 rows: partial last blocks), then one block
+        for rows in (1, 2, 3, 7):
+            monkeypatch.setattr(tp, "PAIR_BLOCK_DOUBLES", rows * 5 * 12)
+            got = tp.sq_euclidean_matrix(A, B)
+            assert np.array_equal(got, want)
+            assert got[4, 2] == 0.0
+        monkeypatch.setattr(tp, "PAIR_BLOCK_DOUBLES", 1)
+        D = tp.sq_euclidean_matrix(A, A)
+        assert (np.diag(D) == 0.0).all() and np.array_equal(D, D.T)
+
+
 class TestAdaptiveLambda:
     def test_all_ones(self):
         assert tp.adaptive_lambda(np.ones((3, 3))) == pytest.approx(200.0)
@@ -405,6 +424,91 @@ class TestSinkhornWithLabels:
         assert plan.outer_iterations > 1
         assert (plan.matrix[p == 0] == 0).all()
         assert (plan.matrix[:, q == 0] == 0).all()
+
+
+def reference_scale(K, p, q, u):
+    """The blocked scaling loop spelled with ``@`` and ``1.0 /``.
+
+    A copy of ``transport._scale`` as it was first blocked; returns
+    ``(u, iterations)``.
+    """
+    with np.errstate(divide="ignore"):
+        Kt = K / p[:, None]
+        KqT = K.T / q[:, None]
+    if not (p.all() or q.all()):
+        Kt[np.ix_(p == 0, q == 0)] = 0.0
+        KqT[np.ix_(q == 0, p == 0)] = 0.0
+    it = 0
+    while it < tp.SINKHORN_MAX_ITER:
+        for _ in range(tp.CHECK_EVERY - 1):
+            u = 1.0 / (Kt @ (1.0 / (KqT @ u)))
+        u_new = 1.0 / (Kt @ (1.0 / (KqT @ u)))
+        delta = float(np.abs(u_new - u).max() / u_new.max())
+        u = u_new
+        it += tp.CHECK_EVERY
+        if delta <= tp.SINKHORN_TOL:
+            return u, it
+    raise AssertionError("reference loop did not converge")
+
+
+def reference_coupling(K, q, u):
+    v = q / (K.T @ u)
+    return u[:, None] * K * v[None, :]
+
+
+class TestScalingBitIdentity:
+    """Both entropic solvers reproduce the ``@``/``1.0 /`` loop bit for bit."""
+
+    @staticmethod
+    def instances():
+        rng = np.random.default_rng(26)
+
+        def mass(n, zeros=()):
+            m = rng.random(n) + 0.1
+            m[list(zeros)] = 0.0
+            return m / m.sum()
+
+        yield rng.random((8, 8)), mass(8), mass(8), 8.0  # square
+        yield rng.random((7, 5)), mass(7), mass(5), 8.0  # rectangular
+        yield rng.random((5, 9)), tp.uniform_mass(5), mass(9), 20.0
+        yield rng.random((6, 5)), mass(6, [1]), mass(5), 4.0  # zero in p
+        yield rng.random((6, 5)), mass(6), mass(5, [0, 3]), 4.0  # zero in q
+        yield rng.random((6, 5)), mass(6, [1, 5]), mass(5, [2]), 4.0  # both
+
+    def test_sinkhorn(self):
+        for C, p, q, lam in self.instances():
+            K = tp._gibbs_kernel(C, lam)
+            u, iterations = reference_scale(K, p, q, np.full(len(p), 1.0 / len(p)))
+            plan = tp.sinkhorn(C, p, q, lam)
+            assert np.array_equal(plan.matrix, reference_coupling(K, q, u))
+            assert plan.iterations == iterations > tp.CHECK_EVERY
+
+    @staticmethod
+    def both_loops(monkeypatch, *args, **kwargs):
+        got = tp.sinkhorn_with_labels(*args, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(tp, "_scale", reference_scale)
+            m.setattr(tp, "_coupling", reference_coupling)
+            want = tp.sinkhorn_with_labels(*args, **kwargs)
+        return got, want
+
+    def test_sinkhorn_with_labels(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        cases = [
+            (C, p, q, rng.integers(0, 3, len(p)), lam, 0.2)
+            for C, p, q, lam in self.instances()
+        ]
+        # the plan layer's benchmark size: n = 48, 3 classes, auto lambda,
+        # eta = 2 median(C)
+        C, labels = class_structured_cost(3)
+        cases.append((C, None, None, labels, tp.adaptive_lambda(C), 2.0 * np.median(C)))
+        for C, p, q, labels, lam, eta in cases:
+            got, want = self.both_loops(
+                monkeypatch, C, p, q, labels=labels, lam=lam, eta=eta
+            )
+            assert np.array_equal(got.matrix, want.matrix)
+            assert got.iterations == want.iterations
+            assert got.outer_iterations == want.outer_iterations > 1
 
 
 class TestPlanValidation:
