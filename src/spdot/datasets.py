@@ -44,12 +44,12 @@ class TimeseriesDataset:
 def _check_labels(labels, count, path):
     if labels is None:
         return None
-    labels = np.asarray(labels)
-    if labels.shape != (count,):
-        raise InvalidInput(
-            f"{path}: labels length {labels.size} does not match {count} records"
-        )
-    return labels.astype(int)
+    if not isinstance(labels, list) or len(labels) != count:
+        raise InvalidInput(f"{path}: labels must be a list of {count} integers")
+    for i, label in enumerate(labels):  # JSON true/false load as bool, an int subclass
+        if type(label) is not int or abs(label) >= 2**63:
+            raise InvalidInput(f"{path}: label {i} is {label!r}, not a 64-bit integer")
+    return np.array(labels, dtype=np.int64)
 
 
 def load_dataset(path):

@@ -17,7 +17,6 @@ floating-point asymmetry.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceFailure,
@@ -177,6 +176,7 @@ def riemannian_distance(P, Q, squared=False):
         d(P, Q)^2 = sum_i log^2(lam_i)
 
     which equals the log-Frobenius form ``||log(Q^{-1/2} P Q^{-1/2})||_F``.
+    The first call imports ``scipy.linalg``; the pipeline never calls this.
 
     Parameters
     ----------
@@ -193,6 +193,7 @@ def riemannian_distance(P, Q, squared=False):
     P, Q = _check_pair(P, Q, "riemannian_distance")
     check_spd(P, name="first argument")
     check_spd(Q, name="second argument")
+    import scipy.linalg
     w = scipy.linalg.eigvalsh(P, Q)
     d2 = float(np.sum(np.log(np.maximum(w, 1e-300)) ** 2))
     return d2 if squared else np.sqrt(d2)

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (
     ConvergenceFailure,
@@ -172,8 +171,10 @@ def sq_euclidean_matrix(A, B):
     ``max(1, PAIR_BLOCK_DOUBLES // (n2 m))`` rows of ``A`` at a time (``m``
     the flattened size) rather than all ``n1 n2 m`` differences at once.
     """
-    A = np.asarray(A, dtype=float).reshape(len(A), -1)
-    B = np.asarray(B, dtype=float).reshape(len(B), -1)
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    if not (len(A) and len(B)):
+        raise InvalidInput("sq_euclidean_matrix needs nonempty stacks")
+    A, B = A.reshape(len(A), -1), B.reshape(len(B), -1)
     if A.shape[1] != B.shape[1]:
         raise InvalidInput("sq_euclidean_matrix: element sizes differ")
     rows = max(1, PAIR_BLOCK_DOUBLES // max(1, B.size))
@@ -191,7 +192,7 @@ def exact_ot(cost, p=None, q=None):
     coupling is ``1/n`` times a permutation matrix, so the problem reduces to
     a linear assignment over the cost matrix; the assignment is solved
     exactly.  Any other marginal configuration is rejected; use
-    :func:`sinkhorn` there.
+    :func:`sinkhorn` there.  The first call imports ``scipy.optimize``.
 
     Parameters
     ----------
@@ -216,6 +217,7 @@ def exact_ot(cost, p=None, q=None):
         raise UnsupportedInstance(
             "exact_ot needs uniform marginals; use sinkhorn for general masses"
         )
+    from scipy.optimize import linear_sum_assignment
     rows, cols = linear_sum_assignment(C)
     gamma = np.zeros_like(C)
     gamma[rows, cols] = 1.0 / n1

@@ -153,10 +153,12 @@ def test_empty_stack_elementwise_returns_empty(call):
         lambda: ad.mdm_fit(EMPTY, []),
         lambda: ad.adapt(EMPTY, make_spd(2, 2, seed=1)),
         lambda: ad.adapt(make_spd(2, 2, seed=1), EMPTY),
+        lambda: tp.sq_euclidean_matrix(np.zeros((0, 3)), np.zeros((2, 3))),
+        lambda: tp.sq_euclidean_matrix(np.zeros((2, 3)), np.zeros((0, 3))),
     ],
     ids=["sq_distance_matrix", "sq_distance_matrix_b", "frechet_mean",
          "tangent_coordinates", "kde_weights", "mdm_fit", "adapt_source",
-         "adapt_target"],
+         "adapt_target", "sq_euclidean_matrix", "sq_euclidean_matrix_b"],
 )
 def test_empty_stack_set_level_raises(call):
     # exactly InvalidInput: numpy's bare ValueError on an empty reduction

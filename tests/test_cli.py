@@ -122,6 +122,41 @@ class TestAdaptCommand:
         assert main(["adapt", str(bad), src, "--out", str(tmp_path / "o")]) == 2
         assert "matrix 2 has 1 entries" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "labels, named",
+        [
+            ([0.5, 1.7], "label 0 is 0.5"),
+            ([0, 1.0], "label 1 is 1.0"),
+            ([True, False], "label 0 is True"),
+            (["a", "b"], "label 0 is 'a'"),
+            ([0, 2**63], f"label 1 is {2**63}"),
+            ([0], "labels must be a list of 2 integers"),
+            ("ab", "labels must be a list of 2 integers"),
+        ],
+        ids=["float", "integral-float", "bool", "string", "overflow", "short",
+             "not-a-list"],
+    )
+    def test_non_integer_labels_exit_2(self, tmp_path, capsys, labels, named):
+        payload = {
+            "kind": "spd",
+            "dim": 2,
+            "matrices": [[1.0, 0.0, 0.0, 1.0], [2.0, 0.0, 0.0, 1.0]],
+            "labels": labels,
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        src = write_spd(tmp_path / "s.json", make_spd(2, 2, seed=8))
+        assert main(["adapt", str(bad), src, "--solver", "sinkhorn-labels",
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and named in err
+        assert not (tmp_path / "o").exists()
+
+    def test_integer_labels_load_as_integers(self, tmp_path):
+        path = write_spd(tmp_path / "s.json", make_spd(2, 3, seed=8), labels=[2, 0, -1])
+        labels = datasets.load_dataset(path).labels
+        assert labels.dtype == np.int64 and labels.tolist() == [2, 0, -1]
+
     def test_dim_mismatch_exits_2(self, tmp_path):
         a = write_spd(tmp_path / "a.json", make_spd(2, 3, seed=9))
         b = write_spd(tmp_path / "b.json", make_spd(3, 3, seed=10))
