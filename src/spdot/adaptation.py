@@ -14,6 +14,7 @@ is included for evaluating adapted sets.
 runs share no state.
 """
 
+import contextlib
 import math
 import numbers
 import time
@@ -26,6 +27,7 @@ from .errors import DegeneratePlan, InvalidInput, SpdotError
 
 METRICS = ("riemannian", "euclidean")
 SOLVERS = ("exact", "sinkhorn", "sinkhorn-labels")
+MASSES = ("uniform", "kde")
 
 
 def _finite_real(x):
@@ -86,8 +88,8 @@ class AdaptationConfig:
                 )
         if self.eta is not None and not (_finite_real(self.eta) and self.eta >= 0):
             raise InvalidInput(f"eta must be finite and >= 0 or None, got {self.eta!r}")
-        if self.mass not in ("uniform", "kde"):
-            raise InvalidInput(f"mass must be 'uniform' or 'kde', got {self.mass!r}")
+        if self.mass not in MASSES:
+            raise InvalidInput(f"mass must be one of {MASSES}, got {self.mass!r}")
         top_k = self.top_k
         integral = isinstance(top_k, numbers.Integral) and not isinstance(top_k, bool)
         if top_k is not None and not (integral and top_k >= 1):
@@ -233,11 +235,18 @@ def barycentric_map(source, target, plan, top_k=None, return_info=False):
     return adapted
 
 
-def _tag_step(exc, step):
-    exc.pipeline_step = step
-    if exc.args and isinstance(exc.args[0], str):
-        exc.args = (f"[step: {step}] {exc.args[0]}",) + exc.args[1:]
-    return exc
+@contextlib.contextmanager
+def _stage(step, stage_s):
+    """Time the block into ``stage_s[step]``; tag a :class:`SpdotError` with ``step``."""
+    start = time.perf_counter()
+    try:
+        yield
+    except SpdotError as exc:
+        exc.pipeline_step = step
+        if exc.args and isinstance(exc.args[0], str):
+            exc.args = (f"[step: {step}] {exc.args[0]}",) + exc.args[1:]
+        raise
+    stage_s[step] = time.perf_counter() - start
 
 
 def _row_perplexity(gamma):
@@ -298,26 +307,20 @@ def adapt(source, target, source_labels=None, config=None):
     if cfg.top_k is not None and cfg.top_k > tgt.shape[0]:
         raise InvalidInput(f"top_k={cfg.top_k} exceeds target size {tgt.shape[0]}")
 
-    clock = [time.perf_counter()]
-    try:
+    stage_s = {}
+    with _stage("mass", stage_s):
         if cfg.mass == "uniform":
             p = transport.uniform_mass(src.shape[0])
             q = transport.uniform_mass(tgt.shape[0])
         else:
             p = kde_weights(src, cfg.kde_sigma)
             q = kde_weights(tgt, cfg.kde_sigma)
-    except SpdotError as exc:
-        raise _tag_step(exc, "mass")
-    clock.append(time.perf_counter())
 
-    try:
+    with _stage("cost", stage_s):
         cost = build_cost(src, tgt, cfg.metric)
-    except SpdotError as exc:
-        raise _tag_step(exc, "cost")
-    clock.append(time.perf_counter())
 
     lambda_used = eta_used = lambda_median_cost = kernel_log10_range = None
-    try:
+    with _stage("plan", stage_s):
         if cfg.solver == "exact":
             plan = transport.exact_ot(cost, p, q)
         else:
@@ -334,16 +337,10 @@ def adapt(source, target, source_labels=None, config=None):
                 plan = transport.sinkhorn_with_labels(
                     cost, p, q, labels=source_labels, lam=lambda_used, eta=eta_used
                 )
-    except SpdotError as exc:
-        raise _tag_step(exc, "plan")
-    clock.append(time.perf_counter())
 
-    try:
+    with _stage("map", stage_s):
         adapted, info = barycentric_map(src, tgt, plan, cfg.top_k, return_info=True)
         manifold.check_spd(adapted, name="adapted source")
-    except SpdotError as exc:
-        raise _tag_step(exc, "map")
-    clock.append(time.perf_counter())
 
     return AdaptationResult(
         adapted_source=adapted,
@@ -359,9 +356,7 @@ def adapt(source, target, source_labels=None, config=None):
             "lambda_median_cost": lambda_median_cost,
             "kernel_log10_range": kernel_log10_range,
             "plan_row_perplexity": _row_perplexity(plan.matrix),
-            "stage_s": dict(
-                zip(("mass", "cost", "plan", "map"), np.diff(clock).tolist())
-            ),
+            "stage_s": stage_s,
         },
     )
 

@@ -11,6 +11,8 @@ Subcommands::
 Exit codes: 0 success; 2 an input was rejected (a bad file or flag, or an
 argument a library call checks before computing, such as ``--n 0`` or
 ``--grid 0``); 3 a computation failed (``adapt`` names the pipeline step).
+One rule in :func:`main` decides: an :class:`InvalidInput` that names no
+pipeline step exits 2, and every other :class:`SpdotError` exits 3.
 A command creates its ``--out`` directory only after its computation
 succeeded, so a rejected or failed run leaves none.  Every command writes a
 ``report.json`` echoing its configuration, seeds, and input digests, so any
@@ -31,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, datasets, experiments, transport
-from .adaptation import AdaptationConfig, adapt
+from .adaptation import MASSES, METRICS, SOLVERS, AdaptationConfig, adapt
 from .errors import InvalidInput, SpdotError
 
 EXIT_OK = 0
@@ -59,6 +61,15 @@ def _write_rows_csv(path, header, rows):
             )
 
 
+def _write_curve_csv(path, curve):
+    """One row per ``(theta, MatchReport)`` pair of a toy study's curve."""
+    _write_rows_csv(
+        path,
+        ["theta", "recovery_error", "diagonal_mass", "objective"],
+        [(t, r.recovery_error, r.diagonal_mass, r.objective) for t, r in curve],
+    )
+
+
 def _write_report(out_dir, command, config, inputs, body, elapsed, **timings):
     report = {
         "artifact": {"name": "spdot", "version": __version__},
@@ -83,11 +94,6 @@ def _plan_stats(plan, cost):
         "objective": plan.objective(cost),
         "marginal_residuals": {"source": row_res, "target": col_res},
     }
-
-
-def _fail(code, message):
-    print(f"error: {message}", file=sys.stderr)
-    return code
 
 
 def _exit_code(exc):
@@ -119,25 +125,17 @@ def _auto_or_float(kind):
 
 def cmd_adapt(args):
     """Adapt a source SPD dataset onto a target one."""
-    try:
-        source = datasets.load_dataset(args.source)
-        target = datasets.load_dataset(args.target)
-        if not isinstance(source, datasets.SpdDataset):
-            raise InvalidInput(f"{args.source}: expected an 'spd' dataset")
-        if not isinstance(target, datasets.SpdDataset):
-            raise InvalidInput(f"{args.target}: expected an 'spd' dataset")
-        # every config field is the flag of the same name
-        fields = dataclasses.fields(AdaptationConfig)
-        config = AdaptationConfig(**{f.name: getattr(args, f.name) for f in fields})
-    except SpdotError as exc:
-        return _fail(EXIT_INPUT, exc)
+    source, target = map(datasets.load_dataset, (args.source, args.target))
+    for path, ds in ((args.source, source), (args.target, target)):
+        if not isinstance(ds, datasets.SpdDataset):
+            raise InvalidInput(f"{path}: expected an 'spd' dataset")
+    # every config field is the flag of the same name
+    fields = {f.name for f in dataclasses.fields(AdaptationConfig)}
+    config = AdaptationConfig(**{k: v for k, v in vars(args).items() if k in fields})
 
     start = time.perf_counter()
-    try:
-        labels = source.labels if args.solver == "sinkhorn-labels" else None
-        result = adapt(source.matrices, target.matrices, labels, config)
-    except SpdotError as exc:
-        return _fail(_exit_code(exc), exc)
+    labels = source.labels if config.solver == "sinkhorn-labels" else None
+    result = adapt(source.matrices, target.matrices, labels, config)
     elapsed = time.perf_counter() - start
 
     out = Path(args.out)
@@ -174,24 +172,14 @@ def cmd_adapt(args):
 def cmd_toy_a(args):
     """Sweep the congruence-recovery experiment over rotation angles."""
     start = time.perf_counter()
-    try:
-        grid = _theta_grid(args.grid, np.pi)
-        results = experiments.toy_a_sweep(n=args.n, theta_grid=grid, seed=args.seed)
-    except SpdotError as exc:
-        return _fail(_exit_code(exc), exc)
+    grid = _theta_grid(args.grid, np.pi)
+    results = experiments.toy_a_sweep(n=args.n, theta_grid=grid, seed=args.seed)
     elapsed = time.perf_counter() - start
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    _write_rows_csv(
-        out / "toy_a.csv",
-        ["theta", "recovery_error", "diagonal_mass", "objective"],
-        [
-            (theta, rep.recovery_error, rep.diagonal_mass, rep.objective)
-            for theta, rep in results
-        ],
-    )
+    _write_curve_csv(out / "toy_a.csv", results)
     worst = max(results, key=lambda item: item[1].recovery_error)
     _write_report(
         out,
@@ -211,27 +199,17 @@ def cmd_toy_a(args):
 def cmd_toy_b(args):
     """Grid-search the rotation removing an unknown orthogonal component."""
     start = time.perf_counter()
-    try:
-        grid = _theta_grid(args.grid, 2.0 * np.pi, endpoint=False)
-        source = experiments.isotropic_spd_cloud(args.n, seed=args.seed)
-        truth = experiments.CongruenceMap(experiments.DEFAULT_T, args.theta_star)
-        target = experiments.apply_congruence(truth, source)
-        best_theta, curve, best_plan = experiments.toy_b_search(source, target, grid)
-    except SpdotError as exc:
-        return _fail(_exit_code(exc), exc)
+    grid = _theta_grid(args.grid, 2.0 * np.pi, endpoint=False)
+    source = experiments.isotropic_spd_cloud(args.n, seed=args.seed)
+    truth = experiments.CongruenceMap(experiments.DEFAULT_T, args.theta_star)
+    target = experiments.apply_congruence(truth, source)
+    best_theta, curve, best_plan = experiments.toy_b_search(source, target, grid)
     elapsed = time.perf_counter() - start
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    _write_rows_csv(
-        out / "toy_b.csv",
-        ["theta", "recovery_error", "diagonal_mass", "objective"],
-        [
-            (theta, rep.recovery_error, rep.diagonal_mass, rep.objective)
-            for theta, rep in curve
-        ],
-    )
+    _write_curve_csv(out / "toy_b.csv", curve)
     by_theta = dict(curve)
     _write_report(
         out,
@@ -258,14 +236,11 @@ def cmd_toy_b(args):
 def cmd_cosine(args):
     """Generate paired cosine trials and compare the three cost constructions."""
     start = time.perf_counter()
-    try:
-        xs, zs = experiments.cosine_trials(
-            n=args.n, channels=args.channels, samples=args.samples,
-            ts=args.ts, seed=args.seed,
-        )
-        reports = experiments._compare_configs(xs, zs)
-    except SpdotError as exc:
-        return _fail(_exit_code(exc), exc)
+    xs, zs = experiments.cosine_trials(
+        n=args.n, channels=args.channels, samples=args.samples,
+        ts=args.ts, seed=args.seed,
+    )
+    reports = experiments._compare_configs(xs, zs)
     elapsed = time.perf_counter() - start
 
     out = Path(args.out)
@@ -304,18 +279,12 @@ def cmd_cosine(args):
 
 def cmd_covariance(args):
     """Convert a timeseries dataset to per-trial covariance matrices."""
-    try:
-        ds = datasets.load_dataset(args.timeseries)
-        if not isinstance(ds, datasets.TimeseriesDataset):
-            raise InvalidInput(f"{args.timeseries}: expected a 'timeseries' dataset")
-    except SpdotError as exc:
-        return _fail(EXIT_INPUT, exc)
+    ds = datasets.load_dataset(args.timeseries)
+    if not isinstance(ds, datasets.TimeseriesDataset):
+        raise InvalidInput(f"{args.timeseries}: expected a 'timeseries' dataset")
 
     start = time.perf_counter()
-    try:
-        matrices, ridges = experiments.covariances(ds.trials, return_ridges=True)
-    except SpdotError as exc:
-        return _fail(_exit_code(exc), exc)
+    matrices, ridges = experiments.covariances(ds.trials, return_ridges=True)
     elapsed = time.perf_counter() - start
 
     out = Path(args.out)
@@ -344,18 +313,20 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("adapt", help="adapt a source SPD dataset onto a target")
+    # the defaults live in AdaptationConfig: a flag not given sets nothing
+    p = sub.add_parser(
+        "adapt", help="adapt a source SPD dataset onto a target",
+        argument_default=argparse.SUPPRESS,
+    )
     p.add_argument("source", help="source dataset (kind 'spd')")
     p.add_argument("target", help="target dataset (kind 'spd')")
-    p.add_argument("--metric", choices=["riemannian", "euclidean"], default="riemannian")
-    p.add_argument(
-        "--solver", choices=["exact", "sinkhorn", "sinkhorn-labels"], default="sinkhorn"
-    )
-    p.add_argument("--lambda", dest="lam", type=_auto_or_float("lambda"), default="auto")
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--mass", choices=["uniform", "kde"], default="uniform")
-    p.add_argument("--kde-sigma", type=_auto_or_float("kde-sigma"), default="auto")
-    p.add_argument("--top-k", type=int, default=None)
+    p.add_argument("--metric", choices=METRICS)
+    p.add_argument("--solver", choices=SOLVERS)
+    p.add_argument("--lambda", dest="lam", type=_auto_or_float("lambda"))
+    p.add_argument("--eta", type=float)
+    p.add_argument("--mass", choices=MASSES)
+    p.add_argument("--kde-sigma", type=_auto_or_float("kde-sigma"))
+    p.add_argument("--top-k", type=int)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_adapt)
 
@@ -397,7 +368,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SpdotError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

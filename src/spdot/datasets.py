@@ -14,13 +14,15 @@ Two kinds, both with row-major flattened float arrays:
      "trials": [[d*M floats], ...],
      "labels": [int, ...] | null}
 
-Every SPD matrix is validated on load, so a file that parses is immediately
-usable.  Floats survive a save/load round trip bit-exactly (JSON carries
-Python's shortest round-trip representation).
+Header fields are JSON integers >= 1, values are finite, and every SPD
+matrix is validated on load, so a file that parses is immediately usable.
+Floats survive a save/load round trip bit-exactly (JSON carries Python's
+shortest round-trip representation).
 """
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,76 +68,68 @@ def load_dataset(path):
         raise InvalidInput(f"{path}: cannot read ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise InvalidInput(f"{path}: expected a JSON object, got {type(raw).__name__}")
 
     kind = raw.get("kind")
     if kind == "spd":
-        return _load_spd(raw, path)
-    if kind == "timeseries":
-        return _load_timeseries(raw, path)
-    raise InvalidInput(f"{path}: unknown dataset kind {kind!r}")
+        dim = _size(raw, "dim", path)
+        stack = _records(raw, "matrices", "matrix", (dim, dim), manifold.check_spd, path)
+        dataset = SpdDataset
+    elif kind == "timeseries":
+        shape = (_size(raw, "channels", path), _size(raw, "samples", path))
+        stack = _records(raw, "trials", "trial", shape, _check_finite, path)
+        dataset = TimeseriesDataset
+    else:
+        raise InvalidInput(f"{path}: unknown dataset kind {kind!r}")
+    return dataset(stack, _check_labels(raw.get("labels"), len(stack), path))
 
 
-def _load_spd(raw, path):
+def _size(raw, key, path):
+    """Header field ``key``, a JSON integer >= 1 (``true`` loads as a bool)."""
+    value = raw.get(key)
+    if type(value) is not int or value < 1:
+        raise InvalidInput(f"{path}: {key} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _check_finite(stack, name):
+    if not np.isfinite(stack).all():
+        raise InvalidInput(f"{name} has non-finite values")
+    return stack
+
+
+def _records(raw, key, name, shape, check, path):
+    """``raw[key]``, flat records of ``shape``, as one stack that passes ``check``.
+
+    The whole list is converted and checked at once; a list that fails is
+    re-read record by record so the error names the first bad ``name``.
+    """
+    records = raw.get(key)
+    if not isinstance(records, list) or not records:
+        raise InvalidInput(f"{path}: {key} must be a nonempty list")
+    size = math.prod(shape)
     try:
-        dim = int(raw["dim"])
-        records = raw["matrices"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"{path}: missing or malformed spd fields ({exc})") from exc
-    if dim < 1 or not isinstance(records, list) or not records:
-        raise InvalidInput(f"{path}: needs dim >= 1 and a nonempty matrix list")
-    try:  # the whole stack at once; a bad file is re-read record by record
-        flat = np.asarray(records, dtype=float)
-        if flat.shape != (len(records), dim * dim):
-            raise InvalidInput("ragged matrix records")
-        matrices = manifold.check_spd(flat.reshape(-1, dim, dim), name="matrices")
-    except (TypeError, ValueError, SpdotError):
-        matrices = _spd_records(records, dim, path)
-    labels = _check_labels(raw.get("labels"), len(records), path)
-    return SpdDataset(matrices, labels)
-
-
-def _spd_records(records, dim, path):
-    """Validate ``records`` one by one, naming the first offending record."""
-    matrices = np.empty((len(records), dim, dim))
-    for i, rec in enumerate(records):
-        arr = np.asarray(rec, dtype=float)
-        if arr.shape != (dim * dim,):
-            raise InvalidInput(
-                f"{path}: matrix {i} has {arr.size} entries, expected {dim * dim}"
-            )
-        M = arr.reshape(dim, dim)
-        try:
-            manifold.check_spd(M, name=f"matrix {i}")
-        except SpdotError as exc:  # symmetry or definiteness violation
-            raise InvalidInput(f"{path}: {exc}") from exc
-        matrices[i] = M
-    return matrices
-
-
-def _load_timeseries(raw, path):
-    try:
-        channels = int(raw["channels"])
-        samples = int(raw["samples"])
-        records = raw["trials"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(
-            f"{path}: missing or malformed timeseries fields ({exc})"
-        ) from exc
-    if channels < 1 or samples < 1 or not isinstance(records, list) or not records:
-        raise InvalidInput(
-            f"{path}: needs channels >= 1, samples >= 1 and a nonempty trial list"
-        )
-    trials = np.empty((len(records), channels, samples))
-    for i, rec in enumerate(records):
-        arr = np.asarray(rec, dtype=float)
-        if arr.shape != (channels * samples,):
-            raise InvalidInput(
-                f"{path}: trial {i} has {arr.size} entries, "
-                f"expected {channels * samples}"
-            )
-        trials[i] = arr.reshape(channels, samples)
-    labels = _check_labels(raw.get("labels"), len(records), path)
-    return TimeseriesDataset(trials, labels)
+        stack = np.asarray(records, dtype=float)
+        if stack.shape != (len(records), size):
+            raise InvalidInput(f"{key} do not form a ({len(records)}, {size}) array")
+        return check(stack.reshape(-1, *shape), name=key)
+    except (TypeError, ValueError, SpdotError) as exc:
+        for i, rec in enumerate(records):
+            try:
+                arr = np.asarray(rec, dtype=float)
+            except (TypeError, ValueError) as err:
+                raise InvalidInput(f"{path}: {name} {i} is not numeric ({err})") from err
+            if arr.shape != (size,):
+                got = f"{arr.size} entries" if arr.ndim == 1 else f"shape {arr.shape}"
+                raise InvalidInput(
+                    f"{path}: {name} {i} has {got}, expected a flat list of {size}"
+                )
+            try:
+                check(arr.reshape(shape), name=f"{name} {i}")
+            except SpdotError as err:
+                raise InvalidInput(f"{path}: {err}") from err
+        raise InvalidInput(f"{path}: {exc}") from exc
 
 
 def _indented(value, depth):

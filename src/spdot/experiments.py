@@ -232,6 +232,8 @@ def cosine_trials(n=40, channels=5, samples=101, ts=0.01, seed=0, noise=True):
     """
     if n < 1 or channels < 1 or samples < 2:
         raise InvalidInput("cosine_trials needs n >= 1, channels >= 1, samples >= 2")
+    if not np.isfinite(ts):
+        raise InvalidInput(f"cosine_trials needs a finite ts, got {ts}")
     rng = np.random.default_rng(seed)
     omega_t = 2.0 * np.pi * np.arange(samples) * ts
     xs = np.empty((n, channels, samples))
@@ -265,7 +267,8 @@ def covariances(trials, return_ridges=False):
     """Covariance of every trial in a stack; see :func:`covariance`.
 
     Each matrix is computed on its own; one batched ``eigvalsh`` then finds
-    the trials that need the ridge.  Errors name the trial.  With
+    the trials that need the ridge.  Errors name the trial; a trial with a
+    non-finite value raises :class:`InvalidInput`.  With
     ``return_ridges=True`` also returns the list of ridges added.
     """
     covs = []
@@ -275,6 +278,8 @@ def covariances(trials, return_ridges=False):
             raise InvalidInput(
                 f"trial {i}: covariance needs a (d, M) trial with M >= 2, got {X.shape}"
             )
+        if not np.isfinite(X).all():
+            raise InvalidInput(f"trial {i} has non-finite values")
         Xc = X - X.mean(axis=1, keepdims=True)
         covs.append(manifold.sym(Xc @ Xc.T / (X.shape[1] - 1)))
     covs = np.stack(covs)

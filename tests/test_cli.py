@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import make_spd
-from spdot import datasets
-from spdot.adaptation import AdaptationConfig
+from spdot import cli, datasets, experiments
+from spdot.adaptation import MASSES, METRICS, SOLVERS, AdaptationConfig
 from spdot.cli import build_parser, main
-from spdot.errors import ConvergenceFailure
+from spdot.errors import ConvergenceFailure, InvalidInput, NumericalFailure
 
 
 def write_spd(path, matrices, labels=None):
@@ -21,6 +21,23 @@ def read_csv_matrix(path):
         return np.array(
             [[float(v) for v in line.split(",")] for line in fh.read().splitlines()]
         )
+
+
+def run_on_file(tmp_path, payload):
+    """Exit code of the command that reads ``payload``'s kind, run on it.
+
+    A rejected file must leave no ``--out`` directory.
+    """
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    if isinstance(payload, dict) and payload.get("kind") == "timeseries":
+        argv = ["covariance", str(bad)]
+    else:
+        argv = ["adapt", str(bad), write_spd(tmp_path / "s.json", make_spd(2, 2, seed=8))]
+    out = tmp_path / "o"
+    code = main(argv + ["--out", str(out)])
+    assert not out.exists()
+    return code
 
 
 def read_report(path):
@@ -121,6 +138,58 @@ class TestAdaptCommand:
         bad.write_text(json.dumps(payload))
         assert main(["adapt", str(bad), src, "--out", str(tmp_path / "o")]) == 2
         assert "matrix 2 has 1 entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ([], "expected a JSON object, got list"),
+            ("spd", "expected a JSON object, got str"),
+            ({"kind": "spd", "dim": 2, "matrices": [[1, 0, 0, 1], [1, "a", 0, 1]]},
+             "matrix 1 is not numeric"),
+            ({"kind": "spd", "dim": 2, "matrices": [[1, 0, 0, 1], [1, {}, 0, 1]]},
+             "matrix 1 is not numeric"),
+            ({"kind": "spd", "dim": 1, "matrices": [[1.0], [[2.0]]]},
+             "matrix 1 has shape (1, 1), expected a flat list of 1"),
+            ({"kind": "spd", "dim": 1, "matrices": [[1.0], 2.0]},
+             "matrix 1 has shape (), expected a flat list of 1"),
+            ({"kind": "timeseries", "channels": 1, "samples": 2,
+              "trials": [[1, 2], [1, "a"]]}, "trial 1 is not numeric"),
+            ({"kind": "timeseries", "channels": 1, "samples": 2,
+              "trials": [[1, 2], [3]]}, "trial 1 has 1 entries, expected a flat list of 2"),
+        ],
+        ids=["list", "string", "string-entry", "object-entry", "nested-record",
+             "scalar-record", "string-sample", "short-trial"],
+    )
+    def test_malformed_file_exits_2(self, tmp_path, capsys, payload, named):
+        assert run_on_file(tmp_path, payload) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "bad.json") in err and named in err
+
+    @pytest.mark.parametrize(
+        "header, named",
+        [
+            ({"kind": "spd", "dim": 2.5}, "dim must be an integer >= 1, got 2.5"),
+            ({"kind": "spd", "dim": 2.0}, "dim must be an integer >= 1, got 2.0"),
+            ({"kind": "spd", "dim": True}, "dim must be an integer >= 1, got True"),
+            ({"kind": "spd", "dim": "2"}, "dim must be an integer >= 1, got '2'"),
+            ({"kind": "spd", "dim": 0}, "dim must be an integer >= 1, got 0"),
+            ({"kind": "spd"}, "dim must be an integer >= 1, got None"),
+            ({"kind": "timeseries", "channels": 1.9, "samples": 2},
+             "channels must be an integer >= 1, got 1.9"),
+            ({"kind": "timeseries", "channels": 1, "samples": 2.2},
+             "samples must be an integer >= 1, got 2.2"),
+            ({"kind": "timeseries", "channels": 1, "samples": False},
+             "samples must be an integer >= 1, got False"),
+        ],
+        ids=["dim-float", "dim-integral-float", "dim-bool", "dim-string", "dim-zero",
+             "dim-missing", "channels-float", "samples-float", "samples-bool"],
+    )
+    def test_header_fields_are_integers(self, tmp_path, capsys, header, named):
+        # the records fit the header's integer part, so only its type is wrong
+        records = {"matrices": [[1.0, 0.0, 0.0, 1.0]], "trials": [[0.5, 1.5]]}
+        key = "matrices" if header["kind"] == "spd" else "trials"
+        assert run_on_file(tmp_path, {**header, key: records[key]}) == 2
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "labels, named",
@@ -327,6 +396,20 @@ class TestCosineAndCovariance:
         src = write_spd(tmp_path / "s.json", make_spd(2, 2, seed=6))
         assert main(["covariance", src, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_trial_exits_2(self, tmp_path, capsys, bad):
+        payload = {"kind": "timeseries", "channels": 2, "samples": 3,
+                   "trials": [[1, 2, 3, 4, 5, 7], [1, 2, 3, 4, bad, 7]]}
+        assert run_on_file(tmp_path, payload) == 2
+        assert "trial 1 has non-finite values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ts", ["nan", "inf", "-inf"])
+    def test_non_finite_ts_exits_2(self, tmp_path, capsys, ts):
+        out = tmp_path / "o"
+        assert main(["cosine", "--n", "2", f"--ts={ts}", "--out", str(out)]) == 2
+        assert "finite ts" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_trials_exit_2(self, tmp_path):
         path = tmp_path / "ts.json"
         path.write_text(json.dumps({
@@ -393,3 +476,44 @@ class TestFullRoundTrip:
         path = tmp_path / "d.json"
         datasets._dump(path, payload)
         assert path.read_text() == json.dumps(payload, indent=1) + "\n"
+
+
+class TestExitCodes:
+    """One rule maps library errors to exit codes, the same for every command."""
+
+    @pytest.mark.parametrize("command", ["adapt", "toy-a", "toy-b", "cosine", "covariance"])
+    @pytest.mark.parametrize(
+        "error, step, code",
+        [(InvalidInput, None, 2), (InvalidInput, "plan", 3), (NumericalFailure, None, 3)],
+        ids=["input", "input-with-step", "numerical"],
+    )
+    def test_library_error_exit_code(self, tmp_path, monkeypatch, capsys, command,
+                                     error, step, code):
+        def fail(*args, **kwargs):
+            exc = error("injected")
+            exc.pipeline_step = step
+            raise exc
+
+        src = write_spd(tmp_path / "s.json", make_spd(2, 3, seed=20))
+        ts = tmp_path / "ts.json"
+        datasets.save_timeseries_dataset(
+            ts, np.random.default_rng(21).standard_normal((2, 2, 5))
+        )
+        owner, call, argv = {
+            "adapt": (cli, "adapt", ["adapt", src, src]),
+            "toy-a": (experiments, "toy_a_sweep", ["toy-a", "--n", "8", "--grid", "2"]),
+            "toy-b": (experiments, "toy_b_search", ["toy-b", "--n", "8", "--grid", "2"]),
+            "cosine": (experiments, "_compare_configs", ["cosine", "--n", "2"]),
+            "covariance": (experiments, "covariances", ["covariance", str(ts)]),
+        }[command]
+        monkeypatch.setattr(owner, call, fail)
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == code
+        assert "error: injected" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_adapt_choices_come_from_the_config(self, capsys):
+        assert main(["adapt", "--help"]) == 0
+        usage = capsys.readouterr().out
+        for choices in (METRICS, SOLVERS, MASSES):
+            assert "{" + ",".join(choices) + "}" in usage

@@ -181,6 +181,11 @@ class TestCosineTrials:
         noisy = ex.cosine_trials(n=2, seed=15, noise=True)[0]
         assert np.abs(clean - noisy).max() > 0.1
 
+    @pytest.mark.parametrize("ts", [np.nan, np.inf, -np.inf])
+    def test_non_finite_ts_rejected(self, ts):
+        with pytest.raises(InvalidInput, match="finite ts"):
+            ex.cosine_trials(n=2, ts=ts)
+
 
 class TestCovariance:
     def test_one_dimensional_example(self):
@@ -231,6 +236,15 @@ class TestCovariance:
         trials = np.random.default_rng(18).standard_normal((3, 2, 10))
         trials[2] = 0.0
         with pytest.raises(NotPositiveDefinite, match="trial 2"):
+            ex.covariances(trials)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_trial_rejected(self, bad):
+        with pytest.raises(InvalidInput, match="trial 0 has non-finite"):
+            ex.covariances(np.full((1, 2, 3), bad))
+        trials = np.random.default_rng(19).standard_normal((3, 2, 10))
+        trials[1, 0, 4] = bad
+        with pytest.raises(InvalidInput, match="trial 1 has non-finite"):
             ex.covariances(trials)
 
 
