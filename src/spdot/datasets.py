@@ -14,13 +14,14 @@ Two kinds, both with row-major flattened float arrays:
      "trials": [[d*M floats], ...],
      "labels": [int, ...] | null}
 
-Header fields are JSON integers >= 1, values are finite, and every SPD
-matrix is validated on load, so a file that parses is immediately usable.
+Header fields are JSON integers >= 1, values are finite JSON numbers, and
+every SPD matrix is validated on load, so a file that parses is usable.
 Floats survive a save/load round trip bit-exactly (JSON carries Python's
 shortest round-trip representation).
 """
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -102,28 +103,37 @@ def _check_finite(stack, name):
 def _records(raw, key, name, shape, check, path):
     """``raw[key]``, flat records of ``shape``, as one stack that passes ``check``.
 
-    The whole list is converted and checked at once; a list that fails is
-    re-read record by record so the error names the first bad ``name``.
+    Entries are JSON numbers (``np.asarray`` also parses ``"2"`` and
+    ``true``).  The whole list is type-scanned, converted and checked at
+    once; a list that fails is re-read record by record so the error names
+    the first bad ``name``.
     """
     records = raw.get(key)
     if not isinstance(records, list) or not records:
         raise InvalidInput(f"{path}: {key} must be a nonempty list")
     size = math.prod(shape)
     try:
+        if not set(map(type, itertools.chain.from_iterable(records))) <= {int, float}:
+            raise InvalidInput(f"{key} hold an entry that is not a JSON number")
         stack = np.asarray(records, dtype=float)
         if stack.shape != (len(records), size):
             raise InvalidInput(f"{key} do not form a ({len(records)}, {size}) array")
         return check(stack.reshape(-1, *shape), name=key)
-    except (TypeError, ValueError, SpdotError) as exc:
+    except (TypeError, ValueError, OverflowError, SpdotError) as exc:
         for i, rec in enumerate(records):
             try:
                 arr = np.asarray(rec, dtype=float)
-            except (TypeError, ValueError) as err:
+            except (TypeError, ValueError, OverflowError) as err:
                 raise InvalidInput(f"{path}: {name} {i} is not numeric ({err})") from err
             if arr.shape != (size,):
                 got = f"{arr.size} entries" if arr.ndim == 1 else f"shape {arr.shape}"
                 raise InvalidInput(
                     f"{path}: {name} {i} has {got}, expected a flat list of {size}"
+                )
+            bad = [v for v in rec if type(v) not in (int, float)]
+            if bad:
+                raise InvalidInput(
+                    f"{path}: {name} {i} holds {bad[0]!r}, not a JSON number"
                 )
             try:
                 check(arr.reshape(shape), name=f"{name} {i}")

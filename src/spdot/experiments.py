@@ -232,8 +232,9 @@ def cosine_trials(n=40, channels=5, samples=101, ts=0.01, seed=0, noise=True):
     """
     if n < 1 or channels < 1 or samples < 2:
         raise InvalidInput("cosine_trials needs n >= 1, channels >= 1, samples >= 2")
-    if not np.isfinite(ts):
-        raise InvalidInput(f"cosine_trials needs a finite ts, got {ts}")
+    # the largest phase argument, 2 pi 20 (samples - 1) ts, must be finite too
+    if not np.isfinite(40.0 * np.pi * (samples - 1) * float(ts)):
+        raise InvalidInput(f"cosine_trials needs finite ts and phases, got ts={ts}")
     rng = np.random.default_rng(seed)
     omega_t = 2.0 * np.pi * np.arange(samples) * ts
     xs = np.empty((n, channels, samples))

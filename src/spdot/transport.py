@@ -10,10 +10,12 @@ Three solvers, all returning a :class:`TransportPlan`:
 * :func:`sinkhorn_with_labels`: Sinkhorn plus a class-group penalty on the
   plan columns, handled by majorization: repeatedly re-solve Sinkhorn with a
   cost offset proportional to the current per-class column masses, each
-  solve warm-started from the previous one's scaling vector.  With
-  ``eta = 0`` it is a single Sinkhorn solve.
+  solve warm-started from the previous one's scaling vector and, but for
+  the last, only as exact as the offset still moves.  With ``eta = 0`` it
+  is a single Sinkhorn solve.
 
-Both entropic solvers share one Gibbs-kernel builder and one scaling loop.
+Both entropic solvers share one Gibbs-kernel builder and one scaling loop;
+a plan with its marginals off raises :class:`ConvergenceFailure`.
 
 Solvers are sequential fixed-point iterations internally; invocations on
 distinct instances are independent and thread-safe.
@@ -37,10 +39,10 @@ KERNEL_FLOOR = 1e-300
 
 # Tolerance for the marginal constraints of a valid plan (infinity norm).
 MARGINAL_TOL = 1e-6
-# Stopping threshold (relative change of the scaling vector) and iteration
-# cap of every Sinkhorn solve.  Pipeline cost matrices can put the scaling
-# iteration near its worst-case contraction rate, and desk-scale iterations
-# are microseconds each.
+# Stopping threshold (relative change of the scaling vector) of a full
+# Sinkhorn solve and iteration cap of every solve.  Pipeline costs can put
+# the scaling iteration near its worst-case contraction rate, and desk-scale
+# iterations are microseconds each.
 SINKHORN_TOL = 1e-9
 SINKHORN_MAX_ITER = 100000
 # Scaling iterations between two stopping tests; the test costs more than
@@ -53,6 +55,9 @@ PAIR_BLOCK_DOUBLES = 2**14
 # label solver's majorization.
 LABEL_TOL = 1e-8
 LABEL_MAX_ITER = 50
+# An intermediate solve of the label solver stops at this fraction of the
+# last plan change (itself capped at this ratio), never below SINKHORN_TOL.
+LABEL_SOLVE_RATIO = 1e-2
 
 
 def check_mass(p, size=None, name="mass vector"):
@@ -274,20 +279,20 @@ def _coupling(K, q, u):
     return u[:, None] * K * v[None, :]
 
 
-def _scale(K, p, q, u):
+def _scale(K, p, q, u, tol):
     """Sinkhorn scaling of ``K`` started from ``u``; returns ``(u, iterations)``.
 
     With ``K~ = K / p[:, None]`` and ``Kq = K / q[None, :]``, each iteration
     is ``u = 1 / (K~ (1 / (Kq^T u)))``.  Every ``CHECK_EVERY`` iterations the
     relative infinity-norm change of ``u`` over the last one is compared
-    with ``SINKHORN_TOL``, so a successful solve reports a multiple of
+    with ``tol``, so a successful solve reports a multiple of
     ``CHECK_EVERY`` iterations.  Raises :class:`ConvergenceFailure` with the
     last plan after ``SINKHORN_MAX_ITER`` iterations.  A zero entry of ``p``
     (``q``) gets a zero scaling, so its plan row (column) is exactly zero.
     The iteration is unchanged, bit for bit, from its ``@`` and ``1.0 /``
     spelling; bound ``ndarray.dot`` and ``np.reciprocal`` only cut dispatch.
     """
-    tol, max_iter = SINKHORN_TOL, SINKHORN_MAX_ITER
+    max_iter = SINKHORN_MAX_ITER
     with np.errstate(divide="ignore"):
         Kt = K / p[:, None]
         KqT = K.T / q[:, None]
@@ -316,6 +321,17 @@ def _scale(K, p, q, u):
         residual=delta,
         iterations=max_iter,
     )
+
+
+def _feasible(plan, solver):
+    """``plan``, or :class:`ConvergenceFailure` if its marginals miss ``MARGINAL_TOL``."""
+    residual = max(plan.marginal_residuals())
+    if not residual <= MARGINAL_TOL:
+        raise ConvergenceFailure(
+            f"{solver}: plan marginals off by {residual:.3e} > tol {MARGINAL_TOL:.1e}",
+            last=plan, residual=residual, iterations=plan.iterations,
+        )
+    return plan
 
 
 def sinkhorn(cost, p=None, q=None, lam=1.0):
@@ -358,14 +374,15 @@ def sinkhorn(cost, p=None, q=None, lam=1.0):
     NumericalFailure
         If a whole kernel row/column underflows; lower ``lam``.
     ConvergenceFailure
-        If ``SINKHORN_MAX_ITER`` is exhausted; carries the last plan, the
-        residual and the iteration count.
+        If ``SINKHORN_MAX_ITER`` is exhausted, or the solve stops with its
+        marginals off by more than ``MARGINAL_TOL``; carries the last plan,
+        the residual and the iteration count.
     """
     C, p, q = _check_problem(cost, p, q, lam, "sinkhorn")
     K = _gibbs_kernel(C, lam)
     n1 = C.shape[0]
-    u, iterations = _scale(K, p, q, np.full(n1, 1.0 / n1))
-    return TransportPlan(_coupling(K, q, u), p, q, iterations, 1).validate()
+    u, iterations = _scale(K, p, q, np.full(n1, 1.0 / n1), SINKHORN_TOL)
+    return _feasible(TransportPlan(_coupling(K, q, u), p, q, iterations, 1), "sinkhorn")
 
 
 def _class_indicator(labels, n1):
@@ -395,13 +412,16 @@ def sinkhorn_with_labels(cost0, p=None, q=None, labels=None, lam=1.0, eta=0.0):
 
     (the gradient of the penalty at the current plan: ``G[i, j]`` is
     ``2 eta`` times the mass that column ``j`` receives from the class of
-    point ``i``) until the plan changes by at most ``LABEL_TOL`` in
-    infinity norm, for at most ``LABEL_MAX_ITER`` solves.  Each solve after
+    point ``i``) until the plan settles within ``LABEL_TOL`` in infinity
+    norm, for at most ``LABEL_MAX_ITER`` solves.  Each solve after
     the first is warm-started from the previous solve's scaling vector
     ``u``: the costs of consecutive steps differ only by the shrinking
     offset change, so the scaling is already close to its fixed point.
-    Every solve stops on the same relative-change test as :func:`sinkhorn`,
-    bounded by ``SINKHORN_TOL`` and ``SINKHORN_MAX_ITER``.  With ``eta = 0``
+    A solve stops its relative-change test at ``max(SINKHORN_TOL,
+    LABEL_SOLVE_RATIO * min(delta, LABEL_SOLVE_RATIO))``, ``delta`` the
+    last plan change (``inf`` before two solves): inexact inner solves, as
+    in IPOT (Xie et al., UAI 2019).  The returned plan's own solve ran at
+    ``SINKHORN_TOL`` and moved it by at most ``LABEL_TOL``.  With ``eta = 0``
     the offset never moves and the plan of the single (cold-started) solve
     is returned, bit-identical to :func:`sinkhorn` on ``cost0``; with a
     single class the offset is constant per column and the plan is
@@ -427,8 +447,8 @@ def sinkhorn_with_labels(cost0, p=None, q=None, labels=None, lam=1.0, eta=0.0):
     Raises
     ------
     ConvergenceFailure
-        If the plan still moves after ``LABEL_MAX_ITER`` solves; its
-        ``last`` is the last plan, counts included.
+        If the plan still moves after ``LABEL_MAX_ITER`` solves, or as in
+        :func:`sinkhorn`; its ``last`` is the last plan, counts included.
     """
     C0, p, q = _check_problem(cost0, p, q, lam, "sinkhorn_with_labels")
     n1 = C0.shape[0]
@@ -440,18 +460,19 @@ def sinkhorn_with_labels(cost0, p=None, q=None, labels=None, lam=1.0, eta=0.0):
     u = np.full(n1, 1.0 / n1)
     prev = None
     plan = None
-    delta = np.inf
+    delta = np.inf if eta else 0.0  # eta = 0: no offset, one full solve
     iterations = 0
     for outer in range(1, LABEL_MAX_ITER + 1):
+        tol = max(SINKHORN_TOL, LABEL_SOLVE_RATIO * min(delta, LABEL_SOLVE_RATIO))
         K = _gibbs_kernel(C0 + G, lam)
-        u, k = _scale(K, p, q, u)
+        u, k = _scale(K, p, q, u, tol)
         iterations += k
         gamma = _coupling(K, q, u)
         plan = TransportPlan(gamma, p, q, iterations, outer)
         if prev is not None:
             delta = float(np.abs(gamma - prev).max())
-        if eta == 0 or delta <= LABEL_TOL:
-            return plan.validate()
+        if delta <= LABEL_TOL and tol == SINKHORN_TOL:
+            return _feasible(plan, "sinkhorn_with_labels")
         prev = gamma
         G = eta * 2 * (Y @ (Y.T @ gamma))
     raise ConvergenceFailure(

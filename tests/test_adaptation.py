@@ -533,6 +533,15 @@ class TestAdaptPipeline:
             ad.adapt(src, src, config=cfg)
         assert err.value.pipeline_step == "plan"
 
+    def test_marginal_failure_tagged(self, monkeypatch):
+        # a loosened stopping test leaves the marginals off: a solver failure
+        monkeypatch.setattr(tp, "SINKHORN_TOL", 1e-2)
+        cfg = ad.AdaptationConfig(solver="sinkhorn")
+        with pytest.raises(ConvergenceFailure, match=r"^\[step: plan\] .*marginals off") as err:
+            ad.adapt(make_spd(3, 12, seed=50), make_spd(3, 10, seed=51), config=cfg)
+        assert err.value.pipeline_step == "plan"
+        assert isinstance(err.value.last, tp.TransportPlan)
+
     def test_top_k_exceeding_targets(self):
         src = make_spd(2, 3, seed=48)
         with pytest.raises(InvalidInput):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_spd
-from spdot import cli, datasets, experiments
+from spdot import cli, datasets, experiments, transport
 from spdot.adaptation import MASSES, METRICS, SOLVERS, AdaptationConfig
 from spdot.cli import build_parser, main
 from spdot.errors import ConvergenceFailure, InvalidInput, NumericalFailure
@@ -156,9 +156,21 @@ class TestAdaptCommand:
               "trials": [[1, 2], [1, "a"]]}, "trial 1 is not numeric"),
             ({"kind": "timeseries", "channels": 1, "samples": 2,
               "trials": [[1, 2], [3]]}, "trial 1 has 1 entries, expected a flat list of 2"),
+            # numpy would parse these as 2.0 and 1.0
+            ({"kind": "spd", "dim": 2, "matrices": [[1, 0, 0, 1], [1, 0, 0, "2"]]},
+             "matrix 1 holds '2', not a JSON number"),
+            ({"kind": "spd", "dim": 1, "matrices": [[1.0], [True]]},
+             "matrix 1 holds True, not a JSON number"),
+            ({"kind": "timeseries", "channels": 1, "samples": 2,
+              "trials": [[1, 2], [0.5, 1.5], ["2", 1]]}, "trial 2 holds '2', not a JSON number"),
+            ({"kind": "timeseries", "channels": 1, "samples": 2,
+              "trials": [[1, 2], [False, 1]]}, "trial 1 holds False, not a JSON number"),
+            ({"kind": "timeseries", "channels": 1, "samples": 2,
+              "trials": [[1, 2], [1, 10**400]]}, "trial 1 is not numeric"),
         ],
         ids=["list", "string", "string-entry", "object-entry", "nested-record",
-             "scalar-record", "string-sample", "short-trial"],
+             "scalar-record", "string-sample", "short-trial", "numeric-string-entry",
+             "bool-entry", "numeric-string-sample", "bool-sample", "huge-int-sample"],
     )
     def test_malformed_file_exits_2(self, tmp_path, capsys, payload, named):
         assert run_on_file(tmp_path, payload) == 2
@@ -221,6 +233,14 @@ class TestAdaptCommand:
         assert str(bad) in err and named in err
         assert not (tmp_path / "o").exists()
 
+    def test_integer_entries_load_as_floats(self, tmp_path):
+        path = tmp_path / "int.json"
+        path.write_text(json.dumps({"kind": "spd", "dim": 2,
+                                    "matrices": [[2, 0, 0, 1], [1, 0.5, 0.5, 1]]}))
+        matrices = datasets.load_dataset(path).matrices
+        assert matrices.dtype == float
+        assert matrices.tolist() == [[[2, 0], [0, 1]], [[1, 0.5], [0.5, 1]]]
+
     def test_integer_labels_load_as_integers(self, tmp_path):
         path = write_spd(tmp_path / "s.json", make_spd(2, 3, seed=8), labels=[2, 0, -1])
         labels = datasets.load_dataset(path).labels
@@ -241,6 +261,15 @@ class TestAdaptCommand:
                      "--metric", "euclidean", "--out", str(tmp_path / "o")])
         assert code == 3
         assert "[step: plan]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_marginal_failure_exits_3_with_step(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(transport, "SINKHORN_TOL", 1e-2)
+        src = write_spd(tmp_path / "s.json", make_spd(3, 12, seed=50))
+        tgt = write_spd(tmp_path / "t.json", make_spd(3, 10, seed=51))
+        code = main(["adapt", src, tgt, "--solver", "sinkhorn", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "[step: plan] sinkhorn: plan marginals off" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_top_k_flag(self, tmp_path):
@@ -408,6 +437,14 @@ class TestCosineAndCovariance:
         out = tmp_path / "o"
         assert main(["cosine", "--n", "2", f"--ts={ts}", "--out", str(out)]) == 2
         assert "finite ts" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_ts_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["cosine", "--n", "2", "--ts", "1e307", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "finite ts and phases, got ts=1e+307" in err and "trial 0" not in err
         assert not out.exists()
 
     def test_empty_trials_exit_2(self, tmp_path):

@@ -186,6 +186,18 @@ class TestCosineTrials:
         with pytest.raises(InvalidInput, match="finite ts"):
             ex.cosine_trials(n=2, ts=ts)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ts", [1e307, -1e307, np.float64(1e306)])
+    def test_overflowing_ts_rejected(self, ts):
+        # finite, but 20 cycles at the last sample time overflow
+        with pytest.raises(InvalidInput, match="finite ts and phases, got ts="):
+            ex.cosine_trials(n=2, ts=ts)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_finite_sample_times_accepted(self):
+        xs, zs = ex.cosine_trials(n=2, ts=1e300)
+        assert np.isfinite(xs).all() and np.isfinite(zs).all()
+
 
 class TestCovariance:
     def test_one_dimensional_example(self):

@@ -265,6 +265,17 @@ class TestSinkhorn:
         assert plan.outer_iterations > 1
         assert plan.iterations % tp.CHECK_EVERY == 0
 
+    def test_marginals_off_raise_convergence_failure(self, monkeypatch):
+        # a loose stopping test is met with the marginals still off: a solver
+        # failure, carrying the plan, not an input error
+        monkeypatch.setattr(tp, "SINKHORN_TOL", 1e-2)
+        with pytest.raises(ConvergenceFailure, match="plan marginals off") as err:
+            tp.sinkhorn(np.random.default_rng(3).random((12, 10)), lam=20.0)
+        plan = err.value.last
+        assert isinstance(plan, tp.TransportPlan)
+        assert err.value.residual == max(plan.marginal_residuals()) > tp.MARGINAL_TOL
+        assert err.value.iterations == plan.iterations > 0
+
     @staticmethod
     def per_iteration_sinkhorn(C, p, q, lam):
         """Scaling with the stopping test after every iteration."""
@@ -357,7 +368,66 @@ class TestSinkhornWithLabels:
         got = tp.sinkhorn_with_labels(C, labels=labels, lam=lam, eta=eta)
         assert np.abs(got.matrix - want).max() <= 1e-8
         assert got.outer_iterations == outer > 2
-        assert got.iterations < cold
+        assert got.iterations < cold / 2
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_loose_intermediate_solves_keep_the_plan(self, monkeypatch, seed):
+        # LABEL_SOLVE_RATIO = 0 runs every solve at SINKHORN_TOL
+        C, labels = class_structured_cost(seed)
+        args = dict(labels=labels, lam=tp.adaptive_lambda(C), eta=2.0 * np.median(C))
+        got = tp.sinkhorn_with_labels(C, **args)
+        monkeypatch.setattr(tp, "LABEL_SOLVE_RATIO", 0.0)
+        want = tp.sinkhorn_with_labels(C, **args)
+        assert got.outer_iterations == want.outer_iterations > 2
+        assert np.abs(got.matrix - want.matrix).max() <= 1e-10
+        assert got.iterations <= 0.6 * want.iterations
+
+    @staticmethod
+    def solve_tolerances(monkeypatch, *args, **kwargs):
+        tols = []
+        scale = tp._scale
+
+        def spy(K, p, q, u, tol):
+            tols.append(tol)
+            return scale(K, p, q, u, tol)
+
+        monkeypatch.setattr(tp, "_scale", spy)
+        plan = tp.sinkhorn_with_labels(*args, **kwargs)
+        assert len(tols) == plan.outer_iterations
+        return tols
+
+    def test_solve_tolerance_schedule(self, monkeypatch):
+        C, labels = class_structured_cost(3)
+        tols = self.solve_tolerances(
+            monkeypatch, C, labels=labels, lam=tp.adaptive_lambda(C),
+            eta=2.0 * np.median(C),
+        )
+        assert tols[0] == tp.LABEL_SOLVE_RATIO**2
+        assert min(tols) >= tp.SINKHORN_TOL
+        assert tols[-1] == tp.SINKHORN_TOL
+        assert len(set(tols)) > 2
+
+    def test_zero_eta_solves_at_full_tolerance(self, monkeypatch):
+        C = np.random.default_rng(17).random((5, 4))
+        tols = self.solve_tolerances(monkeypatch, C, labels=[0, 1, 2, 0, 1], lam=8.0)
+        assert tols == [tp.SINKHORN_TOL]
+
+    @pytest.mark.parametrize(
+        "tol, lam, eta", [(1e-2, 20.0, 0.0), (1e-5, 200.0, 0.01)],
+        ids=["zero-eta", "penalized"],
+    )
+    def test_marginals_off_raise_convergence_failure(self, monkeypatch, tol, lam, eta):
+        # lam and eta in units of the median cost; at the penalized setting
+        # slow scaling meets the loosened test with its marginals off
+        monkeypatch.setattr(tp, "SINKHORN_TOL", tol)
+        C, labels = class_structured_cost(3, n=12)
+        m = float(np.median(C))
+        with pytest.raises(ConvergenceFailure, match="plan marginals off") as err:
+            tp.sinkhorn_with_labels(C, labels=labels, lam=lam / m, eta=eta * m)
+        plan = err.value.last
+        assert err.value.residual == max(plan.marginal_residuals()) > tp.MARGINAL_TOL
+        assert err.value.iterations == plan.iterations
+        assert (plan.outer_iterations == 1) == (eta == 0)
 
     def test_penalty_strictly_decreases(self):
         base = tp.sinkhorn(self.C0, lam=1.5).matrix
@@ -426,11 +496,11 @@ class TestSinkhornWithLabels:
         assert (plan.matrix[:, q == 0] == 0).all()
 
 
-def reference_scale(K, p, q, u):
+def reference_scale(K, p, q, u, tol):
     """The blocked scaling loop spelled with ``@`` and ``1.0 /``.
 
-    A copy of ``transport._scale`` as it was first blocked; returns
-    ``(u, iterations)``.
+    A copy of ``transport._scale`` as it was first blocked, stopping at the
+    caller's ``tol``; returns ``(u, iterations)``.
     """
     with np.errstate(divide="ignore"):
         Kt = K / p[:, None]
@@ -446,7 +516,7 @@ def reference_scale(K, p, q, u):
         delta = float(np.abs(u_new - u).max() / u_new.max())
         u = u_new
         it += tp.CHECK_EVERY
-        if delta <= tp.SINKHORN_TOL:
+        if delta <= tol:
             return u, it
     raise AssertionError("reference loop did not converge")
 
@@ -478,7 +548,8 @@ class TestScalingBitIdentity:
     def test_sinkhorn(self):
         for C, p, q, lam in self.instances():
             K = tp._gibbs_kernel(C, lam)
-            u, iterations = reference_scale(K, p, q, np.full(len(p), 1.0 / len(p)))
+            u0 = np.full(len(p), 1.0 / len(p))
+            u, iterations = reference_scale(K, p, q, u0, tp.SINKHORN_TOL)
             plan = tp.sinkhorn(C, p, q, lam)
             assert np.array_equal(plan.matrix, reference_coupling(K, q, u))
             assert plan.iterations == iterations > tp.CHECK_EVERY
