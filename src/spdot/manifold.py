@@ -200,8 +200,8 @@ def riemannian_distance(P, Q, squared=False):
 
 
 def _sq_log_norms(M):
-    """Squared Frobenius norms of the logs of a symmetric SPD stack ``M``."""
-    w = np.linalg.eigvalsh(sym(M))
+    """Squared Frobenius norms of the logs of an SPD stack ``M`` (lower triangles read)."""
+    w = np.linalg.eigvalsh(M)
     return np.sum(np.log(np.maximum(w, 1e-300)) ** 2, axis=-1)
 
 

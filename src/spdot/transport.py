@@ -195,9 +195,12 @@ def exact_ot(cost, p=None, q=None):
 
     With both marginals uniform and of the same length ``n``, an optimal
     coupling is ``1/n`` times a permutation matrix, so the problem reduces to
-    a linear assignment over the cost matrix; the assignment is solved
-    exactly.  Any other marginal configuration is rejected; use
-    :func:`sinkhorn` there.  The first call imports ``scipy.optimize``.
+    a linear assignment, solved exactly as a minimum-weight full matching
+    of the complete bipartite graph (LAPJVsp).  ``scipy.sparse.csgraph``
+    drops zero weights as missing edges, so zero costs enter as the
+    smallest positive double.  Any other marginal configuration is
+    rejected; use :func:`sinkhorn` there.  The first call imports
+    ``scipy.sparse.csgraph``.
 
     Parameters
     ----------
@@ -222,8 +225,9 @@ def exact_ot(cost, p=None, q=None):
         raise UnsupportedInstance(
             "exact_ot needs uniform marginals; use sinkhorn for general masses"
         )
-    from scipy.optimize import linear_sum_assignment
-    rows, cols = linear_sum_assignment(C)
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+    rows, cols = min_weight_full_bipartite_matching(csr_array(np.where(C > 0, C, 5e-324)))
     gamma = np.zeros_like(C)
     gamma[rows, cols] = 1.0 / n1
     return TransportPlan(gamma, p, q).validate()
@@ -279,15 +283,17 @@ def _coupling(K, q, u):
     return u[:, None] * K * v[None, :]
 
 
-def _scale(K, p, q, u, tol):
+def _scale(K, p, q, u, tol, solver="sinkhorn", done=0, outer=1):
     """Sinkhorn scaling of ``K`` started from ``u``; returns ``(u, iterations)``.
 
     With ``K~ = K / p[:, None]`` and ``Kq = K / q[None, :]``, each iteration
     is ``u = 1 / (K~ (1 / (Kq^T u)))``.  Every ``CHECK_EVERY`` iterations the
     relative infinity-norm change of ``u`` over the last one is compared
     with ``tol``, so a successful solve reports a multiple of
-    ``CHECK_EVERY`` iterations.  Raises :class:`ConvergenceFailure` with the
-    last plan after ``SINKHORN_MAX_ITER`` iterations.  A zero entry of ``p``
+    ``CHECK_EVERY`` iterations.  After ``SINKHORN_MAX_ITER`` iterations it
+    raises :class:`ConvergenceFailure` naming ``solver``, whose ``last`` is
+    the plan of this solve, counting ``done`` earlier scaling iterations and
+    ``outer`` solves.  A zero entry of ``p``
     (``q``) gets a zero scaling, so its plan row (column) is exactly zero.
     The iteration is unchanged, bit for bit, from its ``@`` and ``1.0 /``
     spelling; bound ``ndarray.dot`` and ``np.reciprocal`` only cut dispatch.
@@ -314,12 +320,13 @@ def _scale(K, p, q, u, tol):
         it += block
         if block == CHECK_EVERY and delta <= tol:
             return u, it
+    plan = TransportPlan(_coupling(K, q, u), p, q, done + max_iter, outer)
     raise ConvergenceFailure(
-        f"sinkhorn: relative change {delta:.3e} > tol {tol:.1e} "
-        f"after {max_iter} iterations",
-        last=_coupling(K, q, u),
+        f"{solver}: relative change {delta:.3e} > tol {tol:.1e} "
+        f"after {max_iter} iterations of solve {outer}",
+        last=plan,
         residual=delta,
-        iterations=max_iter,
+        iterations=plan.iterations,
     )
 
 
@@ -465,7 +472,7 @@ def sinkhorn_with_labels(cost0, p=None, q=None, labels=None, lam=1.0, eta=0.0):
     for outer in range(1, LABEL_MAX_ITER + 1):
         tol = max(SINKHORN_TOL, LABEL_SOLVE_RATIO * min(delta, LABEL_SOLVE_RATIO))
         K = _gibbs_kernel(C0 + G, lam)
-        u, k = _scale(K, p, q, u, tol)
+        u, k = _scale(K, p, q, u, tol, "sinkhorn_with_labels", iterations, outer)
         iterations += k
         gamma = _coupling(K, q, u)
         plan = TransportPlan(gamma, p, q, iterations, outer)

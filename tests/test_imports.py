@@ -1,5 +1,8 @@
 """What ``import spdot`` loads: numpy and the package, and SciPy only on use.
 
+``scipy.optimize`` is never loaded: the exact solver uses
+``scipy.sparse.csgraph``.
+
 Checked in a fresh interpreter, because ``conftest`` imports SciPy into this
 one.
 """
@@ -38,9 +41,17 @@ assert "scipy.optimize" not in sys.modules, scipy_modules()
 
 C = rng.random((5, 5))
 plan = transport.exact_ot(C)
-assert "scipy.optimize" in sys.modules
+assert "scipy.sparse.csgraph" in sys.modules
 assert sorted(np.argmax(plan.matrix, axis=1)) == list(range(5))
 assert np.count_nonzero(plan.matrix) == 5
+
+# the exact solver's commands: a comparison and a self-pair adapt
+assert spdot.cli.main(["cosine", "--n", "6", "--channels", "3", "--out", tmp + "/cos"]) == 0
+cov = tmp + "/cov/covariances.json"
+assert spdot.cli.main(["covariance", tmp + "/cos/source_timeseries.json",
+                       "--out", tmp + "/cov"]) == 0
+assert spdot.cli.main(["adapt", cov, cov, "--solver", "exact", "--out", tmp + "/ad"]) == 0
+assert "scipy.optimize" not in sys.modules, scipy_modules()
 print("ok")
 """
 

@@ -145,7 +145,7 @@ class TestDistance:
         out = np.zeros((len(A), len(W)))
         for i, P in enumerate(A):
             cols = slice(i + 1, None) if self_distances else slice(None)
-            w = np.linalg.eigvalsh(mf.sym(W[cols] @ P @ W[cols]))
+            w = np.linalg.eigvalsh(W[cols] @ P @ W[cols])
             out[i, cols] = np.sum(np.log(np.maximum(w, 1e-300)) ** 2, axis=-1)
         return out + out.T if self_distances else out
 

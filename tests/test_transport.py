@@ -1,10 +1,11 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_wide_spd
+from conftest import make_spd, make_wide_spd
 from spdot import manifold as mf
 from spdot import transport as tp
 from spdot.errors import (
@@ -61,6 +62,13 @@ def cold_start_labels(C, labels, lam, eta, p=None, q=None, tol=1e-8, max_iter=50
     raise AssertionError("cold-start reference did not converge")
 
 
+def strict_exact_ot(C):
+    """``exact_ot`` with every warning an error (a dropped zero edge warns)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return tp.exact_ot(C)
+
+
 def brute_force_objective(C):
     n = C.shape[0]
     return min(
@@ -108,6 +116,36 @@ class TestExactOt:
     def test_rejects_rectangular(self):
         with pytest.raises(UnsupportedInstance):
             tp.exact_ot(np.zeros((2, 3)))
+
+    def test_all_zero_cost_and_single_point(self):
+        for n in (1, 2, 5):
+            plan = strict_exact_ot(np.zeros((n, n)))
+            assert np.count_nonzero(plan.matrix) == n
+            assert (plan.matrix.sum(axis=0) == 1.0 / n).all()
+            assert plan.objective(np.zeros((n, n))) == 0.0
+        assert strict_exact_ot(np.array([[2.5]])).matrix.tolist() == [[1.0]]
+
+    def test_identical_sets_give_identity(self):
+        # the self-distance path has an exactly zero diagonal, the cross one
+        # a diagonal at rounding level
+        for dim, n in ((3, 12), (16, 48)):
+            P = make_spd(dim, n, seed=dim)
+            for C in (mf.sq_distance_matrix(P, P.copy()), mf.sq_distance_matrix(P)):
+                plan = strict_exact_ot(C)
+                np.testing.assert_array_equal(plan.matrix, np.eye(n) / n)
+
+    @pytest.mark.parametrize("n", [48, 80, 200])
+    def test_objective_matches_scipy_assignment(self, n):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(n)
+        C = rng.random((n, n))
+        C[rng.integers(n), rng.integers(n)] = 0.0
+        costs = [C, mf.sq_distance_matrix(make_spd(16, n, seed=n), make_spd(16, n, seed=n + 1))]
+        for C in costs:
+            rows, cols = linear_sum_assignment(C)
+            want = C[rows, cols].sum() / n
+            assert strict_exact_ot(C).objective(C) == pytest.approx(want, rel=1e-12)
 
 
 class TestDiagonalMass:
@@ -237,10 +275,25 @@ class TestSinkhorn:
         C = rng.random((8, 8))
         monkeypatch.setattr(tp, "SINKHORN_TOL", 1e-12)
         monkeypatch.setattr(tp, "SINKHORN_MAX_ITER", 3)
-        with pytest.raises(ConvergenceFailure) as err:
+        with pytest.raises(ConvergenceFailure, match="^sinkhorn: ") as err:
             tp.sinkhorn(C, lam=500.0)
-        assert err.value.last is not None
-        assert err.value.iterations == 3
+        assert isinstance(err.value.last, tp.TransportPlan)
+        assert err.value.iterations == err.value.last.iterations == 3
+        assert err.value.last.outer_iterations == 1
+
+    def test_label_solver_iteration_cap(self, monkeypatch):
+        # the first solves stop within the cap, a later, tighter one does not
+        C, labels = class_structured_cost(3, n=12)
+        m = float(np.median(C))
+        monkeypatch.setattr(tp, "SINKHORN_MAX_ITER", 1000)
+        with pytest.raises(ConvergenceFailure, match="^sinkhorn_with_labels: ") as err:
+            tp.sinkhorn_with_labels(C, labels=labels, lam=100.0 / m, eta=0.01 * m)
+        plan = err.value.last
+        assert isinstance(plan, tp.TransportPlan)
+        assert plan.outer_iterations > 1
+        assert f"of solve {plan.outer_iterations}" in str(err.value)
+        assert err.value.iterations == plan.iterations > 1000
+        assert (plan.iterations - 1000) % tp.CHECK_EVERY == 0
 
     def test_info_counts_scaling_iterations(self, monkeypatch):
         C = np.random.default_rng(19).random((6, 5))
@@ -387,9 +440,9 @@ class TestSinkhornWithLabels:
         tols = []
         scale = tp._scale
 
-        def spy(K, p, q, u, tol):
+        def spy(K, p, q, u, tol, *failure):
             tols.append(tol)
-            return scale(K, p, q, u, tol)
+            return scale(K, p, q, u, tol, *failure)
 
         monkeypatch.setattr(tp, "_scale", spy)
         plan = tp.sinkhorn_with_labels(*args, **kwargs)
@@ -496,11 +549,12 @@ class TestSinkhornWithLabels:
         assert (plan.matrix[:, q == 0] == 0).all()
 
 
-def reference_scale(K, p, q, u, tol):
+def reference_scale(K, p, q, u, tol, *failure):
     """The blocked scaling loop spelled with ``@`` and ``1.0 /``.
 
     A copy of ``transport._scale`` as it was first blocked, stopping at the
-    caller's ``tol``; returns ``(u, iterations)``.
+    caller's ``tol``; returns ``(u, iterations)``.  The arguments that name
+    a failure (solver, earlier iterations, solve) are ignored.
     """
     with np.errstate(divide="ignore"):
         Kt = K / p[:, None]
