@@ -24,14 +24,11 @@ import numpy as np
 
 from . import manifold, transport
 from .errors import DegeneratePlan, InvalidInput, SpdotError
+from .transport import _finite_real
 
 METRICS = ("riemannian", "euclidean")
 SOLVERS = ("exact", "sinkhorn", "sinkhorn-labels")
 MASSES = ("uniform", "kde")
-
-
-def _finite_real(x):
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,11 @@ class AdaptationConfig:
 
 @dataclass(frozen=True)
 class AdaptationResult:
-    """Adapted source set plus everything needed to audit the run."""
+    """Adapted source set plus everything needed to audit the run.
+
+    ``diagnostics`` (see :func:`adapt`) are JSON types and depend only on the
+    inputs and config; ``stage_s`` holds the wall seconds of each stage.
+    """
 
     adapted_source: np.ndarray
     plan: transport.TransportPlan
@@ -106,6 +107,7 @@ class AdaptationResult:
     lambda_used: float | None
     eta_used: float | None
     diagnostics: dict = field(default_factory=dict)
+    stage_s: dict = field(default_factory=dict)
 
 
 def median_sq_distance(points):
@@ -136,14 +138,14 @@ def kde_weights(points, sigma2):
     bulk receive less than uniform mass, which damps their pull on the
     transport plan.
 
-    ``sigma2`` is a positive float or ``"auto"``; ``"auto"`` takes the
+    ``sigma2`` is a finite float > 0 or ``"auto"``; ``"auto"`` takes the
     :func:`median_sq_distance` of the set, read off the same self-distance
     matrix the kernel sums, so the set's distances are computed once.
     """
     pts = manifold.check_stack(points, "kde_weights points")
     auto = isinstance(sigma2, str) and sigma2 == "auto"
-    if not auto and (isinstance(sigma2, str) or not sigma2 > 0):
-        raise InvalidInput(f"sigma2 must be positive or 'auto', got {sigma2!r}")
+    if not auto and not (_finite_real(sigma2) and sigma2 > 0):
+        raise InvalidInput(f"sigma2 must be finite and > 0 or 'auto', got {sigma2!r}")
     d2 = manifold.sq_distance_matrix(pts)
     if auto:
         sigma2 = _upper_median(d2)
@@ -170,7 +172,7 @@ def build_cost(source, target, metric="riemannian"):
     return transport.CostMatrix(values)
 
 
-def barycentric_map(source, target, plan, top_k=None, return_info=False):
+def barycentric_map(source, target, plan, top_k=None):
     """Send each source point to the plan-weighted Riemannian mean of targets.
 
     Row ``i`` of the plan, renormalized to sum to 1, weights the targets in a
@@ -189,9 +191,14 @@ def barycentric_map(source, target, plan, top_k=None, return_info=False):
     plan : TransportPlan
     top_k : int or None
         Must be <= n2 when set.
-    return_info : bool
-        Also return ``mean_iterations``, the Riemannian Newton steps each
-        row's mean took (0 for a one-hot row), and ``mean_residuals``.
+
+    Returns
+    -------
+    adapted : ndarray, shape (n1, d, d)
+    info : dict
+        ``iterations``, the Riemannian Newton steps each row's mean took,
+        and ``residuals``, the norm of each row's last Riemannian gradient;
+        lists with one entry per row, both 0 for a one-hot row.
 
     Raises
     ------
@@ -227,12 +234,7 @@ def barycentric_map(source, target, plan, top_k=None, return_info=False):
         totals = rows.sum(axis=1)
     manifold.check_spd(tgt, name="target set")
     adapted, iterations, residuals = manifold._karcher_means(tgt, rows / totals[:, None])
-    if return_info:
-        return adapted, {
-            "mean_iterations": iterations.tolist(),
-            "mean_residuals": residuals.tolist(),
-        }
-    return adapted
+    return adapted, {"iterations": iterations.tolist(), "residuals": residuals.tolist()}
 
 
 @contextlib.contextmanager
@@ -280,17 +282,16 @@ def adapt(source, target, source_labels=None, config=None):
     Returns
     -------
     AdaptationResult
-        Its ``diagnostics`` hold the map's ``mean_iterations`` and
-        ``mean_residuals`` (see :func:`barycentric_map`); the plan's
+        Its ``diagnostics`` are ``{"plan": {...}, "map": {...}}``.  "plan":
         ``iterations`` and ``outer_iterations`` (see
-        :class:`~spdot.transport.TransportPlan`; ``None`` for "exact") as
-        ``plan_iterations`` and ``plan_outer_iterations``;
-        ``plan_marginal_error``, the plan's largest marginal violation in
-        infinity norm (every solver); ``lambda_median_cost``, ``lambda
-        median(C)``, and ``kernel_log10_range``, ``-lambda (max C - min C) /
-        ln 10`` (both ``None`` for "exact"); ``plan_row_perplexity`` (see
-        :func:`_row_perplexity`); and ``stage_s``, the wall seconds of each
-        stage ("mass", "cost", "plan", "map").
+        :class:`~spdot.transport.TransportPlan`; ``None`` for "exact");
+        ``marginal_residuals``, the plan's ``[row, col]`` marginal violations
+        in infinity norm; ``objective``, ``<plan, C>``; ``lambda_median_cost``,
+        ``lambda median(C)``, and ``kernel_log10_range``, ``-lambda (max C -
+        min C) / ln 10`` (both ``None`` for "exact"); ``row_perplexity`` (see
+        :func:`_row_perplexity`).  "map": the info of :func:`barycentric_map`.
+        The wall seconds of each stage are in ``stage_s``, not in
+        ``diagnostics``, so equal inputs and config give equal diagnostics.
     """
     cfg = config or AdaptationConfig()
     src = manifold.check_stack(source, "source set")
@@ -339,25 +340,26 @@ def adapt(source, target, source_labels=None, config=None):
                 )
 
     with _stage("map", stage_s):
-        adapted, info = barycentric_map(src, tgt, plan, cfg.top_k, return_info=True)
+        adapted, map_info = barycentric_map(src, tgt, plan, cfg.top_k)
         manifold.check_spd(adapted, name="adapted source")
 
+    plan_info = {
+        "iterations": plan.iterations,
+        "outer_iterations": plan.outer_iterations,
+        "marginal_residuals": list(plan.marginal_residuals()),
+        "objective": plan.objective(cost),
+        "lambda_median_cost": lambda_median_cost,
+        "kernel_log10_range": kernel_log10_range,
+        "row_perplexity": _row_perplexity(plan.matrix),
+    }
     return AdaptationResult(
         adapted_source=adapted,
         plan=plan,
         cost=cost,
         lambda_used=lambda_used,
         eta_used=eta_used,
-        diagnostics={
-            **info,
-            "plan_iterations": plan.iterations,
-            "plan_outer_iterations": plan.outer_iterations,
-            "plan_marginal_error": max(plan.marginal_residuals()),
-            "lambda_median_cost": lambda_median_cost,
-            "kernel_log10_range": kernel_log10_range,
-            "plan_row_perplexity": _row_perplexity(plan.matrix),
-            "stage_s": stage_s,
-        },
+        diagnostics={"plan": plan_info, "map": map_info},
+        stage_s=stage_s,
     )
 
 

@@ -86,16 +86,6 @@ def _write_report(out_dir, command, config, inputs, body, elapsed, **timings):
         fh.write("\n")
 
 
-def _plan_stats(plan, cost):
-    row_res, col_res = plan.marginal_residuals()
-    return {
-        "shape": list(plan.matrix.shape),
-        "diagonal_mass": transport.diagonal_mass(plan.matrix),
-        "objective": plan.objective(cost),
-        "marginal_residuals": {"source": row_res, "target": col_res},
-    }
-
-
 def _exit_code(exc):
     # stage errors carry their step; any other InvalidInput rejects an argument
     argument_error = isinstance(exc, InvalidInput) and exc.pipeline_step is None
@@ -150,21 +140,10 @@ def cmd_adapt(args):
         {
             "lambda_used": result.lambda_used,
             "eta_used": result.eta_used,
-            "plan": {
-                **_plan_stats(result.plan, result.cost),
-                "iterations": result.diagnostics["plan_iterations"],
-                "outer_iterations": result.diagnostics["plan_outer_iterations"],
-                "lambda_median_cost": result.diagnostics["lambda_median_cost"],
-                "kernel_log10_range": result.diagnostics["kernel_log10_range"],
-                "plan_row_perplexity": result.diagnostics["plan_row_perplexity"],
-            },
-            "barycenter": {
-                "iterations": result.diagnostics["mean_iterations"],
-                "residuals": result.diagnostics["mean_residuals"],
-            },
+            "diagnostics": result.diagnostics,
         },
         elapsed,
-        stage_s=result.diagnostics["stage_s"],
+        stage_s=result.stage_s,
     )
     return EXIT_OK
 

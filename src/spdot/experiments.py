@@ -283,6 +283,8 @@ def covariances(trials, return_ridges=False):
             raise InvalidInput(f"trial {i} has non-finite values")
         Xc = X - X.mean(axis=1, keepdims=True)
         covs.append(manifold.sym(Xc @ Xc.T / (X.shape[1] - 1)))
+    if not covs:
+        raise InvalidInput("covariances needs at least one trial, got an empty input")
     covs = np.stack(covs)
     ridges = np.zeros(len(covs))
     for i in np.flatnonzero(np.linalg.eigvalsh(covs)[:, 0] <= manifold.EPS_PD):

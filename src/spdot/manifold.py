@@ -191,6 +191,10 @@ def riemannian_distance(P, Q, squared=False):
         Nonnegative distance (or squared distance).
     """
     P, Q = _check_pair(P, Q, "riemannian_distance")
+    if P.ndim != 2 or P.shape[0] != P.shape[1] or Q.ndim != 2:
+        raise InvalidInput(
+            f"riemannian_distance takes two (d, d) matrices, got {P.shape} and {Q.shape}"
+        )
     check_spd(P, name="first argument")
     check_spd(Q, name="second argument")
     import scipy.linalg

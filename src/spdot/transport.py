@@ -22,6 +22,7 @@ distinct instances are independent and thread-safe.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,13 +252,17 @@ def adaptive_lambda(cost):
     return 1.0 / (2.0 * m * m)
 
 
+def _finite_real(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def _check_problem(cost, p, q, lam, solver):
     """Validated ``(C, p, q)`` of an entropic problem; marginals default uniform."""
     C = _cost_array(cost)
     n1, n2 = C.shape
     p = uniform_mass(n1) if p is None else check_mass(p, n1, "source marginal")
     q = uniform_mass(n2) if q is None else check_mass(q, n2, "target marginal")
-    if not (lam > 0 and math.isfinite(lam)):
+    if not (_finite_real(lam) and lam > 0):
         raise InvalidInput(f"{solver} needs finite lam > 0, got {lam}")
     return C, p, q
 
@@ -459,7 +464,7 @@ def sinkhorn_with_labels(cost0, p=None, q=None, labels=None, lam=1.0, eta=0.0):
     """
     C0, p, q = _check_problem(cost0, p, q, lam, "sinkhorn_with_labels")
     n1 = C0.shape[0]
-    if not (eta >= 0 and math.isfinite(eta)):
+    if not (_finite_real(eta) and eta >= 0):
         raise InvalidInput(f"eta must be finite and nonnegative, got {eta}")
     Y = _class_indicator(labels, n1)
 

@@ -7,8 +7,21 @@ general-purpose optimizer over Cholesky factors.
 """
 
 import numpy as np
+import pytest
 import scipy.linalg
 import scipy.optimize
+
+# ``AdaptationConfig`` fields of every (solver, mass) pair that ``adapt``
+# solves.  The exact solver takes only uniform mass; the label solver cycles
+# at its default lambda and eta on small sets, so it gets fixed ones.
+SOLVER_MASS = [
+    pytest.param({"solver": "exact"}, id="exact"),
+    pytest.param({"solver": "sinkhorn"}, id="sinkhorn"),
+    pytest.param({"solver": "sinkhorn", "mass": "kde"}, id="sinkhorn-kde"),
+    pytest.param({"solver": "sinkhorn-labels", "lam": 2.0, "eta": 0.1}, id="labels"),
+    pytest.param({"solver": "sinkhorn-labels", "lam": 2.0, "eta": 0.1, "mass": "kde"},
+                 id="labels-kde"),
+]
 
 
 def make_spd(dim, count, seed, scale=1.0):

@@ -1,9 +1,10 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from conftest import make_spd, random_invertible, reference_frechet_mean
+from conftest import SOLVER_MASS, make_spd, random_invertible, reference_frechet_mean
 from spdot import adaptation as ad
 from spdot import manifold as mf
 from spdot import transport as tp
@@ -168,6 +169,25 @@ def test_empty_stack_set_level_raises(call):
     assert type(err.value) is InvalidInput
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), True, -1],
+                         ids=["inf", "nan", "bool", "negative"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: ad.kde_weights(make_spd(2, 3, seed=2), v),
+        lambda v: tp.sinkhorn(np.ones((2, 2)), lam=v),
+        lambda v: tp.sinkhorn_with_labels(np.ones((2, 2)), labels=[0, 1], lam=v),
+        lambda v: tp.sinkhorn_with_labels(np.ones((2, 2)), labels=[0, 1], lam=1.0, eta=v),
+    ],
+    ids=["kde_sigma2", "sinkhorn_lam", "labels_lam", "labels_eta"],
+)
+def test_numbers_must_be_finite_and_positive(call, value):
+    # the same rule AdaptationConfig applies to lam, eta and kde_sigma
+    with pytest.raises(InvalidInput) as err:
+        call(value)
+    assert type(err.value) is InvalidInput
+
+
 class TestMedianSqDistance:
     def test_degenerate_set_falls_back(self):
         P = make_spd(2, 1, seed=5)[0]
@@ -235,13 +255,15 @@ class TestBarycentricMap:
         gamma[0, 2] = 0.5
         gamma[1, 0] = 0.5
         plan = tp.TransportPlan(gamma, tp.uniform_mass(2), None)
-        out = ad.barycentric_map(make_spd(3, 2, seed=18), tgt, plan)
+        out, info = ad.barycentric_map(make_spd(3, 2, seed=18), tgt, plan)
         assert np.array_equal(out[0], tgt[2])
         assert np.array_equal(out[1], tgt[0])
+        assert info == {"iterations": [0, 0], "residuals": [0.0, 0.0]}
         perm = np.array([3, 0, 2, 1])
         plan = tp.TransportPlan(np.eye(4)[perm] / 4, None, None)
-        out = ad.barycentric_map(make_spd(3, 4, seed=18), tgt, plan)
+        out, info = ad.barycentric_map(make_spd(3, 4, seed=18), tgt, plan)
         assert np.array_equal(out, tgt[perm])
+        assert info == {"iterations": [0] * 4, "residuals": [0.0] * 4}
 
     def test_rejects_bad_target_without_mass(self):
         # target 2 gets no mass (directly, or after top-k truncation) but
@@ -268,7 +290,7 @@ class TestBarycentricMap:
         tgt = np.stack([Q, Q])
         gamma = np.array([[0.3, 0.7]])
         plan = tp.TransportPlan(gamma, np.array([1.0]), None)
-        out = ad.barycentric_map(make_spd(2, 1, seed=20), tgt, plan)
+        out, _ = ad.barycentric_map(make_spd(2, 1, seed=20), tgt, plan)
         assert mf.riemannian_distance(out[0], Q) <= 1e-9
 
     def test_matches_objective_minimizer(self):
@@ -276,7 +298,7 @@ class TestBarycentricMap:
         tgt = make_spd(3, 3, seed=21)
         row = np.array([[0.2, 0.5, 0.3]])
         plan = tp.TransportPlan(row, np.array([1.0]), None)
-        out = ad.barycentric_map(make_spd(3, 1, seed=22), tgt, plan)
+        out, _ = ad.barycentric_map(make_spd(3, 1, seed=22), tgt, plan)
         oracle = reference_frechet_mean(tgt, row[0])
         oracle = (oracle + oracle.T) / 2
         assert mf.riemannian_distance(out[0], oracle) <= 1e-6
@@ -288,16 +310,18 @@ class TestBarycentricMap:
         gamma /= gamma.sum()
         plan = tp.TransportPlan(gamma, None, None)
         src = make_spd(2, 3, seed=25)
-        dense = ad.barycentric_map(src, tgt, plan)
-        kfull = ad.barycentric_map(src, tgt, plan, top_k=5)
+        dense, dense_info = ad.barycentric_map(src, tgt, plan)
+        kfull, kfull_info = ad.barycentric_map(src, tgt, plan, top_k=5)
         assert np.abs(dense - kfull).max() <= 1e-10
+        assert kfull_info["iterations"] == dense_info["iterations"]
 
     def test_top_k_one_picks_heaviest_target(self):
         tgt = make_spd(2, 4, seed=26)
         gamma = np.array([[0.1, 0.2, 0.6, 0.1]])
         plan = tp.TransportPlan(gamma, None, None)
-        out = ad.barycentric_map(make_spd(2, 1, seed=27), tgt, plan, top_k=1)
+        out, info = ad.barycentric_map(make_spd(2, 1, seed=27), tgt, plan, top_k=1)
         assert np.array_equal(out[0], tgt[2])
+        assert info == {"iterations": [0], "residuals": [0.0]}
 
     def test_rows_match_frechet_mean(self):
         tgt = make_spd(3, 6, seed=32)
@@ -306,17 +330,18 @@ class TestBarycentricMap:
         gamma[2, 4] = 0.7  # one-hot row
         plan = tp.TransportPlan(gamma / gamma.sum(), None, None)
         for top_k in (None, 3):
-            out, info = ad.barycentric_map(
-                make_spd(3, 5, seed=34), tgt, plan, top_k=top_k, return_info=True
-            )
+            out, info = ad.barycentric_map(make_spd(3, 5, seed=34), tgt, plan, top_k=top_k)
+            assert set(info) == {"iterations", "residuals"}
             for i, row in enumerate(plan.matrix):
                 row = row.copy()
                 if top_k is not None:
                     row[np.argpartition(row, -top_k)[:-top_k]] = 0.0
                 mean, row_info = mf.frechet_mean(tgt, row / row.sum(), return_info=True)
                 assert mf.riemannian_distance(out[i], mean) <= 1e-12
-                assert info["mean_iterations"][i] == row_info["iterations"]
+                assert info["iterations"][i] == row_info["iterations"]
+                assert info["residuals"][i] <= mf.MEAN_TOL
             assert np.array_equal(out[2], tgt[4])
+            assert info["iterations"][2] == 0 and info["residuals"][2] == 0.0
 
     def test_failure_names_row(self, monkeypatch):
         monkeypatch.setattr(mf, "MEAN_MAX_ITER", 1)
@@ -428,17 +453,17 @@ class TestAdaptPipeline:
         tgt = make_spd(2, 6, seed=39)
         labels = np.array([0, 0, 0, 1, 1, 1])
         res = ad.adapt(src, tgt, config=exact_config())
-        assert res.diagnostics["plan_iterations"] is None
-        assert res.diagnostics["plan_outer_iterations"] is None
+        assert res.diagnostics["plan"]["iterations"] is None
+        assert res.diagnostics["plan"]["outer_iterations"] is None
         res = ad.adapt(src, tgt, config=ad.AdaptationConfig(solver="sinkhorn", lam=2.0))
         plan = tp.sinkhorn(res.cost, lam=2.0)
-        assert res.diagnostics["plan_iterations"] == plan.iterations > 0
-        assert res.diagnostics["plan_outer_iterations"] == plan.outer_iterations == 1
+        assert res.diagnostics["plan"]["iterations"] == plan.iterations > 0
+        assert res.diagnostics["plan"]["outer_iterations"] == plan.outer_iterations == 1
         cfg = ad.AdaptationConfig(solver="sinkhorn-labels", lam=2.0, eta=0.1)
         res = ad.adapt(src, tgt, labels, cfg)
         plan = tp.sinkhorn_with_labels(res.cost, labels=labels, lam=2.0, eta=0.1)
-        assert res.diagnostics["plan_iterations"] == plan.iterations
-        assert res.diagnostics["plan_outer_iterations"] == plan.outer_iterations > 1
+        assert res.diagnostics["plan"]["iterations"] == plan.iterations
+        assert res.diagnostics["plan"]["outer_iterations"] == plan.outer_iterations > 1
 
     def test_plan_marginal_error(self):
         src = make_spd(2, 6, seed=38)
@@ -450,17 +475,21 @@ class TestAdaptPipeline:
             (ad.AdaptationConfig(solver="sinkhorn-labels", lam=2.0, eta=0.1), labels),
         ):
             res = ad.adapt(src, tgt, lab, cfg)
-            err = res.diagnostics["plan_marginal_error"]
-            assert err == max(res.plan.marginal_residuals()) <= tp.MARGINAL_TOL
+            diag = res.diagnostics["plan"]
+            assert diag["marginal_residuals"] == list(res.plan.marginal_residuals())
+            assert max(diag["marginal_residuals"]) <= tp.MARGINAL_TOL
+            assert diag["objective"] == res.plan.objective(res.cost)
+            objective = np.sum(res.plan.matrix * res.cost.values)
+            assert diag["objective"] == pytest.approx(objective)
 
     def test_plan_scale_diagnostics(self):
         src = make_spd(2, 6, seed=38)
         tgt = make_spd(2, 7, seed=39)
         labels = np.array([0, 0, 0, 1, 1, 1])
         res = ad.adapt(src, tgt[:6], config=exact_config())
-        assert res.diagnostics["lambda_median_cost"] is None
-        assert res.diagnostics["kernel_log10_range"] is None
-        assert res.diagnostics["plan_row_perplexity"] == 1.0
+        assert res.diagnostics["plan"]["lambda_median_cost"] is None
+        assert res.diagnostics["plan"]["kernel_log10_range"] is None
+        assert res.diagnostics["plan"]["row_perplexity"] == 1.0
         for cfg, lab in (
             (ad.AdaptationConfig(solver="sinkhorn"), None),
             (ad.AdaptationConfig(solver="sinkhorn", lam=2.0, mass="kde"), None),
@@ -468,7 +497,7 @@ class TestAdaptPipeline:
         ):
             res = ad.adapt(src, tgt, lab, cfg)
             C, G, lam = res.cost.values, res.plan.matrix, res.lambda_used
-            diag = res.diagnostics
+            diag = res.diagnostics["plan"]
             assert diag["lambda_median_cost"] == pytest.approx(lam * np.median(C))
             K = np.exp(-lam * C)
             assert diag["kernel_log10_range"] == pytest.approx(
@@ -478,8 +507,8 @@ class TestAdaptPipeline:
                 np.exp(-sum(r * np.log(r) for r in row / row.sum() if r > 0))
                 for row in G
             ]
-            assert diag["plan_row_perplexity"] == pytest.approx(np.median(perplexity))
-            assert 1.0 <= diag["plan_row_perplexity"] <= 7.0
+            assert diag["row_perplexity"] == pytest.approx(np.median(perplexity))
+            assert 1.0 <= diag["row_perplexity"] <= 7.0
 
     def test_row_perplexity_skips_empty_rows(self):
         G = np.array([[0.25, 0.25, 0.0], [0.0, 0.0, 0.0], [0.1, 0.1, 0.1]])
@@ -565,6 +594,24 @@ class TestAdaptPipeline:
         assert err.value.pipeline_step is None
         assert "[step:" not in str(err.value)
 
+    @pytest.mark.parametrize("fields", SOLVER_MASS)
+    def test_diagnostics_are_plain_json_and_reproducible(self, fields):
+        def plain(x):
+            if type(x) is dict:
+                return all(type(k) is str and plain(v) for k, v in x.items())
+            if type(x) is list:
+                return all(plain(v) for v in x)
+            return x is None or type(x) in (bool, int, float, str)
+
+        cfg = ad.AdaptationConfig(**fields)
+        src, tgt = make_spd(3, 6, seed=70), make_spd(3, 6, seed=71)
+        labels = np.array([0, 0, 0, 1, 1, 1]) if cfg.solver == "sinkhorn-labels" else None
+        res = ad.adapt(src, tgt, labels, cfg)
+        assert set(res.diagnostics) == {"plan", "map"}
+        assert plain(res.diagnostics)
+        assert json.loads(json.dumps(res.diagnostics, allow_nan=False)) == res.diagnostics
+        assert ad.adapt(src, tgt, labels, cfg).diagnostics == res.diagnostics
+
     def test_determinism(self):
         src = make_spd(3, 7, seed=49)
         tgt = make_spd(3, 9, seed=50)
@@ -578,10 +625,11 @@ class TestAdaptPipeline:
         src = make_spd(2, 4, seed=51)
         tgt = make_spd(2, 5, seed=52)
         res = ad.adapt(src, tgt, config=ad.AdaptationConfig(solver="sinkhorn"))
-        assert len(res.diagnostics["mean_iterations"]) == 4
-        assert len(res.diagnostics["mean_residuals"]) == 4
-        assert max(res.diagnostics["mean_residuals"]) <= 1e-10
-        stages = res.diagnostics["stage_s"]
+        assert set(res.diagnostics) == {"plan", "map"}
+        assert len(res.diagnostics["map"]["iterations"]) == 4
+        assert len(res.diagnostics["map"]["residuals"]) == 4
+        assert max(res.diagnostics["map"]["residuals"]) <= 1e-10
+        stages = res.stage_s
         assert list(stages) == ["mass", "cost", "plan", "map"]
         assert all(t >= 0.0 for t in stages.values())
 

@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_spd
+from conftest import SOLVER_MASS, make_spd
 from spdot import cli, datasets, experiments, transport
-from spdot.adaptation import MASSES, METRICS, SOLVERS, AdaptationConfig
+from spdot.adaptation import MASSES, METRICS, SOLVERS, AdaptationConfig, adapt
 from spdot.cli import build_parser, main
 from spdot.errors import ConvergenceFailure, InvalidInput, NumericalFailure
 
@@ -54,10 +54,15 @@ class TestAdaptCommand:
         np.testing.assert_array_equal(plan, np.eye(6) / 6)
         adapted = datasets.load_dataset(out / "adapted.json")
         assert adapted.matrices.shape == (6, 3, 3)
-        plan_report = read_report(out / "report.json")["plan"]
+        report = read_report(out / "report.json")
+        assert set(report["diagnostics"]) == {"plan", "map"}
+        plan_report = report["diagnostics"]["plan"]
+        assert plan_report["iterations"] is None
+        assert plan_report["marginal_residuals"] == [0.0, 0.0]
         assert plan_report["lambda_median_cost"] is None
         assert plan_report["kernel_log10_range"] is None
-        assert plan_report["plan_row_perplexity"] == 1.0
+        assert plan_report["row_perplexity"] == 1.0
+        assert report["diagnostics"]["map"]["iterations"] == [0] * 6
 
     def test_lambda_auto_echoed(self, tmp_path):
         # dim-5 sets keep the data-driven lambda in the smooth regime
@@ -72,15 +77,16 @@ class TestAdaptCommand:
                              "riemannian").values
         m = 0.05 * np.median(cost)
         assert report["lambda_used"] == pytest.approx(1.0 / (2.0 * m * m))
-        assert report["plan"]["marginal_residuals"]["source"] <= 1e-6
-        assert report["plan"]["iterations"] > 0
-        assert report["plan"]["outer_iterations"] == 1
+        plan_report = report["diagnostics"]["plan"]
+        assert max(plan_report["marginal_residuals"]) <= 1e-6
+        assert plan_report["iterations"] > 0
+        assert plan_report["outer_iterations"] == 1
         lam = report["lambda_used"]
-        assert report["plan"]["lambda_median_cost"] == pytest.approx(lam * np.median(cost))
-        assert report["plan"]["kernel_log10_range"] == pytest.approx(
+        assert plan_report["lambda_median_cost"] == pytest.approx(lam * np.median(cost))
+        assert plan_report["kernel_log10_range"] == pytest.approx(
             -lam * (cost.max() - cost.min()) / np.log(10)
         )
-        assert 1.0 <= report["plan"]["plan_row_perplexity"] <= 5.0
+        assert 1.0 <= plan_report["row_perplexity"] <= 5.0
 
     def test_labels_missing_exits_2(self, tmp_path):
         src = write_spd(tmp_path / "s.json", make_spd(2, 4, seed=4))
@@ -97,8 +103,8 @@ class TestAdaptCommand:
         assert code == 0
         report = read_report(out / "report.json")
         assert report["eta_used"] == pytest.approx(0.05)
-        assert report["plan"]["iterations"] > 0
-        assert report["plan"]["outer_iterations"] > 1
+        assert report["diagnostics"]["plan"]["iterations"] > 0
+        assert report["diagnostics"]["plan"]["outer_iterations"] > 1
         adapted = datasets.load_dataset(out / "adapted.json")
         assert list(adapted.labels) == [0, 0, 1, 1]
 
@@ -298,6 +304,23 @@ class TestAdaptCommand:
             assert len(meta["sha256"]) == 64
         assert set(report["inputs"]) == {src, tgt}
         assert set(report["timings"]["stage_s"]) == {"mass", "cost", "plan", "map"}
+
+    @pytest.mark.parametrize("fields", SOLVER_MASS)
+    def test_report_writes_diagnostics_verbatim(self, tmp_path, fields):
+        src = write_spd(tmp_path / "s.json", make_spd(3, 6, seed=72), [0, 0, 0, 1, 1, 1])
+        tgt = write_spd(tmp_path / "t.json", make_spd(3, 6, seed=73))
+        out = tmp_path / "out"
+        flags = [a for k, v in fields.items()
+                 for a in ("--lambda" if k == "lam" else f"--{k}", str(v))]
+        assert main(["adapt", src, tgt, *flags, "--out", str(out)]) == 0
+        report = read_report(out / "report.json")
+        config = AdaptationConfig(**fields)
+        assert report["config"] == dataclasses.asdict(config)
+        source, target = datasets.load_dataset(src), datasets.load_dataset(tgt)
+        labels = source.labels if config.solver == "sinkhorn-labels" else None
+        result = adapt(source.matrices, target.matrices, labels, config)
+        assert report["diagnostics"] == result.diagnostics
+        assert set(report["timings"]["stage_s"]) == set(result.stage_s)
 
     def test_parser_built_once(self):
         assert build_parser() is build_parser()

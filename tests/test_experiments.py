@@ -250,6 +250,12 @@ class TestCovariance:
         with pytest.raises(NotPositiveDefinite, match="trial 2"):
             ex.covariances(trials)
 
+    @pytest.mark.parametrize("trials", [[], np.zeros((0, 2, 10))], ids=["list", "array"])
+    def test_empty_input_rejected(self, trials):
+        with pytest.raises(InvalidInput, match="empty input") as err:
+            ex.covariances(trials)
+        assert type(err.value) is InvalidInput
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_trial_rejected(self, bad):
         with pytest.raises(InvalidInput, match="trial 0 has non-finite"):

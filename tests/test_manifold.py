@@ -84,6 +84,23 @@ class TestDistance:
         with pytest.raises(NotPositiveDefinite):
             mf.riemannian_distance(np.diag([1.0, -1.0]), np.eye(2))
 
+    @pytest.mark.parametrize(
+        "P, Q",
+        [
+            (make_spd(3, 4, seed=25), make_spd(3, 4, seed=26)),
+            (make_spd(3, 1, seed=25), make_spd(3, 1, seed=26)),
+            (make_spd(3, 1, seed=25)[0], make_spd(3, 4, seed=26)),
+            (make_spd(3, 4, seed=25), make_spd(3, 1, seed=26)[0]),
+            (np.ones((2, 3)), np.ones((2, 3))),
+        ],
+        ids=["stacks", "one_stacks", "matrix_stack", "stack_matrix", "not_square"],
+    )
+    def test_takes_only_two_matrices(self, P, Q):
+        # batched eigvalsh would sum the paired squared distances of stacks
+        with pytest.raises(InvalidInput, match=r"two \(d, d\) matrices") as err:
+            mf.riemannian_distance(P, Q)
+        assert type(err.value) is InvalidInput
+
     def test_squared_flag(self):
         P, Q = make_spd(3, 2, seed=24)
         assert mf.riemannian_distance(P, Q, squared=True) == pytest.approx(
