@@ -205,7 +205,8 @@ def barycentric_map(source, target, plan, top_k=None):
     DegeneratePlan
         If some plan row carries no mass.
     InvalidInput
-        If the plan's shape does not match the sets or it has a negative entry.
+        If the plan's shape does not match the sets or it has a negative or
+        non-finite entry.
     NotPositiveDefinite, ConvergenceFailure
         If a target is not SPD, whether or not it carries plan mass, or if
         a row's mean fails as in :func:`spdot.manifold.frechet_mean`; the
@@ -218,6 +219,8 @@ def barycentric_map(source, target, plan, top_k=None):
         raise InvalidInput(
             f"plan shape {gamma.shape} does not match sets ({n1}, {n2})"
         )
+    if not np.isfinite(gamma).all():
+        raise InvalidInput("plan has non-finite entries")
     if (gamma < 0).any():
         raise InvalidInput("plan has negative entries")
     if top_k is not None and not 1 <= top_k <= n2:
@@ -268,8 +271,8 @@ def adapt(source, target, source_labels=None, config=None):
     are re-raised with ``pipeline_step`` set to the stage name ("mass",
     "cost", "plan", or "map").  Argument errors, raised before any stage
     runs (a malformed or empty stack, a dimension mismatch, labels given
-    or missing against the solver or not one per source point, ``top_k``
-    above the target size), carry ``pipeline_step = None``.
+    or missing against the solver or not one integer per source point,
+    ``top_k`` above the target size), carry ``pipeline_step = None``.
 
     Parameters
     ----------
@@ -300,11 +303,8 @@ def adapt(source, target, source_labels=None, config=None):
         raise InvalidInput(
             "source labels must be given exactly when solver='sinkhorn-labels'"
         )
-    if source_labels is not None and np.shape(source_labels) != (src.shape[0],):
-        raise InvalidInput(
-            f"source labels have shape {np.shape(source_labels)}, "
-            f"expected ({src.shape[0]},)"
-        )
+    if source_labels is not None:
+        transport._class_indicator(source_labels, src.shape[0])  # one integer per point
     if cfg.top_k is not None and cfg.top_k > tgt.shape[0]:
         raise InvalidInput(f"top_k={cfg.top_k} exceeds target size {tgt.shape[0]}")
 

@@ -70,20 +70,38 @@ def _write_curve_csv(path, curve):
     )
 
 
-def _write_report(out_dir, command, config, inputs, body, elapsed, **timings):
+def _run(args, compute, write, config=None, inputs=()):
+    """Finish a command: time its computation, then write ``--out``.
+
+    ``compute()`` alone is timed, as ``timings.total_s``.  Only once it has
+    returned is ``--out`` created and ``write(out, result)`` called; that
+    writes the data files and returns the report body, whose ``"timings"``
+    entry, if any, joins ``total_s``.  ``report.json`` echoes ``config``
+    (by default every parsed flag but ``--out``) and the digests of
+    ``inputs``.
+    """
+    start = time.perf_counter()
+    result = compute()
+    elapsed = time.perf_counter() - start
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    body = write(out, result)
+    if config is None:
+        config = {k: v for k, v in vars(args).items()
+                  if k not in ("command", "func", "out")}
+    timings = {"total_s": elapsed, **body.pop("timings", {})}
     report = {
         "artifact": {"name": "spdot", "version": __version__},
-        "command": command,
+        "command": args.command,
         "config": config,
-        "inputs": {
-            str(p): {"sha256": datasets.file_digest(p)} for p in inputs
-        },
+        "inputs": {str(p): {"sha256": datasets.file_digest(p)} for p in inputs},
         **body,
-        "timings": {"total_s": elapsed, **timings},
+        "timings": timings,
     }
-    with open(Path(out_dir) / "report.json", "w", encoding="utf-8") as fh:
+    with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1, allow_nan=False)
         fh.write("\n")
+    return EXIT_OK
 
 
 def _exit_code(exc):
@@ -122,138 +140,88 @@ def cmd_adapt(args):
     # every config field is the flag of the same name
     fields = {f.name for f in dataclasses.fields(AdaptationConfig)}
     config = AdaptationConfig(**{k: v for k, v in vars(args).items() if k in fields})
-
-    start = time.perf_counter()
     labels = source.labels if config.solver == "sinkhorn-labels" else None
-    result = adapt(source.matrices, target.matrices, labels, config)
-    elapsed = time.perf_counter() - start
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    datasets.save_spd_dataset(out / "adapted.json", result.adapted_source, source.labels)
-    _write_matrix_csv(out / "plan.csv", result.plan.matrix)
-    _write_report(
-        out,
-        "adapt",
-        dataclasses.asdict(config),
-        [args.source, args.target],
-        {
+    def write(out, result):
+        datasets.save_spd_dataset(out / "adapted.json", result.adapted_source, source.labels)
+        _write_matrix_csv(out / "plan.csv", result.plan.matrix)
+        return {
             "lambda_used": result.lambda_used,
             "eta_used": result.eta_used,
             "diagnostics": result.diagnostics,
-        },
-        elapsed,
-        stage_s=result.stage_s,
+            "timings": {"stage_s": result.stage_s},
+        }
+
+    return _run(
+        args, lambda: adapt(source.matrices, target.matrices, labels, config), write,
+        dataclasses.asdict(config), [args.source, args.target],
     )
-    return EXIT_OK
 
 
 def cmd_toy_a(args):
     """Sweep the congruence-recovery experiment over rotation angles."""
-    start = time.perf_counter()
-    grid = _theta_grid(args.grid, np.pi)
-    results = experiments.toy_a_sweep(n=args.n, theta_grid=grid, seed=args.seed)
-    elapsed = time.perf_counter() - start
+    def compute():
+        grid = _theta_grid(args.grid, np.pi)
+        return experiments.toy_a_sweep(n=args.n, theta_grid=grid, seed=args.seed)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    _write_curve_csv(out / "toy_a.csv", results)
-    worst = max(results, key=lambda item: item[1].recovery_error)
-    _write_report(
-        out,
-        "toy-a",
-        {"n": args.n, "grid": args.grid, "seed": args.seed},
-        [],
-        {
+    def write(out, results):
+        _write_curve_csv(out / "toy_a.csv", results)
+        worst = max(results, key=lambda item: item[1].recovery_error)
+        return {
             "rows": len(results),
             "recovery_error_at_zero": results[0][1].recovery_error,
             "worst_recovery_error": {"theta": worst[0], "value": worst[1].recovery_error},
-        },
-        elapsed,
-    )
-    return EXIT_OK
+        }
+
+    return _run(args, compute, write)
 
 
 def cmd_toy_b(args):
     """Grid-search the rotation removing an unknown orthogonal component."""
-    start = time.perf_counter()
-    grid = _theta_grid(args.grid, 2.0 * np.pi, endpoint=False)
-    source = experiments.isotropic_spd_cloud(args.n, seed=args.seed)
-    truth = experiments.CongruenceMap(experiments.DEFAULT_T, args.theta_star)
-    target = experiments.apply_congruence(truth, source)
-    best_theta, curve, best_plan = experiments.toy_b_search(source, target, grid)
-    elapsed = time.perf_counter() - start
+    def compute():
+        grid = _theta_grid(args.grid, 2.0 * np.pi, endpoint=False)
+        source = experiments.isotropic_spd_cloud(args.n, seed=args.seed)
+        truth = experiments.CongruenceMap(experiments.DEFAULT_T, args.theta_star)
+        target = experiments.apply_congruence(truth, source)
+        return experiments.toy_b_search(source, target, grid)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    _write_curve_csv(out / "toy_b.csv", curve)
-    by_theta = dict(curve)
-    _write_report(
-        out,
-        "toy-b",
-        {
-            "n": args.n,
-            "grid": args.grid,
-            "seed": args.seed,
-            "theta_star": args.theta_star,
-        },
-        [],
-        {
+    def write(out, search):
+        best_theta, curve, best_plan = search
+        _write_curve_csv(out / "toy_b.csv", curve)
+        return {
             "rows": len(curve),
             "best_theta": best_theta,
-            "best_objective": by_theta[best_theta].objective,
+            "best_objective": dict(curve)[best_theta].objective,
             "best_diagonal_mass": transport.diagonal_mass(best_plan.matrix),
             "objective_at_zero": curve[0][1].objective,
-        },
-        elapsed,
-    )
-    return EXIT_OK
+        }
+
+    return _run(args, compute, write)
 
 
 def cmd_cosine(args):
     """Generate paired cosine trials and compare the three cost constructions."""
-    start = time.perf_counter()
-    xs, zs = experiments.cosine_trials(
-        n=args.n, channels=args.channels, samples=args.samples,
-        ts=args.ts, seed=args.seed,
-    )
-    reports = experiments._compare_configs(xs, zs)
-    elapsed = time.perf_counter() - start
+    def compute():
+        xs, zs = experiments.cosine_trials(
+            n=args.n, channels=args.channels, samples=args.samples,
+            ts=args.ts, seed=args.seed,
+        )
+        return xs, zs, experiments._compare_configs(xs, zs)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    def write(out, trials):
+        xs, zs, reports = trials
+        datasets.save_timeseries_dataset(out / "source_timeseries.json", xs)
+        datasets.save_timeseries_dataset(out / "target_timeseries.json", zs)
+        _write_rows_csv(
+            out / "cosine.csv",
+            ["config", "diagonal_mass", "objective"],
+            [(name, rep.diagonal_mass, rep.objective) for name, rep in reports.items()],
+        )
+        return {
+            "diagonal_mass": {name: rep.diagonal_mass for name, rep in reports.items()},
+        }
 
-    datasets.save_timeseries_dataset(out / "source_timeseries.json", xs)
-    datasets.save_timeseries_dataset(out / "target_timeseries.json", zs)
-    _write_rows_csv(
-        out / "cosine.csv",
-        ["config", "diagonal_mass", "objective"],
-        [
-            (name, rep.diagonal_mass, rep.objective)
-            for name, rep in reports.items()
-        ],
-    )
-    _write_report(
-        out,
-        "cosine",
-        {
-            "n": args.n,
-            "channels": args.channels,
-            "samples": args.samples,
-            "ts": args.ts,
-            "seed": args.seed,
-        },
-        [],
-        {
-            "diagonal_mass": {
-                name: rep.diagonal_mass for name, rep in reports.items()
-            },
-        },
-        elapsed,
-    )
-    return EXIT_OK
+    return _run(args, compute, write)
 
 
 def cmd_covariance(args):
@@ -262,26 +230,18 @@ def cmd_covariance(args):
     if not isinstance(ds, datasets.TimeseriesDataset):
         raise InvalidInput(f"{args.timeseries}: expected a 'timeseries' dataset")
 
-    start = time.perf_counter()
-    matrices, ridges = experiments.covariances(ds.trials, return_ridges=True)
-    elapsed = time.perf_counter() - start
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    datasets.save_spd_dataset(out / "covariances.json", matrices, ds.labels)
-    _write_report(
-        out,
-        "covariance",
-        {},
-        [args.timeseries],
-        {
+    def write(out, computed):
+        matrices, ridges = computed
+        datasets.save_spd_dataset(out / "covariances.json", matrices, ds.labels)
+        return {
             "trials": len(ridges),
             "ridged_trials": [i for i, r in enumerate(ridges) if r > 0],
-        },
-        elapsed,
+        }
+
+    return _run(
+        args, lambda: experiments.covariances(ds.trials, return_ridges=True), write,
+        {}, [args.timeseries],
     )
-    return EXIT_OK
 
 
 @functools.cache  # parse_args leaves the parser as it was, so one per process

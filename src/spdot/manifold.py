@@ -114,22 +114,10 @@ def _eigh_fun(M, fn, floor=None, op="matrix function"):
     return sym((V * fn(w)[..., None, :]) @ np.swapaxes(V, -1, -2))
 
 
-def logm(P):
-    """Matrix logarithm of an SPD matrix (batched)."""
-    P = check_symmetric(P, name="logm input")
-    return _eigh_fun(P, np.log, floor=EPS_PD, op="logm")
-
-
 def expm(A):
     """Matrix exponential of a symmetric matrix (batched)."""
     A = check_symmetric(A, name="expm input")
     return _eigh_fun(A, np.exp, op="expm")
-
-
-def sqrtm(P):
-    """Matrix square root of an SPD matrix (batched)."""
-    P = check_symmetric(P, name="sqrtm input")
-    return _eigh_fun(P, np.sqrt, floor=EPS_PD, op="sqrtm")
 
 
 def invsqrtm(P):
@@ -464,7 +452,7 @@ def _karcher_means(points, weights):
     )
 
 
-def frechet_mean(points, weights=None, return_info=False):
+def frechet_mean(points, weights=None):
     """Weighted Fréchet (Karcher) mean of SPD matrices.
 
     Minimizes ``f(X) = 1/2 sum_i w_i d(X, P_i)^2`` by Riemannian Newton
@@ -486,9 +474,6 @@ def frechet_mean(points, weights=None, return_info=False):
         positive weight enter the iteration.
     weights : array-like, shape (n,), optional
         Finite, nonnegative weights summing to 1.  Uniform when omitted.
-    return_info : bool, default=False
-        Also return ``{"iterations": k, "residual": r}``, where ``k`` is
-        the number of Newton steps taken.
 
     Returns
     -------
@@ -508,9 +493,7 @@ def frechet_mean(points, weights=None, return_info=False):
     n = pts.shape[0]
     w = np.full(n, 1.0 / n) if weights is None else check_mass(weights, n, "weights")
     check_spd(pts, name="frechet_mean points")
-    means, iterations, residuals = _karcher_means(pts, w[None])
-    info = {"iterations": int(iterations[0]), "residual": float(residuals[0])}
-    return (means[0], info) if return_info else means[0]
+    return _karcher_means(pts, w[None])[0][0]
 
 
 def tangent_coordinates(points, base):

@@ -8,14 +8,15 @@ Three solvers, all returning a :class:`TransportPlan`:
 * :func:`sinkhorn`: entropic regularization solved by Sinkhorn matrix
   scaling (Cuturi, NeurIPS 2013).
 * :func:`sinkhorn_with_labels`: Sinkhorn plus a class-group penalty on the
-  plan columns, handled by majorization: repeatedly re-solve Sinkhorn with a
-  cost offset proportional to the current per-class column masses, each
-  solve warm-started from the previous one's scaling vector and, but for
-  the last, only as exact as the offset still moves.  With ``eta = 0`` it
+  plan columns, handled by a fixed-point iteration on the penalty's
+  gradient: repeatedly re-solve Sinkhorn with a cost offset proportional to
+  the current per-class column masses, each solve warm-started from the
+  previous one's scaling vector and, but for the last, only as exact as
+  the offset still moves.  The iteration can cycle.  With ``eta = 0`` it
   is a single Sinkhorn solve.
 
-Both entropic solvers share one Gibbs-kernel builder and one scaling loop;
-a plan with its marginals off raises :class:`ConvergenceFailure`.
+Both entropic solvers run one loop, which raises their every
+:class:`ConvergenceFailure`, a plan with its marginals off included.
 
 Solvers are sequential fixed-point iterations internally; invocations on
 distinct instances are independent and thread-safe.
@@ -41,9 +42,9 @@ KERNEL_FLOOR = 1e-300
 # Tolerance for the marginal constraints of a valid plan (infinity norm).
 MARGINAL_TOL = 1e-6
 # Stopping threshold (relative change of the scaling vector) of a full
-# Sinkhorn solve and iteration cap of every solve.  Pipeline costs can put
-# the scaling iteration near its worst-case contraction rate, and desk-scale
-# iterations are microseconds each.
+# Sinkhorn solve and iteration cap of every solve, a whole number of
+# CHECK_EVERY blocks.  Pipeline costs can put the scaling iteration near its
+# worst-case contraction rate, and desk-scale iterations are microseconds.
 SINKHORN_TOL = 1e-9
 SINKHORN_MAX_ITER = 100000
 # Scaling iterations between two stopping tests; the test costs more than
@@ -53,7 +54,7 @@ CHECK_EVERY = 10
 # sq_euclidean_matrix or manifold.sq_distance_matrix.
 PAIR_BLOCK_DOUBLES = 2**14
 # Outer stopping threshold (plan change, infinity norm) and cap of the
-# label solver's majorization.
+# label solver's fixed-point iteration.
 LABEL_TOL = 1e-8
 LABEL_MAX_ITER = 50
 # An intermediate solve of the label solver stops at this fraction of the
@@ -124,8 +125,8 @@ class TransportPlan:
     def validate(self):
         """Check nonnegativity and both marginal constraints.
 
-        Marginals must match within ``MARGINAL_TOL`` in infinity norm;
-        negativity is not tolerated at all.
+        Marginals must match within ``MARGINAL_TOL`` in infinity norm, so a
+        NaN entry fails; negativity is not tolerated at all.
         """
         g = self.matrix
         if g.shape != (self.source_marginal.size, self.target_marginal.size):
@@ -136,7 +137,7 @@ class TransportPlan:
         if (g < 0).any():
             raise InvalidInput("plan has negative entries")
         row_res, col_res = self.marginal_residuals()
-        if row_res > MARGINAL_TOL or col_res > MARGINAL_TOL:
+        if not (row_res <= MARGINAL_TOL and col_res <= MARGINAL_TOL):  # NaN fails
             raise InvalidInput(
                 f"plan marginals off by ({row_res:.3e}, {col_res:.3e}), "
                 f"tolerance {MARGINAL_TOL:.1e}"
@@ -288,22 +289,19 @@ def _coupling(K, q, u):
     return u[:, None] * K * v[None, :]
 
 
-def _scale(K, p, q, u, tol, solver="sinkhorn", done=0, outer=1):
-    """Sinkhorn scaling of ``K`` started from ``u``; returns ``(u, iterations)``.
+def _scale(K, p, q, u, tol):
+    """Sinkhorn scaling of ``K`` started from ``u``.
 
     With ``K~ = K / p[:, None]`` and ``Kq = K / q[None, :]``, each iteration
     is ``u = 1 / (K~ (1 / (Kq^T u)))``.  Every ``CHECK_EVERY`` iterations the
     relative infinity-norm change of ``u`` over the last one is compared
-    with ``tol``, so a successful solve reports a multiple of
-    ``CHECK_EVERY`` iterations.  After ``SINKHORN_MAX_ITER`` iterations it
-    raises :class:`ConvergenceFailure` naming ``solver``, whose ``last`` is
-    the plan of this solve, counting ``done`` earlier scaling iterations and
-    ``outer`` solves.  A zero entry of ``p``
-    (``q``) gets a zero scaling, so its plan row (column) is exactly zero.
-    The iteration is unchanged, bit for bit, from its ``@`` and ``1.0 /``
-    spelling; bound ``ndarray.dot`` and ``np.reciprocal`` only cut dispatch.
+    with ``tol``; the loop stops there or after ``SINKHORN_MAX_ITER``
+    iterations and returns ``(u, iterations, change)``, ``change`` the last
+    one tested.  A zero entry of ``p`` (``q``) gets a zero scaling, so its
+    plan row (column) is exactly zero.  The iteration is unchanged, bit for
+    bit, from its ``@`` and ``1.0 /`` spelling; bound ``ndarray.dot`` and
+    ``np.reciprocal`` only cut dispatch.
     """
-    max_iter = SINKHORN_MAX_ITER
     with np.errstate(divide="ignore"):
         Kt = K / p[:, None]
         KqT = K.T / q[:, None]
@@ -312,38 +310,67 @@ def _scale(K, p, q, u, tol, solver="sinkhorn", done=0, outer=1):
         Kt[np.ix_(p == 0, q == 0)] = 0.0
         KqT[np.ix_(q == 0, p == 0)] = 0.0
     dot_p, dot_q, rec = Kt.dot, KqT.dot, np.reciprocal
-    delta = np.inf
-    it = 0
-    while it < max_iter:
-        block = min(CHECK_EVERY, max_iter - it)
-        for _ in range(block - 1):
+    it, change = 0, np.inf
+    while it < SINKHORN_MAX_ITER and not change <= tol:
+        for _ in range(CHECK_EVERY - 1):
             u = rec(dot_p(rec(dot_q(u))))
         u_new = rec(dot_p(rec(dot_q(u))))
         # u_new >= 0, so its max is its infinity norm
-        delta = float(np.abs(u_new - u).max() / u_new.max())
+        change = float(np.abs(u_new - u).max() / u_new.max())
         u = u_new
-        it += block
-        if block == CHECK_EVERY and delta <= tol:
-            return u, it
-    plan = TransportPlan(_coupling(K, q, u), p, q, done + max_iter, outer)
+        it += CHECK_EVERY
+    return u, it, change
+
+
+def _entropic(C0, p, q, lam, solver, Y=None, eta=0.0):
+    """The plan of both entropic solvers: Sinkhorn solves on ``C0 + G``.
+
+    The offset ``G`` starts at zero and after each solve becomes
+    ``2 eta Y (Y^T plan)`` (see :func:`sinkhorn_with_labels`); with
+    ``eta = 0`` a single full solve is all.  Every
+    :class:`ConvergenceFailure` of both solvers is raised here, naming
+    ``solver`` and carrying the last plan with its counts: a solve that
+    uses up ``SINKHORN_MAX_ITER``, a returned plan with its marginals off
+    by more than ``MARGINAL_TOL``, and a plan still moving after
+    ``LABEL_MAX_ITER`` solves.
+    """
+    n1 = C0.shape[0]
+    G = 0.0
+    u = np.full(n1, 1.0 / n1)
+    prev = None
+    delta = np.inf if eta else 0.0  # eta = 0: no offset, one full solve
+    iterations = 0
+    for outer in range(1, LABEL_MAX_ITER + 1):
+        tol = max(SINKHORN_TOL, LABEL_SOLVE_RATIO * min(delta, LABEL_SOLVE_RATIO))
+        K = _gibbs_kernel(C0 + G, lam)
+        u, k, change = _scale(K, p, q, u, tol)
+        iterations += k
+        gamma = _coupling(K, q, u)
+        plan = TransportPlan(gamma, p, q, iterations, outer)
+        if not change <= tol:  # a NaN change is no convergence either
+            raise ConvergenceFailure(
+                f"{solver}: relative change {change:.3e} > tol {tol:.1e} "
+                f"after {SINKHORN_MAX_ITER} iterations of solve {outer}",
+                last=plan, residual=change, iterations=iterations,
+            )
+        if prev is not None:
+            delta = float(np.abs(gamma - prev).max())
+        if delta <= LABEL_TOL and tol == SINKHORN_TOL:
+            residual = max(plan.marginal_residuals())
+            if not residual <= MARGINAL_TOL:
+                raise ConvergenceFailure(
+                    f"{solver}: plan marginals off by {residual:.3e} "
+                    f"> tol {MARGINAL_TOL:.1e}",
+                    last=plan, residual=residual, iterations=iterations,
+                )
+            return plan
+        prev = gamma
+        G = eta * 2 * (Y @ (Y.T @ gamma))
     raise ConvergenceFailure(
-        f"{solver}: relative change {delta:.3e} > tol {tol:.1e} "
-        f"after {max_iter} iterations of solve {outer}",
-        last=plan,
-        residual=delta,
-        iterations=plan.iterations,
+        f"{solver}: plan change {delta:.3e} > tol {LABEL_TOL:.1e} "
+        f"after {LABEL_MAX_ITER} outer iterations",
+        last=plan, residual=delta, iterations=LABEL_MAX_ITER,
     )
-
-
-def _feasible(plan, solver):
-    """``plan``, or :class:`ConvergenceFailure` if its marginals miss ``MARGINAL_TOL``."""
-    residual = max(plan.marginal_residuals())
-    if not residual <= MARGINAL_TOL:
-        raise ConvergenceFailure(
-            f"{solver}: plan marginals off by {residual:.3e} > tol {MARGINAL_TOL:.1e}",
-            last=plan, residual=residual, iterations=plan.iterations,
-        )
-    return plan
 
 
 def sinkhorn(cost, p=None, q=None, lam=1.0):
@@ -391,17 +418,19 @@ def sinkhorn(cost, p=None, q=None, lam=1.0):
         the residual and the iteration count.
     """
     C, p, q = _check_problem(cost, p, q, lam, "sinkhorn")
-    K = _gibbs_kernel(C, lam)
-    n1 = C.shape[0]
-    u, iterations = _scale(K, p, q, np.full(n1, 1.0 / n1), SINKHORN_TOL)
-    return _feasible(TransportPlan(_coupling(K, q, u), p, q, iterations, 1), "sinkhorn")
+    return _entropic(C, p, q, lam, "sinkhorn")
 
 
 def _class_indicator(labels, n1):
-    """0/1 matrix ``Y`` with ``Y[i, c] = 1`` iff point ``i`` is in class ``c``."""
+    """0/1 matrix ``Y`` with ``Y[i, c] = 1`` iff point ``i`` is in class ``c``.
+
+    :class:`InvalidInput` unless ``labels`` is a length-``n1`` integer vector.
+    """
     labels = np.asarray(labels)
     if labels.shape != (n1,):
         raise InvalidInput(f"labels must be a length-{n1} vector, got {labels.shape}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise InvalidInput(f"labels must be integers, got dtype {labels.dtype}")
     return (labels[:, None] == np.unique(labels)).astype(float)
 
 
@@ -416,9 +445,9 @@ def sinkhorn_with_labels(cost0, p=None, q=None, labels=None, lam=1.0, eta=0.0):
     """Sinkhorn transport with a group penalty tied to source class labels.
 
     Adds ``eta * sum_j sum_y ||G(rows(y), j)||_1 ^ 2`` to the entropic
-    objective and solves by majorization (Courty et al., TPAMI 2017):
-    starting from a zero offset ``G``, alternate a Sinkhorn solve on
-    ``cost0 + G`` with the offset update::
+    objective and iterates on the penalty's gradient (after Courty et al.,
+    TPAMI 2017): starting from a zero offset ``G``, alternate a Sinkhorn
+    solve on ``cost0 + G`` with the offset update::
 
         G = 2 eta Y (Y^T plan),  Y[i, y] = 1 iff source point i has label y
 
@@ -437,7 +466,9 @@ def sinkhorn_with_labels(cost0, p=None, q=None, labels=None, lam=1.0, eta=0.0):
     the offset never moves and the plan of the single (cold-started) solve
     is returned, bit-identical to :func:`sinkhorn` on ``cost0``; with a
     single class the offset is constant per column and the plan is
-    unchanged as well.
+    unchanged as well.  The penalty is convex, so its linearization is a
+    lower bound, not a majorizer: nothing makes the iteration descend, and
+    at large ``eta * lam`` it can cycle until ``LABEL_MAX_ITER``.
 
     Parameters
     ----------
@@ -463,34 +494,7 @@ def sinkhorn_with_labels(cost0, p=None, q=None, labels=None, lam=1.0, eta=0.0):
         :func:`sinkhorn`; its ``last`` is the last plan, counts included.
     """
     C0, p, q = _check_problem(cost0, p, q, lam, "sinkhorn_with_labels")
-    n1 = C0.shape[0]
     if not (_finite_real(eta) and eta >= 0):
         raise InvalidInput(f"eta must be finite and nonnegative, got {eta}")
-    Y = _class_indicator(labels, n1)
-
-    G = np.zeros_like(C0)
-    u = np.full(n1, 1.0 / n1)
-    prev = None
-    plan = None
-    delta = np.inf if eta else 0.0  # eta = 0: no offset, one full solve
-    iterations = 0
-    for outer in range(1, LABEL_MAX_ITER + 1):
-        tol = max(SINKHORN_TOL, LABEL_SOLVE_RATIO * min(delta, LABEL_SOLVE_RATIO))
-        K = _gibbs_kernel(C0 + G, lam)
-        u, k = _scale(K, p, q, u, tol, "sinkhorn_with_labels", iterations, outer)
-        iterations += k
-        gamma = _coupling(K, q, u)
-        plan = TransportPlan(gamma, p, q, iterations, outer)
-        if prev is not None:
-            delta = float(np.abs(gamma - prev).max())
-        if delta <= LABEL_TOL and tol == SINKHORN_TOL:
-            return _feasible(plan, "sinkhorn_with_labels")
-        prev = gamma
-        G = eta * 2 * (Y @ (Y.T @ gamma))
-    raise ConvergenceFailure(
-        f"sinkhorn_with_labels: plan change {delta:.3e} > tol {LABEL_TOL:.1e} "
-        f"after {LABEL_MAX_ITER} outer iterations",
-        last=plan,
-        residual=delta,
-        iterations=LABEL_MAX_ITER,
-    )
+    Y = _class_indicator(labels, C0.shape[0])
+    return _entropic(C0, p, q, lam, "sinkhorn_with_labels", Y, eta)

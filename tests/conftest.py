@@ -55,6 +55,17 @@ def make_wide_spd(dim, count, seed, spread):
     return np.stack([scipy.linalg.expm(spread * (M + M.T) / 2) for M in N])
 
 
+def eigh_sqrtm(P):
+    """Matrix square root of an SPD stack through ``numpy.linalg.eigh``.
+
+    The same operations, in the same order, as the package's own square
+    roots, so instances built with it match those built before bit for bit.
+    """
+    w, V = np.linalg.eigh(P)
+    R = (V * np.sqrt(w)[..., None, :]) @ np.swapaxes(V, -1, -2)
+    return 0.5 * (R + np.swapaxes(R, -1, -2))
+
+
 def make_tangent(dim, seed, norm=None):
     """Random symmetric matrix, optionally rescaled to a given Frobenius norm."""
     rng = np.random.default_rng(seed)

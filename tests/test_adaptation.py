@@ -131,9 +131,9 @@ LABELS_CONFIG = ad.AdaptationConfig(solver="sinkhorn-labels")
     "call",
     [
         lambda: mf.check_spd(EMPTY),
-        lambda: mf.logm(EMPTY),
+        lambda: mf._eigh_fun(EMPTY, np.log, mf.EPS_PD, "logm"),
         lambda: mf.expm(EMPTY),
-        lambda: mf.sqrtm(EMPTY),
+        lambda: mf._sqrt_invsqrt(EMPTY)[0],
         lambda: mf.invsqrtm(EMPTY),
         lambda: mf.paired_sq_distances(EMPTY, EMPTY),
     ],
@@ -280,10 +280,13 @@ class TestBarycentricMap:
                 ad.barycentric_map(src, tgt, plan, top_k=top_k)
 
     def test_negative_plan_entry_rejected(self):
+        # so are non-finite entries: an inf one would map its row to that
+        # target, a NaN one would pass for a row without mass
         tgt = make_spd(2, 2, seed=19)
-        plan = tp.TransportPlan(np.array([[0.6, -0.1], [0.0, 0.5]]), None, None)
-        with pytest.raises(InvalidInput):
-            ad.barycentric_map(make_spd(2, 2, seed=20), tgt, plan)
+        for bad in (-0.1, np.inf, np.nan):
+            plan = tp.TransportPlan(np.array([[0.6, bad], [0.0, 0.5]]), None, None)
+            with pytest.raises(InvalidInput, match="negative|non-finite"):
+                ad.barycentric_map(make_spd(2, 2, seed=20), tgt, plan)
 
     def test_duplicate_targets(self):
         Q = make_spd(2, 1, seed=19)[0]
@@ -336,9 +339,9 @@ class TestBarycentricMap:
                 row = row.copy()
                 if top_k is not None:
                     row[np.argpartition(row, -top_k)[:-top_k]] = 0.0
-                mean, row_info = mf.frechet_mean(tgt, row / row.sum(), return_info=True)
-                assert mf.riemannian_distance(out[i], mean) <= 1e-12
-                assert info["iterations"][i] == row_info["iterations"]
+                means, row_iterations, _ = mf._karcher_means(tgt, (row / row.sum())[None])
+                assert mf.riemannian_distance(out[i], means[0]) <= 1e-12
+                assert info["iterations"][i] == row_iterations[0]
                 assert info["residuals"][i] <= mf.MEAN_TOL
             assert np.array_equal(out[2], tgt[4])
             assert info["iterations"][2] == 0 and info["residuals"][2] == 0.0
@@ -583,9 +586,12 @@ class TestAdaptPipeline:
             (make_spd(2, 3, seed=48), None, LABELS_CONFIG),
             (make_spd(2, 3, seed=48), np.zeros(2), LABELS_CONFIG),
             (make_spd(2, 3, seed=48), np.zeros((3, 1)), LABELS_CONFIG),
+            (make_spd(2, 3, seed=48), [0, np.nan, 1], LABELS_CONFIG),
+            (make_spd(2, 3, seed=48), [0.5, 1.5, 0.5], LABELS_CONFIG),
             (make_spd(2, 3, seed=48), None, ad.AdaptationConfig(top_k=4)),
         ],
-        ids=["dimension", "labels", "label_count", "label_shape", "top_k"],
+        ids=["dimension", "labels", "label_count", "label_shape", "label_nan",
+             "label_fraction", "top_k"],
     )
     def test_argument_errors_carry_no_step(self, target, labels, config):
         # rejected before any stage runs, so the error names no step

@@ -383,6 +383,22 @@ class TestToyCommands:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flags", [
+        (["toy-a", "--n", "6", "--grid", "3", "--seed", "2"],
+         {"n": 6, "grid": 3, "seed": 2}),
+        (["toy-b", "--n", "8", "--grid", "3", "--theta-star", "0.5"],
+         {"n": 8, "grid": 3, "theta_star": 0.5, "seed": 0}),
+        (["cosine", "--n", "3", "--channels", "2", "--samples", "20", "--ts", "0.02"],
+         {"n": 3, "channels": 2, "samples": 20, "ts": 0.02, "seed": 0}),
+    ], ids=["toy-a", "toy-b", "cosine"])
+    def test_report_config_is_the_parsed_flags(self, tmp_path, argv, flags):
+        # every flag but --out, defaults included
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 0
+        report = read_report(out / "report.json")
+        assert report["config"] == flags
+        assert report["command"] == argv[0]
+
     def test_failed_sweep_exits_3(self, tmp_path, monkeypatch):
         from spdot import experiments
 

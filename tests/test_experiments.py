@@ -29,7 +29,7 @@ class TestRandomSpd:
 class TestIsotropicCloud:
     def test_whitened_moments(self):
         pts = ex.isotropic_spd_cloud(24, sigma=0.5, seed=3)
-        logs = mf.logm(pts)
+        logs = mf.tangent_coordinates(pts, np.eye(2))
         coords = np.stack(
             [logs[:, 0, 0], logs[:, 1, 1], np.sqrt(2.0) * logs[:, 0, 1]], axis=1
         )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_spd, make_wide_spd
+from conftest import eigh_sqrtm, make_spd, make_wide_spd
 from spdot import manifold as mf
 from spdot import transport as tp
 from spdot.errors import (
@@ -33,7 +33,7 @@ def class_structured_cost(seed, n=48, dim=4, classes=3):
     target set also carries a random congruence.
     """
     labels = np.arange(n) % classes
-    roots = mf.sqrtm(make_wide_spd(dim, classes, seed, 0.7))[labels]
+    roots = eigh_sqrtm(make_wide_spd(dim, classes, seed, 0.7))[labels]
     source, target = (
         mf.sym(roots @ make_wide_spd(dim, n, seed + k, 0.6) @ roots) for k in (1, 2)
     )
@@ -42,7 +42,7 @@ def class_structured_cost(seed, n=48, dim=4, classes=3):
 
 
 def cold_start_labels(C, labels, lam, eta, p=None, q=None, tol=1e-8, max_iter=50):
-    """The label solver's majorization with every step a cold public ``sinkhorn``.
+    """The label solver's fixed-point iteration, each step a cold ``sinkhorn``.
 
     Returns the plan matrix, the scaling iterations summed over all solves
     and the number of solves.
@@ -271,15 +271,23 @@ class TestSinkhorn:
             tp.sinkhorn(C, lam=1.0)
 
     def test_iteration_cap(self, monkeypatch):
+        # the cap is a whole number of stopping-test blocks, here one
         rng = np.random.default_rng(14)
         C = rng.random((8, 8))
         monkeypatch.setattr(tp, "SINKHORN_TOL", 1e-12)
-        monkeypatch.setattr(tp, "SINKHORN_MAX_ITER", 3)
+        monkeypatch.setattr(tp, "SINKHORN_MAX_ITER", tp.CHECK_EVERY)
         with pytest.raises(ConvergenceFailure, match="^sinkhorn: ") as err:
             tp.sinkhorn(C, lam=500.0)
         assert isinstance(err.value.last, tp.TransportPlan)
-        assert err.value.iterations == err.value.last.iterations == 3
+        assert err.value.iterations == err.value.last.iterations == tp.CHECK_EVERY
+        assert f"after {tp.CHECK_EVERY} iterations of solve 1" in str(err.value)
         assert err.value.last.outer_iterations == 1
+
+    def test_nan_change_is_no_convergence(self, monkeypatch):
+        scale = tp._scale
+        monkeypatch.setattr(tp, "_scale", lambda *args: scale(*args)[:2] + (np.nan,))
+        with pytest.raises(ConvergenceFailure, match="^sinkhorn: relative change nan"):
+            tp.sinkhorn(np.random.default_rng(29).random((4, 4)), lam=2.0)
 
     def test_label_solver_iteration_cap(self, monkeypatch):
         # the first solves stop within the cap, a later, tighter one does not
@@ -302,9 +310,10 @@ class TestSinkhorn:
         assert plan.outer_iterations == 1 and k > 1
         monkeypatch.setattr(tp, "SINKHORN_MAX_ITER", k)
         assert np.array_equal(tp.sinkhorn(C, lam=8.0).matrix, plan.matrix)
-        monkeypatch.setattr(tp, "SINKHORN_MAX_ITER", k - 1)
-        with pytest.raises(ConvergenceFailure):
+        monkeypatch.setattr(tp, "SINKHORN_MAX_ITER", k - tp.CHECK_EVERY)
+        with pytest.raises(ConvergenceFailure) as err:
             tp.sinkhorn(C, lam=8.0)
+        assert err.value.iterations == k - tp.CHECK_EVERY
 
     def test_iterations_are_whole_check_blocks(self):
         rng = np.random.default_rng(20)
@@ -440,9 +449,9 @@ class TestSinkhornWithLabels:
         tols = []
         scale = tp._scale
 
-        def spy(K, p, q, u, tol, *failure):
+        def spy(K, p, q, u, tol):
             tols.append(tol)
-            return scale(K, p, q, u, tol, *failure)
+            return scale(K, p, q, u, tol)
 
         monkeypatch.setattr(tp, "_scale", spy)
         plan = tp.sinkhorn_with_labels(*args, **kwargs)
@@ -509,6 +518,12 @@ class TestSinkhornWithLabels:
             tp.sinkhorn_with_labels(
                 self.C0, labels=self.labels, lam=1.0, eta=-0.5
             )
+        # a NaN label matches no class, so its point would escape the penalty
+        for labels in ([0, np.nan, 1, 1], [0.5, 1.5, 0.5, 1.5], [True, False] * 2):
+            with pytest.raises(InvalidInput, match="labels must be integers"):
+                tp.sinkhorn_with_labels(self.C0, labels=labels, lam=1.0, eta=0.5)
+            with pytest.raises(InvalidInput, match="labels must be integers"):
+                tp.label_group_penalty(np.full((4, 2), 0.125), labels)
 
     def test_oscillation_raises_with_last_plan(self):
         # large lam*eta makes the alternating loop 2-cycle
@@ -549,12 +564,11 @@ class TestSinkhornWithLabels:
         assert (plan.matrix[:, q == 0] == 0).all()
 
 
-def reference_scale(K, p, q, u, tol, *failure):
+def reference_scale(K, p, q, u, tol):
     """The blocked scaling loop spelled with ``@`` and ``1.0 /``.
 
     A copy of ``transport._scale`` as it was first blocked, stopping at the
-    caller's ``tol``; returns ``(u, iterations)``.  The arguments that name
-    a failure (solver, earlier iterations, solve) are ignored.
+    caller's ``tol``; returns ``(u, iterations, change)``.
     """
     with np.errstate(divide="ignore"):
         Kt = K / p[:, None]
@@ -571,7 +585,7 @@ def reference_scale(K, p, q, u, tol, *failure):
         u = u_new
         it += tp.CHECK_EVERY
         if delta <= tol:
-            return u, it
+            return u, it, delta
     raise AssertionError("reference loop did not converge")
 
 
@@ -603,10 +617,20 @@ class TestScalingBitIdentity:
         for C, p, q, lam in self.instances():
             K = tp._gibbs_kernel(C, lam)
             u0 = np.full(len(p), 1.0 / len(p))
-            u, iterations = reference_scale(K, p, q, u0, tp.SINKHORN_TOL)
+            u, iterations, _ = reference_scale(K, p, q, u0, tp.SINKHORN_TOL)
             plan = tp.sinkhorn(C, p, q, lam)
             assert np.array_equal(plan.matrix, reference_coupling(K, q, u))
             assert plan.iterations == iterations > tp.CHECK_EVERY
+
+    def test_sinkhorn_is_the_label_solver_without_penalty(self):
+        rng = np.random.default_rng(28)
+        for C, p, q, lam in self.instances():
+            plain = tp.sinkhorn(C, p, q, lam)
+            labels = rng.integers(0, 3, len(p))
+            unpenalized = tp.sinkhorn_with_labels(C, p, q, labels, lam, eta=0.0)
+            assert np.array_equal(plain.matrix, unpenalized.matrix)
+            assert plain.iterations == unpenalized.iterations
+            assert plain.outer_iterations == unpenalized.outer_iterations == 1
 
     @staticmethod
     def both_loops(monkeypatch, *args, **kwargs):
@@ -648,10 +672,12 @@ class TestPlanValidation:
         assert plan.iterations is None and plan.outer_iterations is None
 
     def test_bad_marginals_rejected(self):
-        gamma = np.full((2, 2), 0.3)
-        plan = tp.TransportPlan(gamma, tp.uniform_mass(2), tp.uniform_mass(2))
-        with pytest.raises(InvalidInput):
-            plan.validate()
+        # a NaN entry must fail the tolerance comparisons too
+        for gamma in (np.full((2, 2), 0.3), np.full((2, 2), np.nan),
+                      np.array([[np.inf, 0.0], [0.0, 0.5]])):
+            plan = tp.TransportPlan(gamma, tp.uniform_mass(2), tp.uniform_mass(2))
+            with pytest.raises(InvalidInput, match="plan marginals off"):
+                plan.validate()
 
     def test_mass_vector_checks(self):
         with pytest.raises(InvalidInput):
