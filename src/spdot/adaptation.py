@@ -367,20 +367,14 @@ def mdm_fit(train, labels):
     """Per-class Riemannian means for minimum-distance-to-mean classification.
 
     Returns a dict mapping every distinct label to the unweighted Fréchet
-    mean of its training matrices.
+    mean of its training matrices.  :class:`InvalidInput` unless ``labels``
+    is an integer vector with one label per matrix.
     """
     pts = manifold.check_stack(train, "mdm_fit points")
-    labels = np.asarray(labels)
-    if labels.shape != (pts.shape[0],):
-        raise InvalidInput(
-            f"labels shape {labels.shape} does not match {pts.shape[0]} points"
-        )
-    classes = np.unique(labels)
-    weights = (labels == classes[:, None]).astype(float)
-    weights /= weights.sum(axis=1, keepdims=True)
+    Y = transport._class_indicator(labels, pts.shape[0])
     manifold.check_spd(pts, name="mdm_fit points")
-    means, _, _ = manifold._karcher_means(pts, weights)
-    return {y.item() if hasattr(y, "item") else y: M for y, M in zip(classes, means)}
+    means, _, _ = manifold._karcher_means(pts, Y.T / Y.sum(axis=0)[:, None])
+    return dict(zip(np.unique(labels).tolist(), means))
 
 
 def mdm_classify(query, means):

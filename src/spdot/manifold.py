@@ -7,14 +7,18 @@ Geodesic distance under that metric is invariant under congruence
 ``P -> W P W^T`` (any invertible ``W``) and under matrix inversion.
 
 Matrices are plain ``numpy`` arrays; most functions accept stacked inputs of
-shape ``(..., d, d)`` and operate on the trailing two axes.  Everything here
-is a pure function with no shared state, safe to call from multiple threads.
+shape ``(..., d, d)`` and operate on the trailing two axes.  Every function
+is pure and safe to call from multiple threads.  The one piece of shared
+state is a thread pool, built per process on first use, that runs the row
+blocks of :func:`sq_distance_matrix` in parallel (see :func:`_each`).
 
 Eigendecomposition (``numpy.linalg.eigh``) is the single primitive behind all
 matrix functions; inputs are symmetric, so the eigensolver route is exact for
 this class.  Every matrix-valued result is explicitly re-symmetrized to kill
 floating-point asymmetry.
 """
+
+import os
 
 import numpy as np
 
@@ -197,6 +201,28 @@ def _sq_log_norms(M):
     return np.sum(np.log(np.maximum(w, 1e-300)) ** 2, axis=-1)
 
 
+_POOL = (None, None)  # (pid, ThreadPoolExecutor): a forked child builds its own
+
+
+def _each(fn, *blocks):
+    """``list(map(fn, *blocks))``, run on this process's thread pool.
+
+    numpy's batched eigensolvers and ``matmul`` release the GIL, so the pool,
+    one thread per CPU this process may use, runs the calls in parallel.
+    Results come in order, and the first failing call's exception is raised.
+    With one CPU or one block this is a plain loop.
+    """
+    global _POOL
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if cpus < 2 or len(blocks[0]) < 2:
+        return list(map(fn, *blocks))
+    if _POOL[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+        _POOL = os.getpid(), ThreadPoolExecutor(cpus)
+    return list(_POOL[1].map(fn, *blocks))
+
+
 def sq_distance_matrix(A, B=None):
     """Pairwise squared Riemannian distances between two stacks of SPD matrices.
 
@@ -204,9 +230,12 @@ def sq_distance_matrix(A, B=None):
     ``B[j]^{-1/2} A[i] B[j]^{-1/2}``.  The inverse roots of ``B`` come from
     one batched eigendecomposition; the congruences and eigenvalues are then
     taken for blocks of ``max(1, PAIR_BLOCK_DOUBLES // (n2 d^2))`` source
-    rows at a time, one batched eigensolve per block, so a call holds
-    O(max(PAIR_BLOCK_DOUBLES, n2 d^2)) working memory on top of its
-    ``(n1, n2)`` result rather than O(n1 n2 d^2).
+    rows at a time, one batched eigensolve per block.  The blocks run on
+    the process's thread pool (:func:`_each`), so a call holds
+    O(max(PAIR_BLOCK_DOUBLES, n2 d^2)) working memory per CPU on top of its
+    ``(n1, n2)`` result rather than O(n1 n2 d^2).  The partition ignores
+    the CPU count, and so do the result's bits; ``taskset -c 0`` runs the
+    blocks serially.
 
     With ``B`` omitted, the self-distances of ``A`` are computed from their
     strict upper triangle (n(n-1)/2 eigensolves rather than n^2), mirrored,
@@ -231,18 +260,19 @@ def sq_distance_matrix(A, B=None):
     W = invsqrtm(B)  # validates B
     n1, n2, d = A.shape[0], B.shape[0], A.shape[2]
     rows = max(1, PAIR_BLOCK_DOUBLES // (n2 * d * d))
+    if not self_distances:
+        return np.concatenate(_each(
+            lambda s: _sq_log_norms(W @ A[s:s + rows, None] @ W), range(0, n1, rows)
+        ))
+    # only the (i, j > i) pairs, in row order, cut at the block boundaries
+    iu, ju = np.triu_indices(n1, 1)
+    cuts = np.searchsorted(iu, range(rows, n1 - 1, rows))
     out = np.zeros((n1, n2))
-    if self_distances:
-        # only the (i, j > i) pairs, in row order, cut at the block boundaries
-        iu, ju = np.triu_indices(n1, 1)
-        cuts = np.searchsorted(iu, range(rows, n1 - 1, rows))
-        for i, j in zip(np.split(iu, cuts), np.split(ju, cuts)):
-            out[i, j] = _sq_log_norms(W[j] @ A[i] @ W[j])
-        out += out.T
-    else:
-        for s in range(0, n1, rows):
-            out[s:s + rows] = _sq_log_norms(W @ A[s:s + rows, None] @ W)
-    return out
+    out[iu, ju] = np.concatenate(_each(
+        lambda i, j: _sq_log_norms(W[j] @ A[i] @ W[j]),
+        np.split(iu, cuts), np.split(ju, cuts),
+    ))
+    return out + out.T
 
 
 def paired_sq_distances(A, B):

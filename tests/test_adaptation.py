@@ -668,6 +668,19 @@ class TestMdm:
         np.testing.assert_allclose(means[0], np.diag([2.0, 4.0]), atol=1e-9)
         np.testing.assert_allclose(means[1], np.diag([3.0, 3.0]), atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [[0, np.nan, 1, 1], [0.5, 0.5, 1.5, 1.5], [0, 0, 1], [[0, 0, 1, 1]]],
+        ids=["nan", "fraction", "short", "shape"],
+    )
+    def test_labels_must_be_one_integer_per_point(self, labels):
+        with pytest.raises(InvalidInput, match="labels must be"):
+            ad.mdm_fit(make_spd(2, 4, seed=1), labels)
+
+    def test_class_keys_are_python_ints(self):
+        means = ad.mdm_fit(make_spd(2, 4, seed=1), np.array([3, 3, 1, 1], dtype=np.int32))
+        assert list(means) == [1, 3] and all(type(y) is int for y in means)
+
     def test_query_at_mean(self):
         pts = make_spd(3, 4, seed=55)
         means = ad.mdm_fit(pts, [0, 0, 1, 1])

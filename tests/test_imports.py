@@ -1,4 +1,5 @@
-"""What ``import spdot`` loads: numpy and the package, and SciPy only on use.
+"""What ``import spdot`` loads: numpy and the package, and SciPy and
+``concurrent.futures`` only on use.
 
 ``scipy.optimize`` is never loaded: the exact solver uses
 ``scipy.sparse.csgraph``.
@@ -25,6 +26,8 @@ def scipy_modules():
 
 import spdot, spdot.cli
 assert not scipy_modules(), scipy_modules()
+# the cost kernel's thread pool is built on first use
+assert "concurrent.futures" not in sys.modules
 
 import numpy as np
 from spdot import datasets, transport

@@ -1,3 +1,9 @@
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,7 +19,12 @@ from conftest import (
     reference_frechet_mean,
 )
 from spdot import manifold as mf
-from spdot.errors import ConvergenceFailure, InvalidInput, NotPositiveDefinite
+from spdot.errors import (
+    ConvergenceFailure,
+    InvalidInput,
+    NotPositiveDefinite,
+    NumericalFailure,
+)
 
 DIMS = st.integers(min_value=2, max_value=6)
 SEEDS = st.integers(min_value=0, max_value=10_000)
@@ -197,6 +208,95 @@ class TestDistance:
             assert np.array_equal(D2, D2.T) and (np.diag(D2) == 0.0).all()
             # exactly the strict upper triangle, one nonempty solve per block
             assert sum(solved) == 7 * 6 // 2 and len(solved) == -(-6 // rows)
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make the process look as if it may run on ``cpus`` CPUs."""
+    monkeypatch.setattr(mf.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+
+
+FORK_CHILD = """
+import os, sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from spdot import manifold as mf
+
+os.sched_getaffinity = lambda pid: {0, 1}  # pooled even on a one-CPU host
+mf.PAIR_BLOCK_DOUBLES = 4 * 9  # several blocks
+rng = np.random.default_rng(0)
+G = rng.standard_normal((12, 3, 3))
+P = G @ G.transpose(0, 2, 1) / 3 + 0.1 * np.eye(3)
+want = mf.sq_distance_matrix(P[:6], P[6:])
+assert mf._POOL[0] == os.getpid()
+pid = os.fork()
+if pid == 0:
+    ok = np.array_equal(mf.sq_distance_matrix(P[:6], P[6:]), want)
+    os._exit(0 if ok and mf._POOL[0] == os.getpid() else 1)
+deadline = time.monotonic() + 30
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        print("exit", os.waitstatus_to_exitcode(status))
+        break
+    time.sleep(0.01)
+else:
+    os.kill(pid, 9)
+    print("hung")
+"""
+
+
+class TestThreadPool:
+    """``sq_distance_matrix``'s row blocks on the per-process thread pool."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_same_bits_on_any_cpu_count(self, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        A = make_spd(3, 7, seed=31)
+        B = make_spd(3, 5, seed=32)
+        cross = TestDistance.per_row_sq_distances(A, B)
+        upper = TestDistance.per_row_sq_distances(A)
+        threads = set()
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda M: threads.add(threading.get_ident()) or eigvalsh(M)
+        )
+        for rows in (1, 2, 3, 7):
+            for args, want in (((A, B), cross), ((A,), upper)):
+                monkeypatch.setattr(mf, "PAIR_BLOCK_DOUBLES", rows * len(args[-1]) * 9)
+                threads.clear()
+                assert np.array_equal(mf.sq_distance_matrix(*args), want)
+                # one block, or one CPU: the calling thread solves every block
+                serial = cpus == 1 or rows == 7
+                assert (threads == {threading.get_ident()}) == serial
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_first_failing_block_raises(self, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        log_norms = mf._sq_log_norms
+
+        def failing(M):
+            # with one row per block, block k holds the 6 - k pairs (k, j > k)
+            if len(M) == 6:
+                return log_norms(M)
+            if len(M) == 5:
+                time.sleep(0.05)  # the first failing block fails last
+            raise NumericalFailure(f"block of {len(M)} pairs")
+
+        monkeypatch.setattr(mf, "_sq_log_norms", failing)
+        monkeypatch.setattr(mf, "PAIR_BLOCK_DOUBLES", 7 * 9)
+        with pytest.raises(NumericalFailure, match="^block of 5 pairs$"):
+            mf.sq_distance_matrix(make_spd(3, 7, seed=31))
+
+    def test_forked_child_builds_its_own_pool(self):
+        # a fresh interpreter: this one's threads must not be forked
+        src = str(Path(mf.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", FORK_CHILD, src],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "exit 0"
 
 
 class TestGeodesic:
