@@ -13,12 +13,10 @@ from .adaptation import (
 )
 from .errors import (
     ConvergenceFailure,
-    DegeneratePlan,
     InvalidInput,
     NotPositiveDefinite,
     NumericalFailure,
     SpdotError,
-    UnsupportedInstance,
 )
 from .manifold import (
     exp_map,
@@ -45,13 +43,11 @@ __all__ = [
     "AdaptationResult",
     "ConvergenceFailure",
     "CostMatrix",
-    "DegeneratePlan",
     "InvalidInput",
     "NotPositiveDefinite",
     "NumericalFailure",
     "SpdotError",
     "TransportPlan",
-    "UnsupportedInstance",
     "adapt",
     "adaptive_lambda",
     "barycentric_map",

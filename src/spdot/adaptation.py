@@ -1,6 +1,6 @@
 """End-to-end domain adaptation of SPD sets by optimal transport.
 
-The pipeline maps a source set onto the domain of a target set in five
+The pipeline maps a source set onto the domain of a target set in four
 steps: assign mass to each point (uniform or kernel-density weights), build
 the pairwise cost under the chosen metric, solve for a transport plan, then
 send every source point to the plan-weighted Riemannian mean of the targets
@@ -10,8 +10,9 @@ so the resulting map is well defined.
 A minimum-distance-to-mean (MDM) classifier over per-class Riemannian means
 is included for evaluating adapted sets.
 
-``adapt`` is a pure function of its inputs and config; concurrent pipeline
-runs share no state.
+``adapt`` is a pure function of its inputs and config.  Concurrent pipeline
+runs share only the cost kernel's per-process thread pool (see
+:func:`spdot.manifold.sq_distance_matrix`).
 """
 
 import contextlib
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import manifold, transport
-from .errors import DegeneratePlan, InvalidInput, SpdotError
+from .errors import InvalidInput, SpdotError
 from .transport import _finite_real
 
 METRICS = ("riemannian", "euclidean")
@@ -202,11 +203,9 @@ def barycentric_map(source, target, plan, top_k=None):
 
     Raises
     ------
-    DegeneratePlan
-        If some plan row carries no mass.
     InvalidInput
-        If the plan's shape does not match the sets or it has a negative or
-        non-finite entry.
+        If the plan's shape does not match the sets, it has a negative or
+        non-finite entry, or some plan row carries no mass (named).
     NotPositiveDefinite, ConvergenceFailure
         If a target is not SPD, whether or not it carries plan mass, or if
         a row's mean fails as in :func:`spdot.manifold.frechet_mean`; the
@@ -228,7 +227,7 @@ def barycentric_map(source, target, plan, top_k=None):
 
     totals = gamma.sum(axis=1)
     if not (totals > 0).all():
-        raise DegeneratePlan(f"plan row {np.argmin(totals > 0)} carries no mass")
+        raise InvalidInput(f"plan row {np.argmin(totals > 0)} carries no mass")
     rows = gamma
     if top_k is not None and top_k < n2:
         drop = np.argpartition(gamma, -top_k, axis=1)[:, :-top_k]

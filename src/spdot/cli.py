@@ -16,9 +16,10 @@ pipeline step exits 2, and every other :class:`SpdotError` exits 3.
 A command creates its ``--out`` directory only after its computation
 succeeded, so a rejected or failed run leaves none.  Every command writes a
 ``report.json`` echoing its configuration, seeds, and input digests, so any
-run can be reproduced from its report.  Data files (JSON datasets, CSV plans
-and curves) are deterministic for a fixed seed; floats are written with 17
-significant digits so they reload bit-exactly.
+run can be reproduced from its report.  Data files are deterministic for a
+fixed seed and reload bit-exactly: a JSON dataset is one line of compact
+JSON (see :mod:`spdot.datasets`), and CSV plans and curves write floats with
+17 significant digits.
 """
 
 import argparse
@@ -46,28 +47,16 @@ def _fmt(x):
     return "nan" if math.isnan(x) else format(x, ".17g")
 
 
-def _write_matrix_csv(path, matrix):
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.asarray(matrix):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+_CURVE_HEADER = ["theta", "recovery_error", "diagonal_mass", "objective"]
 
 
-def _write_rows_csv(path, header, rows):
+def _write_csv(path, rows, header=None):
+    """Write ``header``, if given, then ``rows``: strings as they are, numbers by ``_fmt``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
+        if header is not None:
+            fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(
-                ",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n"
-            )
-
-
-def _write_curve_csv(path, curve):
-    """One row per ``(theta, MatchReport)`` pair of a toy study's curve."""
-    _write_rows_csv(
-        path,
-        ["theta", "recovery_error", "diagonal_mass", "objective"],
-        [(t, r.recovery_error, r.diagonal_mass, r.objective) for t, r in curve],
-    )
+            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
 
 
 def _run(args, compute, write, config=None, inputs=()):
@@ -144,7 +133,7 @@ def cmd_adapt(args):
 
     def write(out, result):
         datasets.save_spd_dataset(out / "adapted.json", result.adapted_source, source.labels)
-        _write_matrix_csv(out / "plan.csv", result.plan.matrix)
+        _write_csv(out / "plan.csv", result.plan.matrix)
         return {
             "lambda_used": result.lambda_used,
             "eta_used": result.eta_used,
@@ -165,7 +154,8 @@ def cmd_toy_a(args):
         return experiments.toy_a_sweep(n=args.n, theta_grid=grid, seed=args.seed)
 
     def write(out, results):
-        _write_curve_csv(out / "toy_a.csv", results)
+        rows = [(t, r.recovery_error, r.diagonal_mass, r.objective) for t, r in results]
+        _write_csv(out / "toy_a.csv", rows, _CURVE_HEADER)
         worst = max(results, key=lambda item: item[1].recovery_error)
         return {
             "rows": len(results),
@@ -187,7 +177,8 @@ def cmd_toy_b(args):
 
     def write(out, search):
         best_theta, curve, best_plan = search
-        _write_curve_csv(out / "toy_b.csv", curve)
+        rows = [(t, r.recovery_error, r.diagonal_mass, r.objective) for t, r in curve]
+        _write_csv(out / "toy_b.csv", rows, _CURVE_HEADER)
         return {
             "rows": len(curve),
             "best_theta": best_theta,
@@ -212,10 +203,10 @@ def cmd_cosine(args):
         xs, zs, reports = trials
         datasets.save_timeseries_dataset(out / "source_timeseries.json", xs)
         datasets.save_timeseries_dataset(out / "target_timeseries.json", zs)
-        _write_rows_csv(
+        _write_csv(
             out / "cosine.csv",
-            ["config", "diagonal_mass", "objective"],
             [(name, rep.diagonal_mass, rep.objective) for name, rep in reports.items()],
+            ["config", "diagonal_mass", "objective"],
         )
         return {
             "diagonal_mass": {name: rep.diagonal_mass for name, rep in reports.items()},

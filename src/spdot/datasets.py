@@ -14,6 +14,8 @@ Two kinds, both with row-major flattened float arrays:
      "trials": [[d*M floats], ...],
      "labels": [int, ...] | null}
 
+Files are written as one line of compact JSON, ``json.dumps`` of the
+payload with its keys in the order above, and a newline; any layout loads.
 Header fields are JSON integers >= 1, values are finite JSON numbers, and
 every SPD matrix is validated on load, so a file that parses is usable.
 Floats survive a save/load round trip bit-exactly (JSON carries Python's
@@ -142,58 +144,33 @@ def _records(raw, key, name, shape, check, path):
         raise InvalidInput(f"{path}: {exc}") from exc
 
 
-def _indented(value, depth):
-    """``json.dumps(value, indent=1)`` for a value nested ``depth`` levels deep.
+def _save(path, header, key, stack, labels):
+    """Write a dataset file: ``json.dumps(payload)`` and a newline, byte for byte.
 
-    Handles scalars, lists of numbers and lists of such lists.  A list of
-    numbers goes through the C encoder in one call and gets its line breaks
-    spliced in afterwards: no JSON number contains ``", "``.
+    ``payload`` is ``header``, then ``stack``'s records flattened under
+    ``key``, then ``labels``.  Each record gets its own ``json.dumps`` call,
+    so the encoder never holds a string for every number in the file at once.
     """
-    if not isinstance(value, list) or not value:
-        return json.dumps(value)
-    pad = "\n" + " " * (depth + 1)
-    if isinstance(value[0], list):
-        body = ("," + pad).join(_indented(v, depth + 1) for v in value)
-    else:
-        body = json.dumps(value)[1:-1].replace(", ", "," + pad)
-    return "[" + pad + body + "\n" + " " * depth + "]"
-
-
-def _dump(path, payload):
-    """Write ``json.dump(payload, indent=1)`` and a newline, byte for byte.
-
-    ``payload`` is a flat dict of scalars, lists of numbers and lists of
-    such lists; :func:`_indented` encodes them far faster than the
-    pure-Python indenting encoder.
-    """
-    fields = [f"{json.dumps(k)}: {_indented(v, 1)}" for k, v in payload.items()]
+    labels = None if labels is None else [int(x) for x in labels]
+    records = ", ".join(json.dumps(r.reshape(-1).tolist()) for r in stack)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{\n " + ",\n ".join(fields) + "\n}\n")
+        fh.write(f'{json.dumps(header)[:-1]}, "{key}": [{records}], '
+                 f'"labels": {json.dumps(labels)}}}\n')
 
 
 def save_spd_dataset(path, matrices, labels=None):
     """Write an ``spd`` dataset file."""
     matrices = np.asarray(matrices, dtype=float)
-    payload = {
-        "kind": "spd",
-        "dim": int(matrices.shape[-1]),
-        "matrices": [m.reshape(-1).tolist() for m in matrices],
-        "labels": None if labels is None else [int(x) for x in labels],
-    }
-    _dump(path, payload)
+    header = {"kind": "spd", "dim": int(matrices.shape[-1])}
+    _save(path, header, "matrices", matrices, labels)
 
 
 def save_timeseries_dataset(path, trials, labels=None):
     """Write a ``timeseries`` dataset file."""
     trials = np.asarray(trials, dtype=float)
-    payload = {
-        "kind": "timeseries",
-        "channels": int(trials.shape[1]),
-        "samples": int(trials.shape[2]),
-        "trials": [t.reshape(-1).tolist() for t in trials],
-        "labels": None if labels is None else [int(x) for x in labels],
-    }
-    _dump(path, payload)
+    header = {"kind": "timeseries", "channels": int(trials.shape[1]),
+              "samples": int(trials.shape[2])}
+    _save(path, header, "trials", trials, labels)
 
 
 def file_digest(path):

@@ -36,10 +36,3 @@ class ConvergenceFailure(SpdotError, RuntimeError):
         self.residual = residual
         self.iterations = iterations
 
-
-class UnsupportedInstance(SpdotError, ValueError):
-    """The exact solver only handles uniform, equal-size marginals."""
-
-
-class DegeneratePlan(SpdotError, ValueError):
-    """A transport plan row carries no mass, so no barycenter is defined."""

@@ -28,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    InvalidInput,
-    NumericalFailure,
-    UnsupportedInstance,
-)
+from .errors import ConvergenceFailure, InvalidInput, NumericalFailure
 
 # Entries of the Gibbs kernel below this are clamped; a fully clamped row or
 # column means the kernel carries no usable signal at the requested lambda.
@@ -200,8 +195,8 @@ def exact_ot(cost, p=None, q=None):
     a linear assignment, solved exactly as a minimum-weight full matching
     of the complete bipartite graph (LAPJVsp).  ``scipy.sparse.csgraph``
     drops zero weights as missing edges, so zero costs enter as the
-    smallest positive double.  Any other marginal configuration is
-    rejected; use :func:`sinkhorn` there.  The first call imports
+    smallest positive double.  Any other marginal configuration raises
+    :class:`InvalidInput`; use :func:`sinkhorn` there.  The first call imports
     ``scipy.sparse.csgraph``.
 
     Parameters
@@ -220,11 +215,11 @@ def exact_ot(cost, p=None, q=None):
     p = uniform_mass(n1) if p is None else check_mass(p, n1, "source marginal")
     q = uniform_mass(n2) if q is None else check_mass(q, n2, "target marginal")
     if n1 != n2:
-        raise UnsupportedInstance(
+        raise InvalidInput(
             f"exact_ot needs equal-size sets, got {n1} x {n2}; use sinkhorn"
         )
     if np.abs(p - 1.0 / n1).max() > 1e-12 or np.abs(q - 1.0 / n2).max() > 1e-12:
-        raise UnsupportedInstance(
+        raise InvalidInput(
             "exact_ot needs uniform marginals; use sinkhorn for general masses"
         )
     from scipy.sparse import csr_array

@@ -269,6 +269,16 @@ class TestAdaptCommand:
         assert "[step: plan]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_exact_solver_with_kde_exits_3_with_step(self, tmp_path, capsys):
+        # the exact solver takes only uniform marginals: the plan stage fails
+        src = write_spd(tmp_path / "s.json", make_spd(3, 5, seed=52))
+        tgt = write_spd(tmp_path / "t.json", make_spd(3, 5, seed=53))
+        code = main(["adapt", src, tgt, "--solver", "exact", "--mass", "kde",
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "[step: plan] exact_ot needs uniform marginals" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_marginal_failure_exits_3_with_step(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(transport, "SINKHORN_TOL", 1e-2)
         src = write_spd(tmp_path / "s.json", make_spd(3, 12, seed=50))
@@ -544,14 +554,57 @@ class TestFullRoundTrip:
                 "labels": [3, -1],
             },
             {"kind": "spd", "dim": 1, "matrices": [], "labels": []},
-            {"kind": "timeseries", "channels": 1, "samples": 1,
-             "trials": [[], [2.5]], "labels": None},
+            {"kind": "timeseries", "channels": 1, "samples": 2,
+             "trials": [[1 / 3, 2.5], [-0.0, 5e-324]], "labels": None},
         ],
     )
     def test_dump_matches_indented_json(self, tmp_path, payload):
+        """A saved file is ``json.dumps`` of its payload and a newline: one
+        line, not indented."""
         path = tmp_path / "d.json"
-        datasets._dump(path, payload)
-        assert path.read_text() == json.dumps(payload, indent=1) + "\n"
+        if payload["kind"] == "spd":
+            shape = (payload["dim"],) * 2
+            save, records = datasets.save_spd_dataset, payload["matrices"]
+        else:
+            shape = (payload["channels"], payload["samples"])
+            save, records = datasets.save_timeseries_dataset, payload["trials"]
+        labels = payload["labels"]
+        save(path, np.reshape(records, (-1, *shape)),
+             None if labels is None else np.array(labels))
+        assert path.read_text() == json.dumps(payload) + "\n"
+
+    def test_csv_bytes(self, tmp_path):
+        values = [float("nan"), -0.0, 5e-324, 1 / 3]
+        text = "nan,-0,4.9406564584124654e-324,0.33333333333333331"
+        path = tmp_path / "w.csv"
+        cli._write_csv(path, np.array([values]))
+        assert path.read_text() == text + "\n"
+        cli._write_csv(path, [("x y", *values), ["z", 2]], ["name", "a", "b", "c", "d"])
+        assert path.read_text() == f"name,a,b,c,d\nx y,{text}\nz,2\n"
+
+    @pytest.mark.parametrize("chain_seed", [1000, 7919000])
+    def test_benchmark_smoke_chain(self, tmp_path, chain_seed):
+        """The cli-cosine benchmark's smoke chain; files read back as it reads them."""
+        o = tmp_path
+        codes = [main(argv) for argv in [
+            ["cosine", "--n", "8", "--channels", "4", "--seed", str(chain_seed),
+             "--out", str(o / "cos")],
+            ["covariance", str(o / "cos" / "source_timeseries.json"),
+             "--out", str(o / "cov_s")],
+            ["covariance", str(o / "cos" / "target_timeseries.json"),
+             "--out", str(o / "cov_t")],
+            ["adapt", str(o / "cov_s" / "covariances.json"),
+             str(o / "cov_t" / "covariances.json"),
+             "--mass", "kde", "--solver", "sinkhorn", "--out", str(o / "adapted")],
+        ]]
+        assert codes == [0, 0, 0, 0]
+        raw = json.loads((o / "adapted" / "adapted.json").read_text(encoding="utf-8"))
+        adapted = np.array(raw["matrices"], dtype=float).reshape(-1, raw["dim"], raw["dim"])
+        gamma = np.loadtxt(o / "adapted" / "plan.csv", delimiter=",", ndmin=2)
+        assert adapted.shape == (8, 4, 4) and gamma.shape == (8, 8)
+        assert np.array_equal(adapted, datasets.load_dataset(o / "adapted" / "adapted.json").matrices)
+        assert np.array_equal(gamma, read_csv_matrix(o / "adapted" / "plan.csv"))
+        assert (gamma >= 0).all() and gamma.sum() == pytest.approx(1.0)
 
 
 class TestExitCodes:

@@ -8,12 +8,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import eigh_sqrtm, make_spd, make_wide_spd
 from spdot import manifold as mf
 from spdot import transport as tp
-from spdot.errors import (
-    ConvergenceFailure,
-    InvalidInput,
-    NumericalFailure,
-    UnsupportedInstance,
-)
+from spdot.errors import ConvergenceFailure, InvalidInput, NumericalFailure
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 
@@ -110,11 +105,11 @@ class TestExactOt:
 
     def test_rejects_nonuniform_marginals(self):
         C = np.zeros((2, 2))
-        with pytest.raises(UnsupportedInstance):
+        with pytest.raises(InvalidInput, match="uniform marginals"):
             tp.exact_ot(C, p=[0.7, 0.3])
 
     def test_rejects_rectangular(self):
-        with pytest.raises(UnsupportedInstance):
+        with pytest.raises(InvalidInput, match="equal-size"):
             tp.exact_ot(np.zeros((2, 3)))
 
     def test_all_zero_cost_and_single_point(self):
