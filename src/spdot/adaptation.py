@@ -169,7 +169,7 @@ def build_cost(source, target, metric="riemannian"):
     else:
         manifold.check_spd(src, name="source set")
         manifold.check_spd(tgt, name="target set")
-        values = transport.sq_euclidean_matrix(src, tgt)
+        values = manifold.sq_euclidean_matrix(src, tgt)
     return transport.CostMatrix(values)
 
 

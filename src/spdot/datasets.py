@@ -17,7 +17,7 @@ Two kinds, both with row-major flattened float arrays:
 Files are written as one line of compact JSON, ``json.dumps`` of the
 payload with its keys in the order above, and a newline; any layout loads.
 Header fields are JSON integers >= 1, values are finite JSON numbers, and
-every SPD matrix is validated on load, so a file that parses is usable.
+every SPD matrix is validated on save and load: a file that parses is usable.
 Floats survive a save/load round trip bit-exactly (JSON carries Python's
 shortest round-trip representation).
 """
@@ -144,33 +144,35 @@ def _records(raw, key, name, shape, check, path):
         raise InvalidInput(f"{path}: {exc}") from exc
 
 
-def _save(path, header, key, stack, labels):
-    """Write a dataset file: ``json.dumps(payload)`` and a newline, byte for byte.
+def _save(path, kind, fields, key, stack, labels, check):
+    """Write a ``kind`` dataset file: ``json.dumps(payload)`` and a newline, byte for byte.
 
-    ``payload`` is ``header``, then ``stack``'s records flattened under
-    ``key``, then ``labels``.  Each record gets its own ``json.dumps`` call,
-    so the encoder never holds a string for every number in the file at once.
+    Only what the loader accepts, else nothing: a nonempty 3-D ``stack`` that
+    passes ``check``, one integer label per record.  The header gives the
+    trailing sizes under ``fields``.  One ``json.dumps`` call per record keeps
+    the encoder from holding a string for every number in the file at once.
     """
-    labels = None if labels is None else [int(x) for x in labels]
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or not stack.size:
+        raise InvalidInput(f"{path}: {key} must be a nonempty 3-D stack, got {stack.shape}")
+    check(stack, name=f"{path}: {key}")
+    if labels is not None:
+        labels = _check_labels(np.asarray(labels).tolist(), len(stack), path).tolist()
+    header = json.dumps({"kind": kind, **dict(zip(fields, stack.shape[1:]))})
     records = ", ".join(json.dumps(r.reshape(-1).tolist()) for r in stack)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{json.dumps(header)[:-1]}, "{key}": [{records}], '
-                 f'"labels": {json.dumps(labels)}}}\n')
+        fh.write(f'{header[:-1]}, "{key}": [{records}], "labels": {json.dumps(labels)}}}\n')
 
 
 def save_spd_dataset(path, matrices, labels=None):
     """Write an ``spd`` dataset file."""
-    matrices = np.asarray(matrices, dtype=float)
-    header = {"kind": "spd", "dim": int(matrices.shape[-1])}
-    _save(path, header, "matrices", matrices, labels)
+    _save(path, "spd", ("dim", "dim"), "matrices", matrices, labels, manifold.check_spd)
 
 
 def save_timeseries_dataset(path, trials, labels=None):
     """Write a ``timeseries`` dataset file."""
-    trials = np.asarray(trials, dtype=float)
-    header = {"kind": "timeseries", "channels": int(trials.shape[1]),
-              "samples": int(trials.shape[2])}
-    _save(path, header, "trials", trials, labels)
+    _save(path, "timeseries", ("channels", "samples"), "trials", trials, labels,
+          _check_finite)
 
 
 def file_digest(path):

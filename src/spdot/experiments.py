@@ -321,8 +321,8 @@ def _compare_configs(xs, zs):
     P = covariances(xs)
     Q = covariances(zs)
     costs = {
-        CONFIG_RAW_EUCLIDEAN: transport.sq_euclidean_matrix(xs, zs),
-        CONFIG_COV_EUCLIDEAN: transport.sq_euclidean_matrix(P, Q),
+        CONFIG_RAW_EUCLIDEAN: manifold.sq_euclidean_matrix(xs, zs),
+        CONFIG_COV_EUCLIDEAN: manifold.sq_euclidean_matrix(P, Q),
         CONFIG_COV_RIEMANNIAN: manifold.sq_distance_matrix(P, Q),
     }
     return {

@@ -8,9 +8,11 @@ Geodesic distance under that metric is invariant under congruence
 
 Matrices are plain ``numpy`` arrays; most functions accept stacked inputs of
 shape ``(..., d, d)`` and operate on the trailing two axes.  Every function
-is pure and safe to call from multiple threads.  The one piece of shared
-state is a thread pool, built per process on first use, that runs the row
-blocks of :func:`sq_distance_matrix` in parallel (see :func:`_each`).
+is pure and safe to call from multiple threads.  :func:`sq_distance_matrix`,
+:func:`sq_euclidean_matrix` and the Karcher map run in blocks of source rows
+under one budget, ``PAIR_BLOCK_DOUBLES``.  The one piece of shared state is
+a thread pool, built per process on first use, that runs the row blocks of
+:func:`sq_distance_matrix` in parallel (see :func:`_each`).
 
 Eigendecomposition (``numpy.linalg.eigh``) is the single primitive behind all
 matrix functions; inputs are symmetric, so the eigensolver route is exact for
@@ -28,7 +30,7 @@ from .errors import (
     NotPositiveDefinite,
     NumericalFailure,
 )
-from .transport import PAIR_BLOCK_DOUBLES, check_mass
+from .transport import check_mass
 
 # Eigenvalue floor below which a matrix is rejected as not positive-definite.
 EPS_PD = 1e-10
@@ -37,6 +39,8 @@ SYM_RTOL = 1e-12
 # Stopping threshold and Newton-step cap of every Karcher mean.
 MEAN_TOL = 1e-10
 MEAN_MAX_ITER = 200
+# Cap on the doubles in one (rows, targets, ...) array of a row-blocked kernel.
+PAIR_BLOCK_DOUBLES = 2**14
 
 
 def sym(M):
@@ -275,6 +279,29 @@ def sq_distance_matrix(A, B=None):
     return out + out.T
 
 
+def sq_euclidean_matrix(A, B):
+    """Pairwise squared Euclidean distances between stacks of arrays.
+
+    Trailing axes of each element are flattened, so this works for both
+    vector and matrix samples (Frobenius distance for the latter).  Computed
+    by direct differencing, which is exact (0.0) on identical pairs, for
+    ``max(1, PAIR_BLOCK_DOUBLES // (n2 m))`` rows of ``A`` at a time (``m``
+    the flattened size) rather than all ``n1 n2 m`` differences at once.
+    """
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    if not (len(A) and len(B)):
+        raise InvalidInput("sq_euclidean_matrix needs nonempty stacks")
+    A, B = A.reshape(len(A), -1), B.reshape(len(B), -1)
+    if A.shape[1] != B.shape[1]:
+        raise InvalidInput("sq_euclidean_matrix: element sizes differ")
+    rows = max(1, PAIR_BLOCK_DOUBLES // max(1, B.size))
+    out = np.empty((len(A), len(B)))
+    for s in range(0, len(A), rows):
+        diff = A[s:s + rows, None, :] - B[None, :, :]
+        out[s:s + rows] = np.einsum("ijk,ijk->ij", diff, diff)
+    return out
+
+
 def paired_sq_distances(A, B):
     """Squared Riemannian distances between matched pairs ``A[i], B[i]``.
 
@@ -402,18 +429,15 @@ def _newton_direction(hess, T):
     return sym(D)
 
 
-# Cap on the doubles in one (rows, support, d, d) array of _karcher_means.
-KARCHER_BLOCK_DOUBLES = 2**19
-
-
 def _karcher_means(points, weights):
     """:func:`frechet_mean` of validated ``points`` for each row of ``weights``.
 
     Returns ``(means, iterations, residuals)``.  A row with one positive
     weight returns that point bit for bit.  The others iterate together, in
-    blocks that keep a (rows, support, d, d) array under
-    ``KARCHER_BLOCK_DOUBLES``, each row over its positive-weight points
-    padded with zero-weight ones.  A row carries a frame ``F`` with
+    blocks that keep a (rows, support, d, d) array under the cost kernels'
+    budget ``PAIR_BLOCK_DOUBLES``, each row over its positive-weight points
+    padded with zero-weight ones.  Rows never interact, so the partition
+    only decides which rows share a batch.  A row carries a frame ``F`` with
     ``F F^T = X`` in place of ``X^{1/2}``: whitening is ``F^{-1} P F^{-T}``,
     the residual ``||F T F^T||_F`` and a step ``D = Q diag(e) Q^T`` moves
     ``F`` to ``F Q diag(exp(e/2))``.  By affine invariance the iterates and
@@ -431,7 +455,7 @@ def _karcher_means(points, weights):
     residuals = np.where(counts > 1, np.inf, 0.0)
     low = np.full(len(w), np.inf)  # least positive-weight whitened eigenvalue
     rows = np.flatnonzero(counts > 1)
-    block = max(1, KARCHER_BLOCK_DOUBLES // (counts.max() * X[0].size))
+    block = max(1, PAIR_BLOCK_DOUBLES // (counts.max() * X[0].size))
     for start in range(0, rows.size, block):
         act = rows[start:start + block]  # rows of the block still iterating
         k = counts[act].max()

@@ -15,8 +15,8 @@ Three solvers, all returning a :class:`TransportPlan`:
   the offset still moves.  The iteration can cycle.  With ``eta = 0`` it
   is a single Sinkhorn solve.
 
-Both entropic solvers run one loop, which raises their every
-:class:`ConvergenceFailure`, a plan with its marginals off included.
+Both entropic solvers run one loop, which checks ``lam`` and raises their
+every :class:`ConvergenceFailure`, a plan with its marginals off included.
 
 Solvers are sequential fixed-point iterations internally; invocations on
 distinct instances are independent and thread-safe.
@@ -45,9 +45,6 @@ SINKHORN_MAX_ITER = 100000
 # Scaling iterations between two stopping tests; the test costs more than
 # an iteration at desk scale.
 CHECK_EVERY = 10
-# Cap on the doubles in one (rows, n2, ...) block of a pairwise cost kernel,
-# sq_euclidean_matrix or manifold.sq_distance_matrix.
-PAIR_BLOCK_DOUBLES = 2**14
 # Outer stopping threshold (plan change, infinity norm) and cap of the
 # label solver's fixed-point iteration.
 LABEL_TOL = 1e-8
@@ -164,29 +161,6 @@ def diagonal_mass(gamma):
     return math.fsum(gamma[:k, :k].diagonal()) / total
 
 
-def sq_euclidean_matrix(A, B):
-    """Pairwise squared Euclidean distances between stacks of arrays.
-
-    Trailing axes of each element are flattened, so this works for both
-    vector and matrix samples (Frobenius distance for the latter).  Computed
-    by direct differencing, which is exact (0.0) on identical pairs, for
-    ``max(1, PAIR_BLOCK_DOUBLES // (n2 m))`` rows of ``A`` at a time (``m``
-    the flattened size) rather than all ``n1 n2 m`` differences at once.
-    """
-    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-    if not (len(A) and len(B)):
-        raise InvalidInput("sq_euclidean_matrix needs nonempty stacks")
-    A, B = A.reshape(len(A), -1), B.reshape(len(B), -1)
-    if A.shape[1] != B.shape[1]:
-        raise InvalidInput("sq_euclidean_matrix: element sizes differ")
-    rows = max(1, PAIR_BLOCK_DOUBLES // max(1, B.size))
-    out = np.empty((len(A), len(B)))
-    for s in range(0, len(A), rows):
-        diff = A[s:s + rows, None, :] - B[None, :, :]
-        out[s:s + rows] = np.einsum("ijk,ijk->ij", diff, diff)
-    return out
-
-
 def exact_ot(cost, p=None, q=None):
     """Exact optimal transport for uniform, equal-size marginals.
 
@@ -210,10 +184,8 @@ def exact_ot(cost, p=None, q=None):
     TransportPlan
         Globally optimal plan (a scaled permutation).
     """
-    C = _cost_array(cost)
+    C, p, q = _check_problem(cost, p, q)
     n1, n2 = C.shape
-    p = uniform_mass(n1) if p is None else check_mass(p, n1, "source marginal")
-    q = uniform_mass(n2) if q is None else check_mass(q, n2, "target marginal")
     if n1 != n2:
         raise InvalidInput(
             f"exact_ot needs equal-size sets, got {n1} x {n2}; use sinkhorn"
@@ -252,14 +224,12 @@ def _finite_real(x):
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _check_problem(cost, p, q, lam, solver):
-    """Validated ``(C, p, q)`` of an entropic problem; marginals default uniform."""
+def _check_problem(cost, p, q):
+    """Validated ``(C, p, q)`` of an OT problem; marginals default uniform."""
     C = _cost_array(cost)
     n1, n2 = C.shape
     p = uniform_mass(n1) if p is None else check_mass(p, n1, "source marginal")
     q = uniform_mass(n2) if q is None else check_mass(q, n2, "target marginal")
-    if not (_finite_real(lam) and lam > 0):
-        raise InvalidInput(f"{solver} needs finite lam > 0, got {lam}")
     return C, p, q
 
 
@@ -327,8 +297,10 @@ def _entropic(C0, p, q, lam, solver, Y=None, eta=0.0):
     ``solver`` and carrying the last plan with its counts: a solve that
     uses up ``SINKHORN_MAX_ITER``, a returned plan with its marginals off
     by more than ``MARGINAL_TOL``, and a plan still moving after
-    ``LABEL_MAX_ITER`` solves.
+    ``LABEL_MAX_ITER`` solves.  A bad ``lam`` raises :class:`InvalidInput`.
     """
+    if not (_finite_real(lam) and lam > 0):
+        raise InvalidInput(f"{solver} needs finite lam > 0, got {lam}")
     n1 = C0.shape[0]
     G = 0.0
     u = np.full(n1, 1.0 / n1)
@@ -412,7 +384,7 @@ def sinkhorn(cost, p=None, q=None, lam=1.0):
         marginals off by more than ``MARGINAL_TOL``; carries the last plan,
         the residual and the iteration count.
     """
-    C, p, q = _check_problem(cost, p, q, lam, "sinkhorn")
+    C, p, q = _check_problem(cost, p, q)
     return _entropic(C, p, q, lam, "sinkhorn")
 
 
@@ -488,7 +460,7 @@ def sinkhorn_with_labels(cost0, p=None, q=None, labels=None, lam=1.0, eta=0.0):
         If the plan still moves after ``LABEL_MAX_ITER`` solves, or as in
         :func:`sinkhorn`; its ``last`` is the last plan, counts included.
     """
-    C0, p, q = _check_problem(cost0, p, q, lam, "sinkhorn_with_labels")
+    C0, p, q = _check_problem(cost0, p, q)
     if not (_finite_real(eta) and eta >= 0):
         raise InvalidInput(f"eta must be finite and nonnegative, got {eta}")
     Y = _class_indicator(labels, C0.shape[0])

@@ -8,7 +8,7 @@ from conftest import SOLVER_MASS, make_spd
 from spdot import cli, datasets, experiments, transport
 from spdot.adaptation import MASSES, METRICS, SOLVERS, AdaptationConfig, adapt
 from spdot.cli import build_parser, main
-from spdot.errors import ConvergenceFailure, InvalidInput, NumericalFailure
+from spdot.errors import ConvergenceFailure, InvalidInput, NumericalFailure, SpdotError
 
 
 def write_spd(path, matrices, labels=None):
@@ -548,12 +548,13 @@ class TestFullRoundTrip:
                 "kind": "spd",
                 "dim": 2,
                 "matrices": [
-                    [float("nan"), float("inf"), float("-inf"), -0.0],
-                    [5e-324, 1.7976931348623157e308, 1.0, 0.1],
+                    [1 / 3, -0.0, -0.0, 2.5],
+                    [1.7976931348623157e308, 5e-324, 5e-324, 0.1],
                 ],
                 "labels": [3, -1],
             },
-            {"kind": "spd", "dim": 1, "matrices": [], "labels": []},
+            {"kind": "spd", "dim": 1, "matrices": [[1 / 3], [2.0]],
+             "labels": [2**63 - 1, 1 - 2**63]},
             {"kind": "timeseries", "channels": 1, "samples": 2,
              "trials": [[1 / 3, 2.5], [-0.0, 5e-324]], "labels": None},
         ],
@@ -572,6 +573,38 @@ class TestFullRoundTrip:
         save(path, np.reshape(records, (-1, *shape)),
              None if labels is None else np.array(labels))
         assert path.read_text() == json.dumps(payload) + "\n"
+
+    @pytest.mark.parametrize(
+        "kind, stack, labels",
+        [
+            pytest.param("spd", [[[1.0, 0.0], [0.0, float("nan")]]], None, id="nan"),
+            pytest.param("spd", [[[1.0, 0.0], [0.0, float("inf")]]], None, id="inf"),
+            pytest.param("spd", [[[1.0, 0.0], [0.0, -1.0]]], None, id="not-pd"),
+            pytest.param("spd", [[[1.0, 0.5], [0.0, 1.0]]], None, id="not-symmetric"),
+            pytest.param("spd", [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], None, id="not-square"),
+            pytest.param("spd", np.zeros((0, 2, 2)), None, id="no-matrices"),
+            pytest.param("spd", np.eye(2), None, id="one-matrix"),
+            pytest.param("timeseries", [[[1.0, float("-inf")]]], None, id="ts-inf"),
+            pytest.param("timeseries", np.zeros((0, 2, 3)), None, id="ts-no-trials"),
+            pytest.param("timeseries", np.zeros((2, 0, 3)), None, id="ts-no-channels"),
+            pytest.param("timeseries", np.zeros((2, 3)), None, id="ts-one-trial"),
+            pytest.param("spd", [np.eye(2)] * 2, [0], id="label-count"),
+            pytest.param("spd", [np.eye(2)] * 2, [0.0, 1.0], id="label-float"),
+            pytest.param("spd", [np.eye(2)] * 2, [True, False], id="label-bool"),
+            pytest.param("spd", [np.eye(2)] * 2, [[0], [1]], id="label-shape"),
+            pytest.param("spd", [np.eye(2)] * 2, np.array([0, 2**63], dtype=np.uint64),
+                         id="label-range"),
+            pytest.param("timeseries", np.ones((2, 1, 2)), 1, id="label-scalar"),
+        ],
+    )
+    def test_save_rejects_what_load_rejects(self, tmp_path, kind, stack, labels):
+        """A save the loader would reject raises and leaves no file."""
+        save = {"spd": datasets.save_spd_dataset,
+                "timeseries": datasets.save_timeseries_dataset}[kind]
+        path = tmp_path / "d.json"
+        with pytest.raises(SpdotError):
+            save(path, stack, labels)
+        assert not path.exists()
 
     def test_csv_bytes(self, tmp_path):
         values = [float("nan"), -0.0, 5e-324, 1 / 3]

@@ -300,7 +300,7 @@ class TestPositiveMapIsEuclideanOptimum:
         for scale, seed in [(0.3, 0), (1.0, 0), (2.0, 5)]:
             src = ex.random_spd(2, 30, scale=scale, seed=seed)
             tgt = ex.apply_congruence(ex.CongruenceMap(ex.DEFAULT_T, 0.0), src)
-            plan = tp.exact_ot(tp.sq_euclidean_matrix(src, tgt))
+            plan = tp.exact_ot(mf.sq_euclidean_matrix(src, tgt))
             assert tp.diagonal_mass(plan.matrix) == 1.0
 
 

@@ -299,6 +299,45 @@ class TestThreadPool:
         assert proc.stdout.strip() == "exit 0"
 
 
+class TestSqEuclideanMatrix:
+    def test_row_blocks_match_full_differencing(self, monkeypatch):
+        rng = np.random.default_rng(28)
+        A = rng.standard_normal((7, 3, 4))
+        B = rng.standard_normal((5, 3, 4))
+        B[2] = A[4]
+        diff = A.reshape(7, 1, 12) - B.reshape(1, 5, 12)
+        want = np.einsum("ijk,ijk->ij", diff, diff)
+        # 1, 2 and 3 rows per block (7 rows: partial last blocks), then one block
+        for rows in (1, 2, 3, 7):
+            monkeypatch.setattr(mf, "PAIR_BLOCK_DOUBLES", rows * 5 * 12)
+            got = mf.sq_euclidean_matrix(A, B)
+            assert np.array_equal(got, want)
+            assert got[4, 2] == 0.0
+        monkeypatch.setattr(mf, "PAIR_BLOCK_DOUBLES", 1)
+        D = mf.sq_euclidean_matrix(A, A)
+        assert (np.diag(D) == 0.0).all() and np.array_equal(D, D.T)
+
+
+def test_one_budget_blocks_every_kernel(monkeypatch):
+    """One patch of ``PAIR_BLOCK_DOUBLES`` re-blocks the geodesic cost, the
+    Euclidean cost and the Karcher map alike."""
+    A, B = make_spd(3, 7, seed=31), make_spd(3, 5, seed=32)
+    W = np.full((7, 5), 0.2)  # every map row has support 5
+    blocks = []
+    log_norms, eigh, einsum = mf._sq_log_norms, mf._eigh, np.einsum
+    monkeypatch.setattr(mf, "_sq_log_norms", lambda M: blocks.append("cost") or log_norms(M))
+    monkeypatch.setattr(mf, "_eigh", lambda M, floor=None, op="": (
+        blocks.append(op) or eigh(M, floor, op)))
+    monkeypatch.setattr(np, "einsum", lambda sub, *ops: blocks.append(sub) or einsum(sub, *ops))
+    # a block of 2 source rows has 2 * 5 pairs of 3 x 3 matrices
+    monkeypatch.setattr(mf, "PAIR_BLOCK_DOUBLES", 2 * 5 * 9)
+    mf.sq_distance_matrix(A, B)
+    mf.sq_euclidean_matrix(A, B)
+    mf._karcher_means(B, W)
+    counts = [blocks.count(k) for k in ("cost", "ijk,ijk->ij", "frechet_mean")]
+    assert counts == [4, 4, 4]  # 7 rows, 2 per block
+
+
 class TestGeodesic:
     def test_endpoints(self):
         P, Q = make_spd(3, 2, seed=31)
@@ -610,13 +649,17 @@ class TestKarcherMeans:
 
     def test_row_blocks_agree(self, monkeypatch):
         pts = make_wide_spd(4, 8, seed=73, spread=1.0)
-        W = mixed_weights(8, seed=74)
+        dense = np.random.default_rng(75).random((3, 8))
+        W = np.concatenate([mixed_weights(8, seed=74), dense / dense.sum(axis=1)[:, None]])
+        full = [2, 6, 7, 8]  # rows with positive weight on every point
         one = mf._karcher_means(pts, W)
-        # 8 * 16 doubles per row: one row, then two rows per block
-        for cap in (1, 2 * 8 * 16):
-            monkeypatch.setattr(mf, "KARCHER_BLOCK_DOUBLES", cap)
+        # 8 * 16 doubles per row: one row, then two and three rows per block
+        for cap in (1, 2 * 8 * 16, 3 * 8 * 16):
+            monkeypatch.setattr(mf, "PAIR_BLOCK_DOUBLES", cap)
             means, iterations, residuals = mf._karcher_means(pts, W)
             assert np.array_equal(iterations, one[1])
+            # a full row is never padded, so no partition moves its bits
+            assert np.array_equal(means[full], one[0][full])
             assert np.abs(means - one[0]).max() <= 1e-13 * np.abs(one[0]).max()
             self.check_against_reference(pts, W, means, iterations, residuals)
 

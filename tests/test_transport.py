@@ -158,25 +158,6 @@ class TestDiagonalMass:
         assert tp.diagonal_mass(np.zeros((3, 3))) == 0.0
 
 
-class TestSqEuclideanMatrix:
-    def test_row_blocks_match_full_differencing(self, monkeypatch):
-        rng = np.random.default_rng(28)
-        A = rng.standard_normal((7, 3, 4))
-        B = rng.standard_normal((5, 3, 4))
-        B[2] = A[4]
-        diff = A.reshape(7, 1, 12) - B.reshape(1, 5, 12)
-        want = np.einsum("ijk,ijk->ij", diff, diff)
-        # 1, 2 and 3 rows per block (7 rows: partial last blocks), then one block
-        for rows in (1, 2, 3, 7):
-            monkeypatch.setattr(tp, "PAIR_BLOCK_DOUBLES", rows * 5 * 12)
-            got = tp.sq_euclidean_matrix(A, B)
-            assert np.array_equal(got, want)
-            assert got[4, 2] == 0.0
-        monkeypatch.setattr(tp, "PAIR_BLOCK_DOUBLES", 1)
-        D = tp.sq_euclidean_matrix(A, A)
-        assert (np.diag(D) == 0.0).all() and np.array_equal(D, D.T)
-
-
 class TestAdaptiveLambda:
     def test_all_ones(self):
         assert tp.adaptive_lambda(np.ones((3, 3))) == pytest.approx(200.0)
