@@ -11,8 +11,9 @@ A minimum-distance-to-mean (MDM) classifier over per-class Riemannian means
 is included for evaluating adapted sets.
 
 ``adapt`` is a pure function of its inputs and config.  Concurrent pipeline
-runs share only the cost kernel's per-process thread pool (see
-:func:`spdot.manifold.sq_distance_matrix`).
+runs share only the per-process thread pool on which the geodesic cost
+kernel and the barycentric map run their row blocks (see
+:func:`spdot.manifold._each`).
 """
 
 import contextlib

@@ -11,8 +11,9 @@ shape ``(..., d, d)`` and operate on the trailing two axes.  Every function
 is pure and safe to call from multiple threads.  :func:`sq_distance_matrix`,
 :func:`sq_euclidean_matrix` and the Karcher map run in blocks of source rows
 under one budget, ``PAIR_BLOCK_DOUBLES``.  The one piece of shared state is
-a thread pool, built per process on first use, that runs the row blocks of
-:func:`sq_distance_matrix` in parallel (see :func:`_each`).
+a thread pool, built per process on first use, whose threads run the row
+blocks of :func:`sq_distance_matrix` and of the Karcher map beside the
+calling thread (see :func:`_each`).
 
 Eigendecomposition (``numpy.linalg.eigh``) is the single primitive behind all
 matrix functions; inputs are symmetric, so the eigensolver route is exact for
@@ -209,22 +210,43 @@ _POOL = (None, None)  # (pid, ThreadPoolExecutor): a forked child builds its own
 
 
 def _each(fn, *blocks):
-    """``list(map(fn, *blocks))``, run on this process's thread pool.
+    """``list(map(fn, *blocks))``, with this process's thread pool helping.
 
-    numpy's batched eigensolvers and ``matmul`` release the GIL, so the pool,
-    one thread per CPU this process may use, runs the calls in parallel.
-    Results come in order, and the first failing call's exception is raised.
+    numpy's batched eigensolvers and ``matmul`` release the GIL, so the
+    calling thread and up to ``cpus - 1`` pool threads, one per other CPU
+    this process may use, run the calls in parallel, each taking the next
+    block from one shared iterator.  Results come in order, and the first
+    failing call's exception is raised.  The caller then cancels helpers
+    that never started, so nested or concurrent calls cannot deadlock.
     With one CPU or one block this is a plain loop.
     """
     global _POOL
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    if cpus < 2 or len(blocks[0]) < 2:
-        return list(map(fn, *blocks))
+    args = list(zip(*blocks))
+    if cpus < 2 or len(args) < 2:
+        return [fn(*a) for a in args]
     if _POOL[0] != os.getpid():
         from concurrent.futures import ThreadPoolExecutor
-        _POOL = os.getpid(), ThreadPoolExecutor(cpus)
-    return list(_POOL[1].map(fn, *blocks))
+        _POOL = os.getpid(), ThreadPoolExecutor(cpus - 1)
+    out, errors = [None] * len(args), [None] * len(args)
+    todo = iter(range(len(args)))  # its ``next`` is atomic under the GIL
+
+    def work():
+        for i in todo:
+            try:
+                out[i] = fn(*args[i])
+            except Exception as exc:  # raised in the caller, lowest index first
+                errors[i] = exc
+
+    jobs = [_POOL[1].submit(work) for _ in range(min(cpus, len(args)) - 1)]
+    work()
+    for job in jobs:
+        job.cancel() or job.result()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return out
 
 
 def sq_distance_matrix(A, B=None):
@@ -235,11 +257,11 @@ def sq_distance_matrix(A, B=None):
     one batched eigendecomposition; the congruences and eigenvalues are then
     taken for blocks of ``max(1, PAIR_BLOCK_DOUBLES // (n2 d^2))`` source
     rows at a time, one batched eigensolve per block.  The blocks run on
-    the process's thread pool (:func:`_each`), so a call holds
-    O(max(PAIR_BLOCK_DOUBLES, n2 d^2)) working memory per CPU on top of its
-    ``(n1, n2)`` result rather than O(n1 n2 d^2).  The partition ignores
-    the CPU count, and so do the result's bits; ``taskset -c 0`` runs the
-    blocks serially.
+    the calling thread and the process's thread pool (:func:`_each`), so a
+    call holds O(max(PAIR_BLOCK_DOUBLES, n2 d^2)) working memory per block
+    in flight, one per CPU, on top of its ``(n1, n2)`` result rather than
+    O(n1 n2 d^2).  The partition ignores the CPU count, and so do the
+    result's bits; ``taskset -c 0`` runs the blocks serially.
 
     With ``B`` omitted, the self-distances of ``A`` are computed from their
     strict upper triangle (n(n-1)/2 eigensolves rather than n^2), mirrored,
@@ -437,12 +459,14 @@ def _karcher_means(points, weights):
     blocks that keep a (rows, support, d, d) array under the cost kernels'
     budget ``PAIR_BLOCK_DOUBLES``, each row over its positive-weight points
     padded with zero-weight ones.  Rows never interact, so the partition
-    only decides which rows share a batch.  A row carries a frame ``F`` with
+    only decides which rows share a batch; blocks write disjoint rows and
+    run on the thread pool (:func:`_each`).  A row carries a frame ``F`` with
     ``F F^T = X`` in place of ``X^{1/2}``: whitening is ``F^{-1} P F^{-T}``,
     the residual ``||F T F^T||_F`` and a step ``D = Q diag(e) Q^T`` moves
     ``F`` to ``F Q diag(exp(e/2))``.  By affine invariance the iterates and
     residuals are those of ``X^{1/2}``, with no eigensolve of ``X`` after
-    the first.  A failure names the lowest failing row.
+    the first.  A failure names the lowest failing row once all blocks
+    finish; an exception inside a block is the first failing block's.
     """
     support = weights > 0
     counts = support.sum(axis=1)
@@ -456,8 +480,8 @@ def _karcher_means(points, weights):
     low = np.full(len(w), np.inf)  # least positive-weight whitened eigenvalue
     rows = np.flatnonzero(counts > 1)
     block = max(1, PAIR_BLOCK_DOUBLES // (counts.max() * X[0].size))
-    for start in range(0, rows.size, block):
-        act = rows[start:start + block]  # rows of the block still iterating
+
+    def run(act):  # act: rows of the block still iterating
         k = counts[act].max()
         X[act] = sym(np.einsum("bk,bkij->bij", w[act, :k], points[idx[act, :k]]))
         lam, V = _eigh(X[act], EPS_PD, op="frechet_mean")
@@ -487,6 +511,8 @@ def _karcher_means(points, weights):
             Finv[act] = (Qt * np.exp(-0.5 * e)[:, :, None]) @ Finv[act]
             X[act] = sym(F[act] @ np.swapaxes(F[act], -1, -2))
             iterations[act] += 1
+
+    _each(run, [rows[s:s + block] for s in range(0, rows.size, block)])
     failed = np.flatnonzero((residuals > MEAN_TOL) | (low <= EPS_PD))
     if not failed.size:
         return X, iterations, residuals

@@ -6,6 +6,8 @@ inverse-scaling-and-squaring algorithms) and the mean reference through a
 general-purpose optimizer over Cholesky factors.
 """
 
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,6 +24,12 @@ SOLVER_MASS = [
     pytest.param({"solver": "sinkhorn-labels", "lam": 2.0, "eta": 0.1, "mass": "kde"},
                  id="labels-kde"),
 ]
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make the process look as if it may run on ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
 
 
 def make_spd(dim, count, seed, scale=1.0):

@@ -5,7 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import SOLVER_MASS, make_spd, random_invertible, reference_frechet_mean
+from conftest import (
+    SOLVER_MASS,
+    make_spd,
+    random_invertible,
+    reference_frechet_mean,
+    use_cpus,
+)
 from spdot import adaptation as ad
 from spdot import manifold as mf
 from spdot import transport as tp
@@ -260,9 +266,9 @@ class TestBarycentricMap:
         assert np.array_equal(out, tgt[perm])
         assert info == {"iterations": [0] * 4, "residuals": [0.0] * 4}
 
-    def test_dense_map_memory(self):
-        """A dense KDE plan's map stays within the pair block budget: its
-        traced peak at n=64, d=8 is about 1.3 MB, not 17 MB."""
+    @staticmethod
+    def dense_map_peak():
+        """Traced peak bytes of the map of a dense KDE plan at n=64, d=8."""
         src, tgt = make_spd(8, 64, seed=19, scale=0.5), make_spd(8, 64, seed=20, scale=0.5)
         cost = ad.build_cost(src, tgt)
         plan = tp.sinkhorn(cost, ad.kde_weights(src, "auto"), ad.kde_weights(tgt, "auto"),
@@ -271,10 +277,22 @@ class TestBarycentricMap:
         tracemalloc.start()
         try:
             ad.barycentric_map(src, tgt, plan)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
+
+    def test_dense_map_memory(self, monkeypatch):
+        """A dense KDE plan's map stays within the pair block budget: its
+        traced peak at n=64, d=8 on one CPU is about 1.3 MB, not 17 MB."""
+        use_cpus(monkeypatch, 1)
+        assert self.dense_map_peak() < 4 * 2**20
+
+    def test_pooled_dense_map_memory(self, monkeypatch):
+        """On four CPUs up to four row blocks are live at once, and the
+        traced peak (4.0-4.4 MB) grows by about 1 MB per concurrent block.
+        The bound is 2 MB per concurrent block."""
+        use_cpus(monkeypatch, 4)
+        assert self.dense_map_peak() < 4 * 2 * 2**20
 
     def test_rejects_bad_target_without_mass(self):
         # target 2 gets no mass (directly, or after top-k truncation) but

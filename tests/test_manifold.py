@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 import threading
@@ -17,6 +18,7 @@ from conftest import (
     random_invertible,
     reference_distance,
     reference_frechet_mean,
+    use_cpus,
 )
 from spdot import manifold as mf
 from spdot.errors import (
@@ -210,12 +212,6 @@ class TestDistance:
             assert sum(solved) == 7 * 6 // 2 and len(solved) == -(-6 // rows)
 
 
-def use_cpus(monkeypatch, cpus):
-    """Make the process look as if it may run on ``cpus`` CPUs."""
-    monkeypatch.setattr(mf.os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
-
-
 FORK_CHILD = """
 import os, sys, time
 sys.path.insert(0, sys.argv[1])
@@ -245,9 +241,42 @@ else:
     print("hung")
 """
 
+EACH_CHILD = """
+import os, sys, threading, time
+sys.path.insert(0, sys.argv[1])
+from spdot import manifold as mf
+
+os.sched_getaffinity = lambda pid: {0, 1, 2, 3}  # pooled even on a one-CPU host
+"""
+
+NESTED_CHILD = EACH_CHILD + """
+inner = lambda j: mf._each(lambda k: time.sleep(0.01) or 10 * j + k, range(3))
+print(mf._each(inner, range(4)))
+"""
+
+CONCURRENT_CHILD = EACH_CHILD + """
+sys.setswitchinterval(1e-6)
+calls, got = [], {}
+
+def block(t, i):
+    calls.append((t, i))
+    sum(j for j in range(50))  # bytecode, so the threads switch often
+    return t, i
+
+users = [threading.Thread(target=lambda t=t: got.update({t: mf._each(block, [t] * 64, range(64))}))
+         for t in range(4)]
+for user in users:
+    user.start()
+for user in users:
+    user.join()
+want = {t: [(t, i) for i in range(64)] for t in range(4)}
+# in order, and every block run exactly once
+print(got == want and sorted(calls) == sorted(sum(want.values(), [])))
+"""
+
 
 class TestThreadPool:
-    """``sq_distance_matrix``'s row blocks on the per-process thread pool."""
+    """``_each`` and ``sq_distance_matrix``'s row blocks on the per-process thread pool."""
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_same_bits_on_any_cpu_count(self, monkeypatch, cpus):
@@ -256,19 +285,27 @@ class TestThreadPool:
         B = make_spd(3, 5, seed=32)
         cross = TestDistance.per_row_sq_distances(A, B)
         upper = TestDistance.per_row_sq_distances(A)
-        threads = set()
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(
-            np.linalg, "eigvalsh", lambda M: threads.add(threading.get_ident()) or eigvalsh(M)
-        )
+        log_norms = mf._sq_log_norms
         for rows in (1, 2, 3, 7):
+            # one block, or one CPU: the calling thread solves every block;
+            # otherwise the first two blocks wait for each other, so two
+            # threads must run them at once
+            serial = cpus == 1 or rows == 7
             for args, want in (((A, B), cross), ((A,), upper)):
+                threads, calls = set(), itertools.count()
+                meet = threading.Barrier(2, timeout=10)
+
+                def block(M):
+                    threads.add(threading.get_ident())
+                    if not serial and next(calls) < 2:
+                        meet.wait()
+                    return log_norms(M)
+
+                monkeypatch.setattr(mf, "_sq_log_norms", block)
                 monkeypatch.setattr(mf, "PAIR_BLOCK_DOUBLES", rows * len(args[-1]) * 9)
-                threads.clear()
                 assert np.array_equal(mf.sq_distance_matrix(*args), want)
-                # one block, or one CPU: the calling thread solves every block
-                serial = cpus == 1 or rows == 7
-                assert (threads == {threading.get_ident()}) == serial
+                assert threading.get_ident() in threads
+                assert len(threads) == (1 if serial else 2)
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_first_failing_block_raises(self, monkeypatch, cpus):
@@ -288,15 +325,28 @@ class TestThreadPool:
         with pytest.raises(NumericalFailure, match="^block of 5 pairs$"):
             mf.sq_distance_matrix(make_spd(3, 7, seed=31))
 
-    def test_forked_child_builds_its_own_pool(self):
-        # a fresh interpreter: this one's threads must not be forked
+    @staticmethod
+    def run_child(script):
+        """Standard output of ``script`` in a fresh interpreter; a hang fails."""
         src = str(Path(mf.__file__).resolve().parents[1])
         proc = subprocess.run(
-            [sys.executable, "-c", FORK_CHILD, src],
+            [sys.executable, "-c", script, src],
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "exit 0"
+        return proc.stdout.strip()
+
+    def test_forked_child_builds_its_own_pool(self):
+        # a fresh interpreter: this one's threads must not be forked
+        assert self.run_child(FORK_CHILD) == "exit 0"
+
+    def test_nested_call_returns(self):
+        # every pool thread runs an outer block that waits on inner blocks
+        want = [[10 * j + k for k in range(3)] for j in range(4)]
+        assert self.run_child(NESTED_CHILD) == str(want)
+
+    def test_concurrent_callers_return(self):
+        assert self.run_child(CONCURRENT_CHILD) == "True"
 
 
 class TestSqEuclideanMatrix:
@@ -652,11 +702,18 @@ class TestKarcherMeans:
         dense = np.random.default_rng(75).random((3, 8))
         W = np.concatenate([mixed_weights(8, seed=74), dense / dense.sum(axis=1)[:, None]])
         full = [2, 6, 7, 8]  # rows with positive weight on every point
+        use_cpus(monkeypatch, 1)
         one = mf._karcher_means(pts, W)
         # 8 * 16 doubles per row: one row, then two and three rows per block
         for cap in (1, 2 * 8 * 16, 3 * 8 * 16):
             monkeypatch.setattr(mf, "PAIR_BLOCK_DOUBLES", cap)
+            use_cpus(monkeypatch, 1)
             means, iterations, residuals = mf._karcher_means(pts, W)
+            # the blocks on two threads: the same bits
+            use_cpus(monkeypatch, 2)
+            pooled = mf._karcher_means(pts, W)
+            for got, want in zip(pooled, (means, iterations, residuals)):
+                assert np.array_equal(got, want)
             assert np.array_equal(iterations, one[1])
             # a full row is never padded, so no partition moves its bits
             assert np.array_equal(means[full], one[0][full])
@@ -690,14 +747,43 @@ class TestKarcherMeans:
         pts = make_spd(3, 4, seed=58)
         W = np.array([[0.0, 1.0, 0.0, 0.0], [0.1, 0.2, 0.3, 0.4], [0.25] * 4])
         monkeypatch.setattr(mf, "MEAN_MAX_ITER", 1)
-        with pytest.raises(ConvergenceFailure, match="row 1") as err:
-            mf._karcher_means(pts, W)
+        # rows 1 and 2 fail in one block, then in one block each, serially
+        # and on two threads
+        for cap, cpus in ((mf.PAIR_BLOCK_DOUBLES, 1), (1, 1), (1, 2)):
+            monkeypatch.setattr(mf, "PAIR_BLOCK_DOUBLES", cap)
+            use_cpus(monkeypatch, cpus)
+            with pytest.raises(ConvergenceFailure, match="row 1") as err:
+                mf._karcher_means(pts, W)
         with pytest.raises(ConvergenceFailure) as single:
             mf.frechet_mean(pts, W[1])
         assert err.value.iterations == 1
         assert err.value.residual == pytest.approx(single.value.residual, rel=1e-12)
         assert mf.riemannian_distance(err.value.last, single.value.last) <= 1e-12
         assert f"{err.value.residual:.3e}" in str(err.value)
+
+    def test_first_failing_block_raises(self, monkeypatch):
+        # the start means of rows 0 and 1 have eigenvalues -1 and -2; with
+        # one row per block, block 0 waits until block 1 has failed
+        use_cpus(monkeypatch, 2)
+        pts = np.stack([np.diag([-1.0, 1.0])] * 2 + [np.diag([-2.0, 1.0])] * 2)
+        W = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]])
+        monkeypatch.setattr(mf, "PAIR_BLOCK_DOUBLES", 1)
+        later_failed, waited = threading.Event(), []
+        eigh = mf._eigh
+
+        def start_mean(M, floor=None, op=""):
+            if M[0, 0, 0] == -1.0:
+                waited.append(later_failed.wait(timeout=10))
+            try:
+                return eigh(M, floor, op)
+            except NotPositiveDefinite:
+                later_failed.set()
+                raise
+
+        monkeypatch.setattr(mf, "_eigh", start_mean)
+        with pytest.raises(NotPositiveDefinite, match="got -1.000e[+]00$"):
+            mf._karcher_means(pts, W)
+        assert waited == [True]
 
 
 class TestTangentCoordinates:
