@@ -52,10 +52,8 @@ class AdaptationConfig:
         ``None`` resolves to ``2 * median(cost)`` so the penalty is on the
         cost's own scale.
     mass : str
-        "uniform" or "kde" marginals.
-    kde_sigma : float or "auto"
-        Kernel bandwidth (sigma squared), finite and > 0; "auto" uses the
-        median pairwise squared distance within each set.
+        "uniform" or "kde" marginals; a KDE takes its bandwidth from each
+        set's own distances (see :func:`kde_weights`).
     top_k : int or None
         Keep only the k >= 1 largest entries of each plan row (renormalized)
         before the barycentric mean; ``None`` keeps dense rows.
@@ -71,7 +69,6 @@ class AdaptationConfig:
     lam: float | str = "auto"
     eta: float | None = None
     mass: str = "uniform"
-    kde_sigma: float | str = "auto"
     top_k: int | None = None
 
     def __post_init__(self):
@@ -79,12 +76,8 @@ class AdaptationConfig:
             raise InvalidInput(f"metric must be one of {METRICS}, got {self.metric!r}")
         if self.solver not in SOLVERS:
             raise InvalidInput(f"solver must be one of {SOLVERS}, got {self.solver!r}")
-        for name in ("lam", "kde_sigma"):
-            value = getattr(self, name)
-            if value != "auto" and not (_finite_real(value) and value > 0):
-                raise InvalidInput(
-                    f"{name} must be finite and > 0 or 'auto', got {value!r}"
-                )
+        if self.lam != "auto" and not (_finite_real(self.lam) and self.lam > 0):
+            raise InvalidInput(f"lam must be finite and > 0 or 'auto', got {self.lam!r}")
         if self.eta is not None and not (_finite_real(self.eta) and self.eta >= 0):
             raise InvalidInput(f"eta must be finite and >= 0 or None, got {self.eta!r}")
         if self.mass not in MASSES:
@@ -132,26 +125,18 @@ def _upper_median(d2):
     return med if med > 1e-18 else 1.0
 
 
-def kde_weights(points, sigma2):
+def kde_weights(points):
     """Kernel-density mass for a set of SPD matrices.
 
     ``w[i]`` is proportional to ``sum_j exp(-d(P_i, P_j)^2 / (2 sigma2))``,
     the self term included, normalized to sum to 1.  Outliers far from the
     bulk receive less than uniform mass, which damps their pull on the
-    transport plan.
-
-    ``sigma2`` is a finite float > 0 or ``"auto"``; ``"auto"`` takes the
-    :func:`median_sq_distance` of the set, read off the same self-distance
-    matrix the kernel sums, so the set's distances are computed once.
+    transport plan.  The bandwidth ``sigma2`` is the set's
+    :func:`median_sq_distance`, read off the same self-distance matrix the
+    kernel sums, so the set's distances are computed once.
     """
-    pts = manifold.check_stack(points, "kde_weights points")
-    auto = isinstance(sigma2, str) and sigma2 == "auto"
-    if not auto and not (_finite_real(sigma2) and sigma2 > 0):
-        raise InvalidInput(f"sigma2 must be finite and > 0 or 'auto', got {sigma2!r}")
-    d2 = manifold.sq_distance_matrix(pts)
-    if auto:
-        sigma2 = _upper_median(d2)
-    w = np.exp(-d2 / (2.0 * sigma2)).sum(axis=1)
+    d2 = manifold.sq_distance_matrix(manifold.check_stack(points, "kde_weights points"))
+    w = np.exp(-d2 / (2.0 * _upper_median(d2))).sum(axis=1)
     return w / w.sum()
 
 
@@ -191,6 +176,7 @@ def barycentric_map(source, target, plan, top_k=None):
         Only its length is used, to validate the plan shape.
     target : array-like, shape (n2, d, d)
     plan : TransportPlan
+        :class:`InvalidInput` if it is anything else.
     top_k : int or None
         Must be <= n2 when set.
 
@@ -212,6 +198,8 @@ def barycentric_map(source, target, plan, top_k=None):
         a row's mean fails as in :func:`spdot.manifold.frechet_mean`; the
         message names the lowest failing row.
     """
+    if not isinstance(plan, transport.TransportPlan):
+        raise InvalidInput(f"plan must be a TransportPlan, got {type(plan).__name__}")
     tgt = np.asarray(target, dtype=float)
     n1, n2 = len(source), tgt.shape[0]
     gamma = plan.matrix
@@ -314,8 +302,8 @@ def adapt(source, target, source_labels=None, config=None):
             p = transport.uniform_mass(src.shape[0])
             q = transport.uniform_mass(tgt.shape[0])
         else:
-            p = kde_weights(src, cfg.kde_sigma)
-            q = kde_weights(tgt, cfg.kde_sigma)
+            p = kde_weights(src)
+            q = kde_weights(tgt)
 
     with _stage("cost", stage_s):
         cost = build_cost(src, tgt, cfg.metric)

@@ -106,18 +106,13 @@ def _theta_grid(size, stop, endpoint=True):
     return np.linspace(0.0, stop, size, endpoint=endpoint)
 
 
-def _auto_or_float(kind):
-    def parse(value):
-        if value == "auto":
-            return "auto"
-        try:
-            return float(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"{kind} must be 'auto' or a number, got {value!r}"
-            )
-
-    return parse
+def _auto_or_float(value):
+    if value == "auto":
+        return value
+    try:
+        return float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"lambda must be 'auto' or a number, got {value!r}")
 
 
 def cmd_adapt(args):
@@ -252,10 +247,9 @@ def build_parser():
     p.add_argument("target", help="target dataset (kind 'spd')")
     p.add_argument("--metric", choices=METRICS)
     p.add_argument("--solver", choices=SOLVERS)
-    p.add_argument("--lambda", dest="lam", type=_auto_or_float("lambda"))
+    p.add_argument("--lambda", dest="lam", type=_auto_or_float)
     p.add_argument("--eta", type=float)
     p.add_argument("--mass", choices=MASSES)
-    p.add_argument("--kde-sigma", type=_auto_or_float("kde-sigma"))
     p.add_argument("--top-k", type=int)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_adapt)

@@ -11,14 +11,15 @@ shape ``(..., d, d)`` and operate on the trailing two axes.  Every function
 is pure and safe to call from multiple threads.  :func:`sq_distance_matrix`,
 :func:`sq_euclidean_matrix` and the Karcher map run in blocks of source rows
 under one budget, ``PAIR_BLOCK_DOUBLES``.  The one piece of shared state is
-a thread pool, built per process on first use, whose threads run the row
-blocks of :func:`sq_distance_matrix` and of the Karcher map beside the
+a thread pool, built per process when first needed, whose threads run the
+row blocks of :func:`sq_distance_matrix` and of the Karcher map beside the
 calling thread (see :func:`_each`).
 
 Eigendecomposition (``numpy.linalg.eigh``) is the single primitive behind all
 matrix functions; inputs are symmetric, so the eigensolver route is exact for
 this class.  Every matrix-valued result is explicitly re-symmetrized to kill
-floating-point asymmetry.
+floating-point asymmetry.  Every SPD floor is one check with one message,
+naming what it checked.
 """
 
 import os
@@ -81,6 +82,16 @@ def check_stack(A, name="stack", dim=None):
     return A
 
 
+def _above_floor(w, name):
+    """:class:`NotPositiveDefinite` naming ``name`` unless every eigenvalue in
+    ``w`` (ascending along the last axis) is above ``EPS_PD``."""
+    wmin = w[..., 0].min(initial=np.inf)
+    if wmin <= EPS_PD:
+        raise NotPositiveDefinite(
+            f"{name} has smallest eigenvalue {wmin:.3e} <= floor {EPS_PD:.1e}"
+        )
+
+
 def check_spd(P, name="matrix"):
     """Validate that ``P`` is symmetric with all eigenvalues above ``EPS_PD``.
 
@@ -88,38 +99,29 @@ def check_spd(P, name="matrix"):
     smallest eigenvalue is at or below the floor.
     """
     P = check_symmetric(P, name=name)
-    w = np.linalg.eigvalsh(P)
-    wmin = w[..., 0].min(initial=np.inf)
-    if wmin <= EPS_PD:
-        raise NotPositiveDefinite(
-            f"{name} has smallest eigenvalue {wmin:.3e} <= floor {EPS_PD:.1e}"
-        )
+    _above_floor(np.linalg.eigvalsh(P), name)
     return P
 
 
-def _eigh(M, floor=None, op="matrix function"):
+def _eigh(M, spd=None, op="matrix function"):
     """Eigendecomposition ``(w, V)`` of a symmetric matrix (batched).
 
-    Raises :class:`NumericalFailure` if the eigensolver fails and, with
-    ``floor`` set, :class:`NotPositiveDefinite` if an eigenvalue is at or
-    below it.  Eigenvalues come in ascending order.
+    Raises :class:`NumericalFailure` if the eigensolver fails and, when
+    ``spd`` names the input, :func:`check_spd`'s :class:`NotPositiveDefinite`
+    if an eigenvalue is at or below ``EPS_PD``.  Eigenvalues ascend.
     """
     try:
         w, V = np.linalg.eigh(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition failed in {op}: {exc}") from exc
-    if floor is not None:
-        wmin = w[..., 0].min(initial=np.inf)
-        if wmin <= floor:
-            raise NotPositiveDefinite(
-                f"{op} needs eigenvalues > {floor:.1e}, got {wmin:.3e}"
-            )
+    if spd is not None:
+        _above_floor(w, spd)
     return w, V
 
 
-def _eigh_fun(M, fn, floor=None, op="matrix function"):
+def _eigh_fun(M, fn, spd=None, op="matrix function"):
     """Apply a scalar map to the eigenvalues of a symmetric matrix (batched)."""
-    w, V = _eigh(M, floor, op)
+    w, V = _eigh(M, spd, op)
     return sym((V * fn(w)[..., None, :]) @ np.swapaxes(V, -1, -2))
 
 
@@ -129,15 +131,16 @@ def expm(A):
     return _eigh_fun(A, np.exp, op="expm")
 
 
-def invsqrtm(P):
-    """Inverse matrix square root of an SPD matrix (batched)."""
-    P = check_symmetric(P, name="invsqrtm input")
-    return _eigh_fun(P, lambda w: 1.0 / np.sqrt(w), floor=EPS_PD, op="invsqrtm")
+def invsqrtm(P, name="invsqrtm input"):
+    """Inverse matrix square root of an SPD matrix (batched); ``P`` is
+    checked as :func:`check_spd` checks it, and a failure names ``name``."""
+    P = check_symmetric(P, name=name)
+    return _eigh_fun(P, lambda w: 1.0 / np.sqrt(w), name, "invsqrtm")
 
 
-def _sqrt_invsqrt(P, op="sqrt/invsqrt"):
+def _sqrt_invsqrt(P, name="matrix", op="sqrt/invsqrt"):
     """Square root and inverse square root from a single eigendecomposition."""
-    w, V = _eigh(P, EPS_PD, op)
+    w, V = _eigh(P, name, op)
     s = np.sqrt(w)
     Vt = np.swapaxes(V, -1, -2)
     return sym((V * s[..., None, :]) @ Vt), sym((V * (1.0 / s)[..., None, :]) @ Vt)
@@ -149,8 +152,8 @@ def _whiten(P, X, op):
     ``P`` is checked: :class:`InvalidInput` if it is not symmetric,
     :class:`NotPositiveDefinite` if an eigenvalue is at or below ``EPS_PD``.
     """
-    P = check_symmetric(P, name=f"{op} base point")
-    S, Si = _sqrt_invsqrt(P, op=op)
+    name = f"{op} base point"
+    S, Si = _sqrt_invsqrt(check_symmetric(P, name=name), name, op)
     return S, sym(Si @ X @ Si)
 
 
@@ -215,18 +218,17 @@ def _each(fn, *blocks):
     numpy's batched eigensolvers and ``matmul`` release the GIL, so the
     calling thread and up to ``cpus - 1`` pool threads, one per other CPU
     this process may use, run the calls in parallel, each taking the next
-    block from one shared iterator.  Results come in order, and the first
-    failing call's exception is raised.  The caller then cancels helpers
-    that never started, so nested or concurrent calls cannot deadlock.
-    With one CPU or one block this is a plain loop.
+    block from one shared iterator.  Every call runs; results come in order,
+    and the first failing call's exception is raised.  The caller then
+    cancels helpers that never started, so nested or concurrent calls cannot
+    deadlock.  With one CPU or one block, the calling thread runs them all.
     """
     global _POOL
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     args = list(zip(*blocks))
-    if cpus < 2 or len(args) < 2:
-        return [fn(*a) for a in args]
-    if _POOL[0] != os.getpid():
+    helpers = min(cpus, len(args)) - 1
+    if helpers > 0 and _POOL[0] != os.getpid():
         from concurrent.futures import ThreadPoolExecutor
         _POOL = os.getpid(), ThreadPoolExecutor(cpus - 1)
     out, errors = [None] * len(args), [None] * len(args)
@@ -239,7 +241,7 @@ def _each(fn, *blocks):
             except Exception as exc:  # raised in the caller, lowest index first
                 errors[i] = exc
 
-    jobs = [_POOL[1].submit(work) for _ in range(min(cpus, len(args)) - 1)]
+    jobs = [_POOL[1].submit(work) for _ in range(helpers)]
     work()
     for job in jobs:
         job.cancel() or job.result()
@@ -283,7 +285,7 @@ def sq_distance_matrix(A, B=None):
     B = A if self_distances else check_stack(B, "second set", A.shape[2])
     if not self_distances:
         check_spd(A, name="first set")
-    W = invsqrtm(B)  # validates B
+    W = invsqrtm(B, "set" if self_distances else "second set")  # validates B
     n1, n2, d = A.shape[0], B.shape[0], A.shape[2]
     rows = max(1, PAIR_BLOCK_DOUBLES // (n2 * d * d))
     if not self_distances:
@@ -343,7 +345,7 @@ def paired_sq_distances(A, B):
             f"paired_sq_distances: shape mismatch, {A.shape} vs {B.shape}"
         )
     check_spd(A, name="first set")
-    W = invsqrtm(B)  # validates B
+    W = invsqrtm(B, "second set")  # validates B
     return _sq_log_norms(W @ A @ W)
 
 
@@ -359,7 +361,7 @@ def geodesic(P, Q, t):
     P, Q = _check_pair(P, Q, "geodesic")
     check_spd(Q, name="geodesic end")
     S, Y = _whiten(P, Q, "geodesic")
-    return sym(S @ _eigh_fun(Y, lambda w: w**t, EPS_PD, "powm") @ S)
+    return sym(S @ _eigh_fun(Y, lambda w: w**t, "powm input", "powm") @ S)
 
 
 def exp_map(P, A):
@@ -384,7 +386,7 @@ def log_map(P, Q):
     P, Q = _check_pair(P, Q, "log_map")
     check_spd(Q, name="log_map target")
     S, Y = _whiten(P, Q, "log_map")
-    return sym(S @ _eigh_fun(Y, np.log, EPS_PD, "logm") @ S)
+    return sym(S @ _eigh_fun(Y, np.log, "logm input", "logm") @ S)
 
 
 def _karcher_hessian(U, L, w):
@@ -484,7 +486,7 @@ def _karcher_means(points, weights):
     def run(act):  # act: rows of the block still iterating
         k = counts[act].max()
         X[act] = sym(np.einsum("bk,bkij->bij", w[act, :k], points[idx[act, :k]]))
-        lam, V = _eigh(X[act], EPS_PD, op="frechet_mean")
+        lam, V = _eigh(X[act], "Karcher start point", op="frechet_mean")
         F[act] = V * np.sqrt(lam)[:, None, :]
         Finv[act] = np.swapaxes(V / np.sqrt(lam)[:, None, :], -1, -2)
         for _ in range(MEAN_MAX_ITER):
@@ -601,4 +603,4 @@ def tangent_coordinates(points, base):
     pts = check_stack(points, "tangent_coordinates points", base.shape[0])
     check_spd(pts, name="tangent_coordinates points")
     _, Y = _whiten(base, pts, "tangent_coordinates")
-    return _eigh_fun(Y, np.log, EPS_PD, "logm")
+    return _eigh_fun(Y, np.log, "logm input", "logm")

@@ -38,7 +38,7 @@ class TestConfig:
             {"lam": "none"},
             {"eta": -0.1},
             {"mass": "weighted"},
-            {"kde_sigma": 0.0},
+            {"eta": "0.1"},
             {"top_k": 0},
             {"top_k": 2.5},
             {"top_k": "3"},
@@ -47,8 +47,6 @@ class TestConfig:
             {"lam": "0.5"},
             {"lam": True},
             {"eta": float("nan")},
-            {"eta": "0.1"},
-            {"kde_sigma": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -59,29 +57,27 @@ class TestConfig:
     def test_fields(self):
         # stopping tolerances are module constants of manifold and transport
         assert [f.name for f in dataclasses.fields(ad.AdaptationConfig)] == [
-            "metric", "solver", "lam", "eta", "mass", "kde_sigma", "top_k",
+            "metric", "solver", "lam", "eta", "mass", "top_k",
         ]
 
 
 class TestKdeWeights:
     def test_single_point(self):
         pts = make_spd(3, 1, seed=1)
-        np.testing.assert_array_equal(ad.kde_weights(pts, 1.0), [1.0])
+        np.testing.assert_array_equal(ad.kde_weights(pts), [1.0])
 
     def test_two_identical_points(self):
         P = make_spd(3, 1, seed=2)[0]
-        np.testing.assert_allclose(ad.kde_weights([P, P], 2.0), [0.5, 0.5])
+        np.testing.assert_allclose(ad.kde_weights([P, P]), [0.5, 0.5])
 
     def test_matches_direct_kernel_sum(self):
         pts = make_spd(3, 5, seed=3)
-        sigma2 = 1.7
-        w = ad.kde_weights(pts, sigma2)
-        raw = np.empty(5)
-        for i in range(5):
-            raw[i] = sum(
-                np.exp(-mf.riemannian_distance(pts[i], pts[j], squared=True) / (2 * sigma2))
-                for j in range(5)
-            )
+        d2 = np.array([[mf.riemannian_distance(P, Q, squared=True) for Q in pts]
+                       for P in pts])
+        # the bandwidth: the median of the 10 pairs i < j
+        sigma2 = np.median(d2[np.triu_indices(5, k=1)])
+        w = ad.kde_weights(pts)
+        raw = np.exp(-d2 / (2 * sigma2)).sum(axis=1)
         np.testing.assert_allclose(w, raw / raw.sum(), atol=1e-12)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -95,22 +91,17 @@ class TestKdeWeights:
         )
         far = mf.exp_map(base, np.diag([4.0, 4.0]))
         pts = np.concatenate([cluster, far[None]])
-        sigma2 = ad.median_sq_distance(cluster)
-        w = ad.kde_weights(pts, sigma2)
+        w = ad.kde_weights(pts)
         assert w[-1] < 1.0 / 6.0
         assert (w[:-1] > 1.0 / 6.0).all()
 
-    def test_sigma_validation(self):
-        for sigma2 in (0.0, "median"):
-            with pytest.raises(InvalidInput):
-                ad.kde_weights(make_spd(2, 2, seed=4), sigma2)
-
     def test_auto_sigma_is_median_sq_distance(self):
+        # bit for bit the kernel sum at the set's median_sq_distance
         for pts in (make_spd(3, 7, seed=5), make_spd(2, 1, seed=6)):
-            assert np.array_equal(
-                ad.kde_weights(pts, "auto"),
-                ad.kde_weights(pts, ad.median_sq_distance(pts)),
-            )
+            w = np.exp(
+                -mf.sq_distance_matrix(pts) / (2.0 * ad.median_sq_distance(pts))
+            ).sum(axis=1)
+            assert np.array_equal(ad.kde_weights(pts), w / w.sum())
 
 
 def _sym_basis_5():
@@ -132,7 +123,7 @@ LABELS_CONFIG = ad.AdaptationConfig(solver="sinkhorn-labels")
     "call",
     [
         lambda: mf.check_spd(EMPTY),
-        lambda: mf._eigh_fun(EMPTY, np.log, mf.EPS_PD, "logm"),
+        lambda: mf._eigh_fun(EMPTY, np.log, "logm input", "logm"),
         lambda: mf.expm(EMPTY),
         lambda: mf._sqrt_invsqrt(EMPTY)[0],
         lambda: mf.invsqrtm(EMPTY),
@@ -151,7 +142,7 @@ def test_empty_stack_elementwise_returns_empty(call):
         lambda: mf.sq_distance_matrix(make_spd(2, 2, seed=1), EMPTY),
         lambda: mf.frechet_mean(EMPTY),
         lambda: mf.tangent_coordinates(EMPTY, np.eye(2)),
-        lambda: ad.kde_weights(EMPTY, "auto"),
+        lambda: ad.kde_weights(EMPTY),
         lambda: ad.mdm_fit(EMPTY, []),
         lambda: ad.adapt(EMPTY, make_spd(2, 2, seed=1)),
         lambda: ad.adapt(make_spd(2, 2, seed=1), EMPTY),
@@ -175,15 +166,14 @@ def test_empty_stack_set_level_raises(call):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda v: ad.kde_weights(make_spd(2, 3, seed=2), v),
         lambda v: tp.sinkhorn(np.ones((2, 2)), lam=v),
         lambda v: tp.sinkhorn_with_labels(np.ones((2, 2)), labels=[0, 1], lam=v),
         lambda v: tp.sinkhorn_with_labels(np.ones((2, 2)), labels=[0, 1], lam=1.0, eta=v),
     ],
-    ids=["kde_sigma2", "sinkhorn_lam", "labels_lam", "labels_eta"],
+    ids=["sinkhorn_lam", "labels_lam", "labels_eta"],
 )
 def test_numbers_must_be_finite_and_positive(call, value):
-    # the same rule AdaptationConfig applies to lam, eta and kde_sigma
+    # the same rule AdaptationConfig applies to lam and eta
     with pytest.raises(InvalidInput) as err:
         call(value)
     assert type(err.value) is InvalidInput
@@ -271,7 +261,7 @@ class TestBarycentricMap:
         """Traced peak bytes of the map of a dense KDE plan at n=64, d=8."""
         src, tgt = make_spd(8, 64, seed=19, scale=0.5), make_spd(8, 64, seed=20, scale=0.5)
         cost = ad.build_cost(src, tgt)
-        plan = tp.sinkhorn(cost, ad.kde_weights(src, "auto"), ad.kde_weights(tgt, "auto"),
+        plan = tp.sinkhorn(cost, ad.kde_weights(src), ad.kde_weights(tgt),
                            tp.adaptive_lambda(cost))
         assert (plan.matrix > 0).all()
         tracemalloc.start()
@@ -310,12 +300,15 @@ class TestBarycentricMap:
 
     def test_negative_plan_entry_rejected(self):
         # so are non-finite entries: an inf one would map its row to that
-        # target, a NaN one would pass for a row without mass
+        # target, a NaN one would pass for a row without mass; and a bare
+        # array is not a plan
         tgt = make_spd(2, 2, seed=19)
-        for bad in (-0.1, np.inf, np.nan):
-            plan = tp.TransportPlan(np.array([[0.6, bad], [0.0, 0.5]]), None, None)
-            with pytest.raises(InvalidInput, match="negative|non-finite"):
+        plans = [tp.TransportPlan(np.array([[0.6, bad], [0.0, 0.5]]), None, None)
+                 for bad in (-0.1, np.inf, np.nan)] + [np.full((2, 2), 0.25)]
+        for plan in plans:
+            with pytest.raises(InvalidInput, match="negative|non-finite|TransportPlan") as err:
                 ad.barycentric_map(make_spd(2, 2, seed=20), tgt, plan)
+            assert type(err.value) is InvalidInput
 
     def test_duplicate_targets(self):
         Q = make_spd(2, 1, seed=19)[0]
@@ -576,6 +569,22 @@ class TestAdaptPipeline:
         res = ad.adapt(src, tgt, config=cfg)
         assert res.plan.source_marginal.shape == (6,)
         assert np.abs(res.plan.source_marginal - 1 / 6).max() > 1e-6
+
+    @pytest.mark.parametrize("mass, step, name", [
+        ("uniform", "cost", "second set"), ("kde", "mass", "set"),
+    ], ids=["uniform", "kde"])
+    def test_non_spd_target_names_the_set(self, mass, step, name):
+        # uniform mass meets the target first in the cost, KDE mass in its
+        # self-distances; either way the one SPD-floor message names the set
+        tgt = make_spd(2, 4, seed=46)
+        tgt[2] = np.diag([-0.5, 1.0])
+        cfg = ad.AdaptationConfig(mass=mass)
+        with pytest.raises(NotPositiveDefinite) as err:
+            ad.adapt(make_spd(2, 5, seed=45), tgt, config=cfg)
+        assert str(err.value) == (
+            f"[step: {step}] {name} has smallest eigenvalue -5.000e-01 <= floor 1.0e-10"
+        )
+        assert err.value.pipeline_step == step
 
     def test_kde_with_exact_solver_unsupported(self):
         src = make_spd(2, 5, seed=45)

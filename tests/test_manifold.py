@@ -325,6 +325,22 @@ class TestThreadPool:
         with pytest.raises(NumericalFailure, match="^block of 5 pairs$"):
             mf.sq_distance_matrix(make_spd(3, 7, seed=31))
 
+    def test_one_cpu_runs_every_block(self, monkeypatch):
+        # the serial path is the pooled one: a failure stops no later block,
+        # and the lowest-index exception is raised
+        use_cpus(monkeypatch, 1)
+        ran = []
+
+        def block(k):
+            ran.append(k)
+            if k:
+                raise NumericalFailure(f"block {k}")
+            return k
+
+        with pytest.raises(NumericalFailure, match="^block 1$"):
+            mf._each(block, range(3))
+        assert ran == [0, 1, 2]
+
     @staticmethod
     def run_child(script):
         """Standard output of ``script`` in a fresh interpreter; a hang fails."""
@@ -781,7 +797,7 @@ class TestKarcherMeans:
                 raise
 
         monkeypatch.setattr(mf, "_eigh", start_mean)
-        with pytest.raises(NotPositiveDefinite, match="got -1.000e[+]00$"):
+        with pytest.raises(NotPositiveDefinite, match="smallest eigenvalue -1.000e[+]00 <="):
             mf._karcher_means(pts, W)
         assert waited == [True]
 
