@@ -38,7 +38,7 @@ class TestConfig:
             {"lam": "none"},
             {"eta": -0.1},
             {"mass": "weighted"},
-            {"eta": "0.1"},
+            {"eta": float("inf")},
             {"top_k": 0},
             {"top_k": 2.5},
             {"top_k": "3"},
@@ -47,6 +47,7 @@ class TestConfig:
             {"lam": "0.5"},
             {"lam": True},
             {"eta": float("nan")},
+            {"eta": "0.1"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
