@@ -2,7 +2,7 @@
 
 The pipeline maps a source set onto the domain of a target set in four
 steps: assign mass to each point (uniform or kernel-density weights), build
-the pairwise cost under the chosen metric, solve for a transport plan, then
+the pairwise squared geodesic cost, solve for a transport plan, then
 send every source point to the plan-weighted Riemannian mean of the targets
 (the barycentric projection).  On the SPD cone that weighted mean is unique,
 so the resulting map is well defined.
@@ -28,7 +28,6 @@ from . import manifold, transport
 from .errors import InvalidInput, SpdotError
 from .transport import _finite_real
 
-METRICS = ("riemannian", "euclidean")
 SOLVERS = ("exact", "sinkhorn", "sinkhorn-labels")
 MASSES = ("uniform", "kde")
 
@@ -40,8 +39,8 @@ class AdaptationConfig:
     Attributes
     ----------
     metric : str
-        "riemannian" (geodesic distance squared) or "euclidean" (squared
-        Frobenius distance) for the transport cost.
+        Only "riemannian": the transport cost is the squared geodesic
+        distance.  The field stays while callers still pass it.
     solver : str
         "exact", "sinkhorn", or "sinkhorn-labels".
     lam : float or "auto"
@@ -72,8 +71,8 @@ class AdaptationConfig:
     top_k: int | None = None
 
     def __post_init__(self):
-        if self.metric not in METRICS:
-            raise InvalidInput(f"metric must be one of {METRICS}, got {self.metric!r}")
+        if self.metric != "riemannian":
+            raise InvalidInput(f"metric must be 'riemannian', got {self.metric!r}")
         if self.solver not in SOLVERS:
             raise InvalidInput(f"solver must be one of {SOLVERS}, got {self.solver!r}")
         if self.lam != "auto" and not (_finite_real(self.lam) and self.lam > 0):
@@ -140,23 +139,14 @@ def kde_weights(points):
     return w / w.sum()
 
 
-def build_cost(source, target, metric="riemannian"):
-    """Pairwise transport cost between two SPD sets under the chosen metric.
+def build_cost(source, target):
+    """Pairwise transport cost between two SPD sets: squared geodesic distance.
 
-    Riemannian: squared geodesic distance.  Euclidean: squared Frobenius
-    distance.  Both are zero exactly on identical pairs.
+    Zero, up to rounding, on identical pairs.
     """
-    if metric not in METRICS:
-        raise InvalidInput(f"metric must be one of {METRICS}, got {metric!r}")
     src = manifold.check_stack(source, "source set")
     tgt = manifold.check_stack(target, "target set", src.shape[2])
-    if metric == "riemannian":
-        values = manifold.sq_distance_matrix(src, tgt)
-    else:
-        manifold.check_spd(src, name="source set")
-        manifold.check_spd(tgt, name="target set")
-        values = manifold.sq_euclidean_matrix(src, tgt)
-    return transport.CostMatrix(values)
+    return transport.CostMatrix(manifold.sq_distance_matrix(src, tgt))
 
 
 def barycentric_map(source, target, plan, top_k=None):
@@ -306,7 +296,7 @@ def adapt(source, target, source_labels=None, config=None):
             q = kde_weights(tgt)
 
     with _stage("cost", stage_s):
-        cost = build_cost(src, tgt, cfg.metric)
+        cost = build_cost(src, tgt)
 
     lambda_used = eta_used = lambda_median_cost = kernel_log10_range = None
     with _stage("plan", stage_s):

@@ -2,15 +2,18 @@
 
 Subcommands::
 
-    spdot adapt SOURCE TARGET --out DIR [--metric ...] [--solver ...] ...
+    spdot adapt SOURCE TARGET --out DIR [--solver ...] [--mass ...] ...
     spdot toy-a   --out DIR [--n 50] [--grid 64] [--seed 0]
     spdot toy-b   --out DIR [--n 20] [--grid 256] [--theta-star 1.0] [--seed 0]
     spdot cosine  --out DIR [--n 40] [--channels 5] [--samples 101] [--ts 0.01] [--seed 0]
     spdot covariance TIMESERIES --out DIR
 
-Exit codes: 0 success; 2 an input was rejected (a bad file or flag, or an
+Exit codes: 0 success; 2 an input was rejected (a bad file or flag, an
 argument a library call checks before computing, such as ``--n 0`` or
-``--grid 0``); 3 a computation failed (``adapt`` names the pipeline step).
+``--grid 0``, or an ``--out`` that cannot be a directory); 3 a computation
+failed (``adapt`` names the pipeline step).  ``adapt``'s transport cost is
+the squared geodesic distance; the Euclidean costs are compared by
+``cosine``.
 One rule in :func:`main` decides: an :class:`InvalidInput` that names no
 pipeline step exits 2, and every other :class:`SpdotError` exits 3.
 A command creates its ``--out`` directory only after its computation
@@ -34,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, datasets, experiments, transport
-from .adaptation import MASSES, METRICS, SOLVERS, AdaptationConfig, adapt
+from .adaptation import MASSES, SOLVERS, AdaptationConfig, adapt
 from .errors import InvalidInput, SpdotError
 
 EXIT_OK = 0
@@ -63,17 +66,20 @@ def _run(args, compute, write, config=None, inputs=()):
     """Finish a command: time its computation, then write ``--out``.
 
     ``compute()`` alone is timed, as ``timings.total_s``.  Only once it has
-    returned is ``--out`` created and ``write(out, result)`` called; that
-    writes the data files and returns the report body, whose ``"timings"``
-    entry, if any, joins ``total_s``.  ``report.json`` echoes ``config``
-    (by default every parsed flag but ``--out``) and the digests of
-    ``inputs``.
+    returned is ``--out`` created (:class:`InvalidInput` if it cannot be)
+    and ``write(out, result)`` called; that writes the data files and
+    returns the report body, whose ``"timings"`` entry, if any, joins
+    ``total_s``.  ``report.json`` echoes ``config`` (by default every
+    parsed flag but ``--out``) and the digests of ``inputs``.
     """
     start = time.perf_counter()
     result = compute()
     elapsed = time.perf_counter() - start
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, or a file on the path
+        raise InvalidInput(f"--out {out}: {exc.strerror}") from exc
     body = write(out, result)
     if config is None:
         config = {k: v for k, v in vars(args).items()
@@ -121,7 +127,7 @@ def cmd_adapt(args):
     for path, ds in ((args.source, source), (args.target, target)):
         if not isinstance(ds, datasets.SpdDataset):
             raise InvalidInput(f"{path}: expected an 'spd' dataset")
-    # every config field is the flag of the same name
+    # each option but --out sets the config field of its name; metric has no flag
     fields = {f.name for f in dataclasses.fields(AdaptationConfig)}
     config = AdaptationConfig(**{k: v for k, v in vars(args).items() if k in fields})
     labels = source.labels if config.solver == "sinkhorn-labels" else None
@@ -245,7 +251,6 @@ def build_parser():
     )
     p.add_argument("source", help="source dataset (kind 'spd')")
     p.add_argument("target", help="target dataset (kind 'spd')")
-    p.add_argument("--metric", choices=METRICS)
     p.add_argument("--solver", choices=SOLVERS)
     p.add_argument("--lambda", dest="lam", type=_auto_or_float)
     p.add_argument("--eta", type=float)

@@ -144,10 +144,6 @@ def _match_report(plan, cost, recovery=float("nan")):
     )
 
 
-def _exact_config():
-    return AdaptationConfig(metric="riemannian", solver="exact", mass="uniform")
-
-
 def _angles(theta_grid, default):
     """``theta_grid`` (``default`` when ``None``) as a nonempty 1-D float array."""
     grid = default if theta_grid is None else np.asarray(theta_grid, dtype=float)
@@ -172,7 +168,7 @@ def toy_a_sweep(n=50, theta_grid=None, seed=0):
     results = []
     for theta in grid:
         target = apply_congruence(CongruenceMap(DEFAULT_T, theta), source)
-        res = adapt(source, target, config=_exact_config())
+        res = adapt(source, target, config=AdaptationConfig(solver="exact"))
         recovery = recovery_error(res.adapted_source, target)
         results.append((float(theta), _match_report(res.plan, res.cost, recovery)))
     return results

@@ -48,12 +48,14 @@ class TestConfig:
             {"lam": True},
             {"eta": float("nan")},
             {"eta": "0.1"},
+            {"metric": "euclidean"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidInput) as err:
             ad.AdaptationConfig(**kwargs)
         assert type(err.value) is InvalidInput
+        assert err.value.pipeline_step is None
 
     def test_fields(self):
         # stopping tolerances are module constants of manifold and transport
@@ -202,42 +204,29 @@ class TestMedianSqDistance:
 class TestBuildCost:
     def test_single_identical_pair(self):
         P = make_spd(3, 1, seed=8)
-        cost = ad.build_cost(P, P, "riemannian")
+        cost = ad.build_cost(P, P)
         assert cost.values.shape == (1, 1)
         assert cost.values[0, 0] <= 1e-12
         assert np.array_equal(cost.values, mf.sq_distance_matrix(P, P))
 
     def test_zero_iff_equal(self):
         pts = make_spd(2, 3, seed=9)
-        for metric in ("riemannian", "euclidean"):
-            C = ad.build_cost(pts, pts, metric).values
-            assert (np.diag(C) <= 1e-12).all()
-            off = C[~np.eye(3, dtype=bool)]
-            assert (off > 1e-6).all()
+        C = ad.build_cost(pts, pts).values
+        assert (np.diag(C) <= 1e-12).all()
+        off = C[~np.eye(3, dtype=bool)]
+        assert (off > 1e-6).all()
 
     def test_riemannian_congruence_invariance(self):
         src = make_spd(3, 4, seed=10)
         tgt = make_spd(3, 5, seed=11)
         A = random_invertible(3, seed=12)
-        C0 = ad.build_cost(src, tgt, "riemannian").values
-        C1 = ad.build_cost(
-            mf.sym(A @ src @ A.T), mf.sym(A @ tgt @ A.T), "riemannian"
-        ).values
+        C0 = ad.build_cost(src, tgt).values
+        C1 = ad.build_cost(mf.sym(A @ src @ A.T), mf.sym(A @ tgt @ A.T)).values
         assert np.abs(C1 - C0).max() <= 1e-8 * C0.max()
-
-    def test_euclidean_is_squared_frobenius(self):
-        src = make_spd(2, 2, seed=13)
-        tgt = make_spd(2, 3, seed=14)
-        C = ad.build_cost(src, tgt, "euclidean").values
-        for i in range(2):
-            for j in range(3):
-                assert C[i, j] == pytest.approx(
-                    np.linalg.norm(src[i] - tgt[j]) ** 2
-                )
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInput):
-            ad.build_cost(make_spd(2, 2, seed=15), make_spd(3, 2, seed=16), "riemannian")
+            ad.build_cost(make_spd(2, 2, seed=15), make_spd(3, 2, seed=16))
 
 
 class TestBarycentricMap:
@@ -443,17 +432,6 @@ class TestAdaptPipeline:
         cols = d2.argmin(axis=1)
         assert sorted(cols) == list(range(8))
 
-    def test_euclidean_metric_full_pipeline(self):
-        # the euclidean option changes only the cost; mapping still uses the
-        # Riemannian weighted mean, so outputs stay SPD
-        src = make_spd(3, 6, seed=62)
-        tgt = make_spd(3, 6, seed=63)
-        res = ad.adapt(src, tgt, config=exact_config(metric="euclidean"))
-        assert np.array_equal(res.cost.values, mf.sq_euclidean_matrix(src, tgt))
-        mf.check_spd(res.adapted_source)
-        d2 = mf.sq_distance_matrix(res.adapted_source, tgt)
-        assert (d2.min(axis=1) <= 1e-12).all()
-
     def test_sinkhorn_auto_lambda(self):
         src = make_spd(3, 6, seed=36)
         tgt = make_spd(3, 6, seed=37)
@@ -596,12 +574,12 @@ class TestAdaptPipeline:
         assert err.value.pipeline_step == "plan"
 
     def test_zero_cost_lambda_auto_tagged(self):
-        # euclidean self-cost is exactly zero, so the auto lambda rule has
-        # no scale to work with
-        src = make_spd(3, 1, seed=47)
-        cfg = ad.AdaptationConfig(solver="sinkhorn", metric="euclidean")
-        with pytest.raises(InvalidInput) as err:
-            ad.adapt(src, src, config=cfg)
+        # the geodesic cost between two identities is exactly zero, so the
+        # auto lambda rule has no scale to work with
+        eye = np.eye(3)[None]
+        cfg = ad.AdaptationConfig(solver="sinkhorn")
+        with pytest.raises(InvalidInput, match=r"^\[step: plan\] .*median is zero") as err:
+            ad.adapt(eye, eye, config=cfg)
         assert err.value.pipeline_step == "plan"
 
     def test_marginal_failure_tagged(self, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import SOLVER_MASS, make_spd
 from spdot import cli, datasets, experiments, transport
-from spdot.adaptation import MASSES, METRICS, SOLVERS, AdaptationConfig, adapt
+from spdot.adaptation import MASSES, SOLVERS, AdaptationConfig, adapt
 from spdot.cli import build_parser, main
 from spdot.errors import ConvergenceFailure, InvalidInput, NumericalFailure, SpdotError
 
@@ -73,8 +73,7 @@ class TestAdaptCommand:
                      "--out", str(out)]) == 0
         report = read_report(out / "report.json")
         from spdot import adaptation as ad
-        cost = ad.build_cost(make_spd(5, 5, seed=2), make_spd(5, 5, seed=3),
-                             "riemannian").values
+        cost = ad.build_cost(make_spd(5, 5, seed=2), make_spd(5, 5, seed=3)).values
         m = 0.05 * np.median(cost)
         assert report["lambda_used"] == pytest.approx(1.0 / (2.0 * m * m))
         plan_report = report["diagnostics"]["plan"]
@@ -259,15 +258,19 @@ class TestAdaptCommand:
         assert not (tmp_path / "o").exists()
 
     def test_solver_failure_exits_3_with_step(self, tmp_path, capsys):
-        # single identical pair + euclidean metric: zero cost, auto lambda
-        # has no scale
-        P = make_spd(3, 1, seed=11)
-        src = write_spd(tmp_path / "s.json", P)
-        code = main(["adapt", src, src, "--solver", "sinkhorn",
-                     "--metric", "euclidean", "--out", str(tmp_path / "o")])
+        # a pair of identities: zero cost, so the auto lambda has no scale
+        src = write_spd(tmp_path / "s.json", np.eye(3)[None])
+        code = main(["adapt", src, src, "--solver", "sinkhorn", "--out", str(tmp_path / "o")])
         assert code == 3
-        assert "[step: plan]" in capsys.readouterr().err
+        assert "[step: plan] adaptive_lambda: cost median is zero" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("metric", ["euclidean", "riemannian"])
+    def test_metric_flag_is_gone(self, tmp_path, metric):
+        src = write_spd(tmp_path / "s.json", make_spd(2, 3, seed=11))
+        out = tmp_path / "o"
+        assert main(["adapt", src, src, "--metric", metric, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_exact_solver_with_kde_exits_3_with_step(self, tmp_path, capsys):
         # the exact solver takes only uniform marginals: the plan stage fails
@@ -474,7 +477,21 @@ class TestCosineAndCovariance:
         src = write_spd(tmp_path / "s.json", make_spd(2, 2, seed=6))
         assert main(["covariance", src, "--out", str(tmp_path / "o")]) == 2
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+    def test_unusable_out_exits_2(self, tmp_path, capsys, sub):
+        # an --out that is, or runs through, an existing file: one error line
+        ts = tmp_path / "ts.json"
+        datasets.save_timeseries_dataset(
+            ts, np.random.default_rng(22).standard_normal((2, 2, 5))
+        )
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        assert main(["covariance", str(ts), "--out", str(afile / sub)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {afile / sub}: ") and err.count("\n") == 1
+        assert afile.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("bad",[float("nan"), float("inf"), float("-inf")])
     def test_non_finite_trial_exits_2(self, tmp_path, capsys, bad):
         payload = {"kind": "timeseries", "channels": 2, "samples": 3,
                    "trials": [[1, 2, 3, 4, 5, 7], [1, 2, 3, 4, bad, 7]]}
@@ -677,5 +694,5 @@ class TestExitCodes:
     def test_adapt_choices_come_from_the_config(self, capsys):
         assert main(["adapt", "--help"]) == 0
         usage = capsys.readouterr().out
-        for choices in (METRICS, SOLVERS, MASSES):
+        for choices in (SOLVERS, MASSES):
             assert "{" + ",".join(choices) + "}" in usage
