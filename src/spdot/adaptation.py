@@ -175,8 +175,12 @@ def barycentric_map(source, target, plan, top_k=None):
     adapted : ndarray, shape (n1, d, d)
     info : dict
         ``iterations``, the Riemannian Newton steps each row's mean took,
-        and ``residuals``, the norm of each row's last Riemannian gradient;
-        lists with one entry per row, both 0 for a one-hot row.
+        and ``residuals``, an upper bound on the norm of each row's
+        Riemannian gradient at its mean, either measured by a last pass or
+        certified from the last Newton step; lists with one entry per row,
+        both 0 for a one-hot row.  ``certified_rows`` counts the rows whose
+        bound was certified, which skipped that pass
+        (:func:`spdot.manifold._karcher_means` proves the bound).
 
     Raises
     ------
@@ -214,8 +218,14 @@ def barycentric_map(source, target, plan, top_k=None):
         np.put_along_axis(rows, drop, 0.0, axis=1)
         totals = rows.sum(axis=1)
     manifold.check_spd(tgt, name="target set")
-    adapted, iterations, residuals = manifold._karcher_means(tgt, rows / totals[:, None])
-    return adapted, {"iterations": iterations.tolist(), "residuals": residuals.tolist()}
+    adapted, iterations, residuals, certified = manifold._karcher_means(
+        tgt, rows / totals[:, None]
+    )
+    return adapted, {
+        "iterations": iterations.tolist(),
+        "residuals": residuals.tolist(),
+        "certified_rows": int(certified.sum()),
+    }
 
 
 @contextlib.contextmanager
@@ -351,7 +361,7 @@ def mdm_fit(train, labels):
     pts = manifold.check_stack(train, "mdm_fit points")
     Y = transport._class_indicator(labels, pts.shape[0])
     manifold.check_spd(pts, name="mdm_fit points")
-    means, _, _ = manifold._karcher_means(pts, Y.T / Y.sum(axis=0)[:, None])
+    means = manifold._karcher_means(pts, Y.T / Y.sum(axis=0)[:, None])[0]
     return dict(zip(np.unique(labels).tolist(), means))
 
 

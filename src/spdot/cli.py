@@ -65,6 +65,8 @@ def _write_csv(path, rows, header=None):
 def _run(args, compute, write, config=None, inputs=()):
     """Finish a command: time its computation, then write ``--out``.
 
+    An ``--out`` that is, or runs through, an existing non-directory is
+    rejected (:class:`InvalidInput`) before ``compute()`` runs.
     ``compute()`` alone is timed, as ``timings.total_s``.  Only once it has
     returned is ``--out`` created (:class:`InvalidInput` if it cannot be)
     and ``write(out, result)`` called; that writes the data files and
@@ -72,13 +74,16 @@ def _run(args, compute, write, config=None, inputs=()):
     ``total_s``.  ``report.json`` echoes ``config`` (by default every
     parsed flag but ``--out``) and the digests of ``inputs``.
     """
+    out = Path(args.out)
+    for path in (out, *out.parents):
+        if path.exists() and not path.is_dir():
+            raise InvalidInput(f"--out {out}: {path} is not a directory")
     start = time.perf_counter()
     result = compute()
     elapsed = time.perf_counter() - start
-    out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # an existing file, or a file on the path
+    except OSError as exc:  # no permission, or a file made since the check
         raise InvalidInput(f"--out {out}: {exc.strerror}") from exc
     body = write(out, result)
     if config is None:

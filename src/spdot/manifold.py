@@ -389,6 +389,14 @@ def log_map(P, Q):
     return sym(S @ _eigh_fun(Y, np.log, "logm input", "logm") @ S)
 
 
+def _coth_kernel(x):
+    """``h(x) = (x/2) / tanh(x/2)`` elementwise, with ``h(0) = 1``."""
+    half = 0.5 * x
+    out = np.ones_like(half)
+    np.divide(half, np.tanh(half), out=out, where=half != 0)
+    return out
+
+
 def _karcher_hessian(U, L, w):
     """Whitened Riemannian Hessian of ``f(X) = 1/2 sum_j w_j d(X, P_j)^2``.
 
@@ -404,10 +412,7 @@ def _karcher_hessian(U, L, w):
     ``L (..., n, d)``, ``w (..., n)`` and ``D`` index independent problems.
     """
     *batch, n, d = L.shape
-    half = 0.5 * (L[..., :, None] - L[..., None, :])
-    K = np.ones_like(half)
-    np.divide(half, np.tanh(half), out=K, where=half != 0)
-    WK = w[..., None, None] * K
+    WK = w[..., None, None] * _coth_kernel(L[..., :, None] - L[..., None, :])
     Ut = np.ascontiguousarray(np.swapaxes(U, -1, -2))
     # [U_1 ... U_n] side by side, so the outer products and the sum over j
     # are one (d, nd) @ (nd, d) product each
@@ -456,19 +461,74 @@ def _newton_direction(hess, T):
 def _karcher_means(points, weights):
     """:func:`frechet_mean` of validated ``points`` for each row of ``weights``.
 
-    Returns ``(means, iterations, residuals)``.  A row with one positive
-    weight returns that point bit for bit.  The others iterate together, in
-    blocks that keep a (rows, support, d, d) array under the cost kernels'
-    budget ``PAIR_BLOCK_DOUBLES``, each row over its positive-weight points
-    padded with zero-weight ones.  Rows never interact, so the partition
-    only decides which rows share a batch; blocks write disjoint rows and
-    run on the thread pool (:func:`_each`).  A row carries a frame ``F`` with
-    ``F F^T = X`` in place of ``X^{1/2}``: whitening is ``F^{-1} P F^{-T}``,
-    the residual ``||F T F^T||_F`` and a step ``D = Q diag(e) Q^T`` moves
-    ``F`` to ``F Q diag(exp(e/2))``.  By affine invariance the iterates and
-    residuals are those of ``X^{1/2}``, with no eigensolve of ``X`` after
-    the first.  A failure names the lowest failing row once all blocks
-    finish; an exception inside a block is the first failing block's.
+    Returns ``(means, iterations, residuals, certified)``.  A row with one
+    positive weight returns that point bit for bit.  The others iterate
+    together, in blocks that keep a (rows, support, d, d) array under the
+    cost kernels' budget ``PAIR_BLOCK_DOUBLES``, each row over its
+    positive-weight points padded with zero-weight ones.  Rows never
+    interact, so the partition only decides which rows share a batch;
+    blocks write disjoint rows and run on the thread pool (:func:`_each`).
+    A row carries a frame ``F`` with ``F F^T = X`` in place of ``X^{1/2}``:
+    whitening is ``F^{-1} P F^{-T}``, the residual ``||F T F^T||_F`` and a
+    step ``D = Q diag(e) Q^T`` moves ``F`` to ``F Q diag(exp(e/2))``.  By
+    affine invariance the iterates and residuals are those of ``X^{1/2}``,
+    with no eigensolve of ``X`` after the first.  A failure names the lowest
+    failing row once all blocks finish; an exception inside a block is the
+    first failing block's.
+
+    ``residuals[i]`` bounds the residual at the returned mean from above:
+    measured by a whitened pass there, or, where ``certified[i]``, proven
+    after the last step, which then skips the pass that would only confirm
+    the stop.  For the pass's whitened points ``A_j = U_j diag(exp(L_j))
+    U_j^T``, gradient ``T``, step ``D`` and the step's true conjugate-
+    gradient residual ``rho = T - H[D]`` (one more Hessian application),
+    the next pass's whitened gradient ``T'`` obeys::
+
+        ||T'||_F <= ||rho||_F + C ||D||_F^2 / 2,
+        C = sum_j w_j (sqrt(2d) / 12) (2 s_j + s_D) h(s_j + s_D),
+
+    where ``s_j`` is the spread (largest minus smallest eigenvalue) of
+    ``L_j``, ``s_D`` that of ``D`` and ``h`` the kernel of
+    :func:`_karcher_hessian`.  The residual is at most ``||F'||_2^2
+    ||T'||_F``, and ``||F'||_2^2``, the largest eigenvalue of ``F exp(D)
+    F^T``, is at most ``exp(max e) ||F||_2^2``, tracked from the start
+    point's eigenvalues.  A row stops when that product is ``<= MEAN_TOL /
+    2`` (the other half covers rounding; measured residuals exceed the
+    bound only at the floor, by < 1e-12) and its least whitened eigenvalue
+    times ``exp(-max e)``, which bounds the next one (Ostrowski, below), is
+    above ``EPS_PD``.  Its iterate is the one the confirming pass would
+    have returned, so means and iteration counts are those of the loop
+    without certification; only a row certified at its ``MEAN_MAX_ITER``-th
+    step now returns instead of raising.
+
+    Proof (after Absil, Mahony & Sepulchre 2008, §6.3, and Ferreira &
+    Svaiter, J. Complexity 2002).  Let ``G(t) = sum_j w_j l_j(t)`` with
+    ``l_j(t) = log(exp(-tD/2) A_j exp(-tD/2))``: the whitened negative
+    gradient at ``F exp(tD) F^T`` in the frame ``F exp(tD/2)``, so ``G(0) =
+    T`` and ``T' = Q^T G(1) Q``.  Parallel transport along that geodesic is
+    the identity on tangents whitened in this frame, hence ``l_j' =
+    -g(ad_j^2)[D]`` and ``G' = -H_t[D]``, where ``ad_j V = l_j V - V l_j``,
+    ``g(y) = h(sqrt(y))`` and ``H_t = sum_j w_j g(ad_j^2)`` is the Hessian
+    at time ``t``.  So ``G(1) = rho - int_0^1 (H_t - H_0)[D] dt``, and:
+
+    1. ``g(y) = 1 + 2 sum_k y / (y + 4 k^2 pi^2)`` (partial fractions of
+       ``coth``) is increasing and concave, ``g'(0) = 1/12``, so ``0 <= g'
+       <= 1/12``.  A function with ``|g'| <= c`` is ``c``-Lipschitz in the
+       Hilbert-Schmidt norm on self-adjoint operators: in the eigenbases of
+       ``A`` and ``B`` each entry of ``g(A) - g(B)`` is a divided difference
+       of ``g`` times that of ``A - B``.
+    2. ``ad_a^2 - ad_b^2 = ad_a ad_(a-b) + ad_(a-b) ad_b``, ``||ad_a||_op``
+       is the spread of ``a``, and ``||ad_E||_HS^2 = sum_(a,b) (e_a -
+       e_b)^2 <= 2d ||E||_F^2``.
+    3. ``||l_j'||_F <= ||g(ad_j^2)||_op ||D||_F = h(spread l_j) ||D||_F``.
+    4. By Ostrowski's theorem the eigenvalues of ``exp(-tD/2) A_j
+       exp(-tD/2)`` are those of ``A_j`` times factors in ``[exp(-t max
+       e), exp(-t min e)]``, so ``l_j(t)`` spreads at most ``s_j + t s_D``.
+
+    As ``h`` increases, 3 and 4 give ``||l_j(t) - l_j(0)||_F <= t h(s_j +
+    s_D) ||D||_F``; with 1 and 2, ``||H_t - H_0||_op <= ||H_t - H_0||_HS <=
+    sum_j w_j (1/12) (2 s_j + s_D) sqrt(2d) ||l_j(t) - l_j(0)||_F <= t C
+    ||D||_F``, and ``int_0^1 t C ||D||_F^2 dt = C ||D||_F^2 / 2``.
     """
     support = weights > 0
     counts = support.sum(axis=1)
@@ -479,15 +539,19 @@ def _karcher_means(points, weights):
     F, Finv = np.empty_like(X), np.empty_like(X)
     iterations = np.zeros(len(w), dtype=int)
     residuals = np.where(counts > 1, np.inf, 0.0)
+    certified = np.zeros(len(w), dtype=bool)
+    top = np.zeros(len(w))  # upper bound on ||F||_2^2, the largest eigenvalue of X
     low = np.full(len(w), np.inf)  # least positive-weight whitened eigenvalue
     rows = np.flatnonzero(counts > 1)
-    block = max(1, PAIR_BLOCK_DOUBLES // (counts.max() * X[0].size))
+    d = X.shape[-1]
+    block = max(1, PAIR_BLOCK_DOUBLES // (counts.max() * d * d))
 
     def run(act):  # act: rows of the block still iterating
         k = counts[act].max()
         X[act] = sym(np.einsum("bk,bkij->bij", w[act, :k], points[idx[act, :k]]))
         lam, V = _eigh(X[act], "Karcher start point", op="frechet_mean")
         F[act] = V * np.sqrt(lam)[:, None, :]
+        top[act] = lam[:, -1]
         Finv[act] = np.swapaxes(V / np.sqrt(lam)[:, None, :], -1, -2)
         for _ in range(MEAN_MAX_ITER):
             Fi = Finv[act][:, None]
@@ -506,18 +570,35 @@ def _karcher_means(points, weights):
             act, U, L, T, Fa = act[go], U[go], L[go], T[go], Fa[go]
             if not act.size:
                 break
-            D = _newton_direction(_karcher_hessian(U, L, w[act, :k]), T)
+            hess = _karcher_hessian(U, L, w[act, :k])
+            D = _newton_direction(hess, T)
+            rho = np.linalg.norm(T - hess(D), axis=(-2, -1))
+            del hess  # its arrays go before the next eigensolve
             e, Q = _eigh(D, op="expm")
             F[act] = Fa @ (Q * np.exp(0.5 * e)[:, None, :])
             Qt = np.swapaxes(Q, -1, -2)
             Finv[act] = (Qt * np.exp(-0.5 * e)[:, :, None]) @ Finv[act]
             X[act] = sym(F[act] @ np.swapaxes(F[act], -1, -2))
             iterations[act] += 1
+            top[act] *= np.exp(e[:, -1])  # F' F'^T = F exp(D) F^T
+            # the docstring's bound on the residual the next pass would measure
+            spread = L[..., -1] - L[..., 0]
+            s_d = (e[:, -1] - e[:, 0])[:, None]
+            C = np.sqrt(2 * d) / 12 * np.sum(
+                w[act, :k] * (2 * spread + s_d) * _coth_kernel(spread + s_d), axis=1
+            )
+            bound = top[act] * (rho + 0.5 * C * np.sum(e * e, axis=1))
+            done = (bound <= 0.5 * MEAN_TOL) & (low[act] * np.exp(-e[:, -1]) > EPS_PD)
+            residuals[act[done]] = bound[done]
+            certified[act[done]] = True
+            act = act[~done]
+            if not act.size:
+                break
 
     _each(run, [rows[s:s + block] for s in range(0, rows.size, block)])
     failed = np.flatnonzero((residuals > MEAN_TOL) | (low <= EPS_PD))
     if not failed.size:
-        return X, iterations, residuals
+        return X, iterations, residuals, certified
     i = failed[0]
     if low[i] <= EPS_PD:
         raise NotPositiveDefinite(
@@ -546,8 +627,10 @@ def frechet_mean(points, weights=None):
     is never longer than the fixed-point step ``D = T``, and near the mean
     convergence is quadratic.  Iteration stops once the tangent average
     ``sum_i w_i Log_X(P_i) = X^{1/2} T X^{1/2}`` has Frobenius norm
-    ``<= MEAN_TOL``, within ``MEAN_MAX_ITER`` steps.  The problem is
-    strictly convex, so the mean is unique.
+    ``<= MEAN_TOL``, within ``MEAN_MAX_ITER`` steps.  A whitened pass at the
+    new estimate measures that norm, unless a bound proven from the last
+    step is already ``<= MEAN_TOL / 2`` (see :func:`_karcher_means`).  The
+    problem is strictly convex, so the mean is unique.
 
     Parameters
     ----------

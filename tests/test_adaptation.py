@@ -239,12 +239,12 @@ class TestBarycentricMap:
         out, info = ad.barycentric_map(make_spd(3, 2, seed=18), tgt, plan)
         assert np.array_equal(out[0], tgt[2])
         assert np.array_equal(out[1], tgt[0])
-        assert info == {"iterations": [0, 0], "residuals": [0.0, 0.0]}
+        assert info == {"iterations": [0, 0], "residuals": [0.0, 0.0], "certified_rows": 0}
         perm = np.array([3, 0, 2, 1])
         plan = tp.TransportPlan(np.eye(4)[perm] / 4, None, None)
         out, info = ad.barycentric_map(make_spd(3, 4, seed=18), tgt, plan)
         assert np.array_equal(out, tgt[perm])
-        assert info == {"iterations": [0] * 4, "residuals": [0.0] * 4}
+        assert info == {"iterations": [0] * 4, "residuals": [0.0] * 4, "certified_rows": 0}
 
     @staticmethod
     def dense_map_peak():
@@ -336,7 +336,7 @@ class TestBarycentricMap:
         plan = tp.TransportPlan(gamma, None, None)
         out, info = ad.barycentric_map(make_spd(2, 1, seed=27), tgt, plan, top_k=1)
         assert np.array_equal(out[0], tgt[2])
-        assert info == {"iterations": [0], "residuals": [0.0]}
+        assert info == {"iterations": [0], "residuals": [0.0], "certified_rows": 0}
 
     def test_rows_match_frechet_mean(self):
         tgt = make_spd(3, 6, seed=32)
@@ -346,12 +346,12 @@ class TestBarycentricMap:
         plan = tp.TransportPlan(gamma / gamma.sum(), None, None)
         for top_k in (None, 3):
             out, info = ad.barycentric_map(make_spd(3, 5, seed=34), tgt, plan, top_k=top_k)
-            assert set(info) == {"iterations", "residuals"}
+            assert set(info) == {"iterations", "residuals", "certified_rows"}
             for i, row in enumerate(plan.matrix):
                 row = row.copy()
                 if top_k is not None:
                     row[np.argpartition(row, -top_k)[:-top_k]] = 0.0
-                means, row_iterations, _ = mf._karcher_means(tgt, (row / row.sum())[None])
+                means, row_iterations, _, _ = mf._karcher_means(tgt, (row / row.sum())[None])
                 assert mf.riemannian_distance(out[i], means[0]) <= 1e-12
                 assert info["iterations"][i] == row_iterations[0]
                 assert info["residuals"][i] <= mf.MEAN_TOL

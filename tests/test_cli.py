@@ -478,18 +478,22 @@ class TestCosineAndCovariance:
         assert main(["covariance", src, "--out", str(tmp_path / "o")]) == 2
 
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
-    def test_unusable_out_exits_2(self, tmp_path, capsys, sub):
-        # an --out that is, or runs through, an existing file: one error line
+    def test_unusable_out_exits_2(self, tmp_path, capsys, monkeypatch, sub):
+        # an --out that is, or runs through, an existing file: one error
+        # line, before any computation
         ts = tmp_path / "ts.json"
         datasets.save_timeseries_dataset(
             ts, np.random.default_rng(22).standard_normal((2, 2, 5))
         )
         afile = tmp_path / "afile"
         afile.write_text("keep\n")
+        computed = []
+        monkeypatch.setattr(experiments, "covariances", lambda *a, **k: computed.append(a))
         assert main(["covariance", str(ts), "--out", str(afile / sub)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: --out {afile / sub}: ") and err.count("\n") == 1
         assert afile.read_text() == "keep\n"
+        assert computed == []
 
     @pytest.mark.parametrize("bad",[float("nan"), float("inf"), float("-inf")])
     def test_non_finite_trial_exits_2(self, tmp_path, capsys, bad):

@@ -20,7 +20,9 @@ from conftest import (
     reference_frechet_mean,
     use_cpus,
 )
+from spdot import experiments
 from spdot import manifold as mf
+from spdot.adaptation import AdaptationConfig, adapt, barycentric_map
 from spdot.errors import (
     ConvergenceFailure,
     InvalidInput,
@@ -599,7 +601,7 @@ class TestFrechetMean:
         # far-apart, ill-conditioned points: the unit-step fixed point
         # oscillates on this set and raises at its cap of 200 steps
         pts = make_wide_spd(4, 30, seed=0, spread=2.0)
-        means, iterations, residuals = mf._karcher_means(pts, np.full((1, 30), 1 / 30))
+        means, iterations, residuals, _ = mf._karcher_means(pts, np.full((1, 30), 1 / 30))
         mean = means[0]
         assert np.array_equal(mean, mf.frechet_mean(pts))
         assert residuals[0] <= 1e-10
@@ -610,7 +612,7 @@ class TestFrechetMean:
     def test_newton_step_count(self):
         # quadratic convergence: the unit-step fixed point needs 72 steps here
         pts = make_wide_spd(8, 30, seed=0, spread=1.0)
-        _, iterations, _ = mf._karcher_means(pts, np.full((1, 30), 1 / 30))
+        _, iterations, _, _ = mf._karcher_means(pts, np.full((1, 30), 1 / 30))
         assert iterations[0] <= 8
 
 
@@ -694,7 +696,7 @@ class TestKarcherMeans:
     def test_mixed_rows_match_per_row_reference(self):
         pts = make_wide_spd(4, 8, seed=70, spread=1.0)
         W = mixed_weights(8, seed=71)
-        means, iterations, residuals = mf._karcher_means(pts, W)
+        means, iterations, residuals, _ = mf._karcher_means(pts, W)
         self.check_against_reference(pts, W, means, iterations, residuals)
         assert (iterations[[0, 4]] == 0).all() and (residuals[[0, 4]] == 0.0).all()
         assert (iterations[[1, 2, 3, 5]] > 0).all()
@@ -724,11 +726,12 @@ class TestKarcherMeans:
         for cap in (1, 2 * 8 * 16, 3 * 8 * 16):
             monkeypatch.setattr(mf, "PAIR_BLOCK_DOUBLES", cap)
             use_cpus(monkeypatch, 1)
-            means, iterations, residuals = mf._karcher_means(pts, W)
+            serial = mf._karcher_means(pts, W)
+            means, iterations, residuals, _ = serial
             # the blocks on two threads: the same bits
             use_cpus(monkeypatch, 2)
             pooled = mf._karcher_means(pts, W)
-            for got, want in zip(pooled, (means, iterations, residuals)):
+            for got, want in zip(pooled, serial, strict=True):
                 assert np.array_equal(got, want)
             assert np.array_equal(iterations, one[1])
             # a full row is never padded, so no partition moves its bits
@@ -754,7 +757,7 @@ class TestKarcherMeans:
         # row 1's padding entry, whitened by its starting mean, is below the floor
         start = 0.4 * pts[2] + 0.6 * pts[3]
         assert np.linalg.eigvals(pts[0] @ np.linalg.inv(start)).real.min() <= mf.EPS_PD
-        means, iterations, residuals = mf._karcher_means(pts, W[:2])
+        means, iterations, residuals, _ = mf._karcher_means(pts, W[:2])
         self.check_against_reference(pts, W[:2], means, iterations, residuals)
         with pytest.raises(NotPositiveDefinite, match="row 2: .* at iteration 0"):
             mf._karcher_means(pts, W)
@@ -800,6 +803,90 @@ class TestKarcherMeans:
         with pytest.raises(NotPositiveDefinite, match="smallest eigenvalue -1.000e[+]00 <="):
             mf._karcher_means(pts, W)
         assert waited == [True]
+
+
+def whitened_residuals(means, points, W):
+    """``||M^1/2 T M^1/2||_F`` at each row's mean ``M``: the whitened pass
+    that a certified row skips, through symmetric square roots instead of
+    the core's frame."""
+    lam, V = np.linalg.eigh(means)
+    S = (V * np.sqrt(lam)[:, None, :]) @ np.swapaxes(V, -1, -2)
+    Si = (V / np.sqrt(lam)[:, None, :]) @ np.swapaxes(V, -1, -2)
+    out = []
+    for i, w in enumerate(W):
+        keep = w > 0
+        lam, U = np.linalg.eigh(mf.sym(Si[i] @ points[keep] @ Si[i]))
+        logs = (U * np.log(lam)[:, None, :]) @ np.swapaxes(U, -1, -2)
+        T = np.einsum("k,kab->ab", w[keep], logs)
+        out.append(np.linalg.norm(mf.sym(S[i] @ T @ S[i])))
+    return np.array(out)
+
+
+def kde_chain(n, channels, seed):
+    """The README chain ``cosine -> covariance x2 -> adapt --mass kde``."""
+    xs, zs = experiments.cosine_trials(n=n, channels=channels, seed=seed)
+    return experiments.covariances(xs), experiments.covariances(zs), AdaptationConfig(mass="kde")
+
+
+def spd_pair(dim, mass):
+    """Two sets of 100 random SPD matrices and the config with ``mass``."""
+    return (make_spd(dim, 100, seed=dim, scale=0.5), make_spd(dim, 100, seed=dim + 1, scale=0.5),
+            AdaptationConfig(mass=mass))
+
+
+CERTIFIED_INSTANCES = [
+    pytest.param(lambda: kde_chain(48, 8, seed=7), id="chain-n48-d8-kde"),
+    pytest.param(lambda: spd_pair(16, "kde"), id="n100-d16-kde"),
+    pytest.param(lambda: spd_pair(4, "uniform"), id="n100-d4-uniform"),
+]
+
+
+class TestCertifiedStep:
+    def test_kernel_facts(self):
+        # the proof's h(x) = (x/2) coth(x/2) increases on x >= 0, and
+        # g(y) = h(sqrt y) is concave with slope at most 1/12
+        x = np.linspace(0.0, 60.0, 6001)
+        h = mf._coth_kernel(x)
+        assert h[0] == 1.0 and (np.diff(h) > 0).all()
+        y = np.linspace(0.0, 900.0, 90001)
+        slope = np.diff(mf._coth_kernel(np.sqrt(y))) / np.diff(y)
+        assert (slope <= 1 / 12).all() and slope[0] == pytest.approx(1 / 12, rel=1e-3)
+        assert (np.diff(slope) <= 1e-12).all()
+
+    @pytest.mark.parametrize("instance", CERTIFIED_INSTANCES)
+    def test_bound_holds_on_every_row(self, instance):
+        src, tgt, config = instance()
+        res = adapt(src, tgt, config=config)
+        info = res.diagnostics["map"]
+        W = res.plan.matrix / res.plan.matrix.sum(axis=1, keepdims=True)
+        measured = whitened_residuals(res.adapted_source, tgt, W)
+        assert (measured <= np.array(info["residuals"]) + 1e-12).all()
+        assert 0 < info["certified_rows"] <= len(src)
+
+    def test_certified_rows_skip_the_confirming_pass(self, monkeypatch):
+        src, tgt, config = kde_chain(48, 8, seed=7)
+        plan = adapt(src, tgt, config=config).plan
+        n, k = plan.matrix.shape
+        assert (plan.matrix > 0).all()  # every row is dense
+        shapes, eigh = [], mf._eigh
+        monkeypatch.setattr(mf, "_eigh", lambda M, spd=None, op="": (
+            shapes.append((op, M.shape[:-2])) or eigh(M, spd, op)))
+        adapted, info = barycentric_map(src, tgt, plan)
+        iterations, certified = np.array(info["iterations"]), info["certified_rows"]
+        # one whitened pass per step, plus one that confirms each uncertified stop
+        passes = sum(shape[0] for op, shape in shapes if op == "logm")
+        assert passes == iterations.sum() + n - certified
+        # start points, steps and k targets per pass; a loop that confirms
+        # every stop eigensolves k more matrices per certified row
+        mats = sum(np.prod(shape) for _, shape in shapes)
+        confirming_loop = n + iterations.sum() + k * (iterations.sum() + n)
+        assert mats == confirming_loop - k * certified <= 0.8 * confirming_loop
+        assert (iterations <= 3).all()
+        # the same means and step counts as that loop
+        for i, row in enumerate(plan.matrix):
+            ref, ref_iterations, _ = per_row_karcher(tgt, row / row.sum())
+            assert iterations[i] == ref_iterations
+            assert mf.riemannian_distance(adapted[i], ref) <= 1e-12
 
 
 class TestTangentCoordinates:
