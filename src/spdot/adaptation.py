@@ -134,7 +134,12 @@ def kde_weights(points):
     :func:`median_sq_distance`, read off the same self-distance matrix the
     kernel sums, so the set's distances are computed once.
     """
-    d2 = manifold.sq_distance_matrix(manifold.check_stack(points, "kde_weights points"))
+    return _kde_weights(manifold.check_stack(points, "kde_weights points"), "set")
+
+
+def _kde_weights(points, name):
+    """:func:`kde_weights` of a checked stack; its SPD check names ``name``."""
+    d2 = manifold._sq_distances(points, None, name, name)
     w = np.exp(-d2 / (2.0 * _upper_median(d2))).sum(axis=1)
     return w / w.sum()
 
@@ -142,11 +147,13 @@ def kde_weights(points):
 def build_cost(source, target):
     """Pairwise transport cost between two SPD sets: squared geodesic distance.
 
-    Zero, up to rounding, on identical pairs.
+    Zero, up to rounding, on identical pairs.  Both sets are checked as
+    :func:`spdot.manifold.check_spd` checks them, and a failure names the
+    "source set" or the "target set".
     """
     src = manifold.check_stack(source, "source set")
     tgt = manifold.check_stack(target, "target set", src.shape[2])
-    return transport.CostMatrix(manifold.sq_distance_matrix(src, tgt))
+    return transport.CostMatrix(manifold._sq_distances(src, tgt, "source set", "target set"))
 
 
 def barycentric_map(source, target, plan, top_k=None):
@@ -192,10 +199,17 @@ def barycentric_map(source, target, plan, top_k=None):
         a row's mean fails as in :func:`spdot.manifold.frechet_mean`; the
         message names the lowest failing row.
     """
+    return _barycentric_map(len(source), target, plan, top_k, check_target=True)
+
+
+def _barycentric_map(n1, target, plan, top_k, check_target):
+    """:func:`barycentric_map` for ``n1`` source points; only with
+    ``check_target`` is the target set checked SPD (``adapt``'s cost stage
+    has checked it already)."""
     if not isinstance(plan, transport.TransportPlan):
         raise InvalidInput(f"plan must be a TransportPlan, got {type(plan).__name__}")
     tgt = np.asarray(target, dtype=float)
-    n1, n2 = len(source), tgt.shape[0]
+    n2 = tgt.shape[0]
     gamma = plan.matrix
     if gamma.shape != (n1, n2):
         raise InvalidInput(
@@ -217,7 +231,8 @@ def barycentric_map(source, target, plan, top_k=None):
         rows = gamma.copy()
         np.put_along_axis(rows, drop, 0.0, axis=1)
         totals = rows.sum(axis=1)
-    manifold.check_spd(tgt, name="target set")
+    if check_target:
+        manifold.check_spd(tgt, name="target set")
     adapted, iterations, residuals, certified = manifold._karcher_means(
         tgt, rows / totals[:, None]
     )
@@ -257,7 +272,9 @@ def adapt(source, target, source_labels=None, config=None):
     mapping according to ``config``; see :class:`AdaptationConfig` for the
     knobs.  Deterministic given inputs and config.  Errors raised by a stage
     are re-raised with ``pipeline_step`` set to the stage name ("mass",
-    "cost", "plan", or "map").  Argument errors, raised before any stage
+    "cost", "plan", or "map"); a set below the SPD floor is named "source
+    set" or "target set", at the "mass" step with KDE mass and at the
+    "cost" step otherwise.  Argument errors, raised before any stage
     runs (a malformed or empty stack, a dimension mismatch, labels given
     or missing against the solver or not one integer per source point,
     ``top_k`` above the target size), carry ``pipeline_step = None``.
@@ -302,8 +319,8 @@ def adapt(source, target, source_labels=None, config=None):
             p = transport.uniform_mass(src.shape[0])
             q = transport.uniform_mass(tgt.shape[0])
         else:
-            p = kde_weights(src)
-            q = kde_weights(tgt)
+            p = _kde_weights(src, "source set")
+            q = _kde_weights(tgt, "target set")
 
     with _stage("cost", stage_s):
         cost = build_cost(src, tgt)
@@ -328,7 +345,9 @@ def adapt(source, target, source_labels=None, config=None):
                 )
 
     with _stage("map", stage_s):
-        adapted, map_info = barycentric_map(src, tgt, plan, cfg.top_k)
+        adapted, map_info = _barycentric_map(
+            src.shape[0], tgt, plan, cfg.top_k, check_target=False
+        )
         manifold.check_spd(adapted, name="adapted source")
 
     plan_info = {

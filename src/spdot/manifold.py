@@ -280,12 +280,18 @@ def sq_distance_matrix(A, B=None):
     ndarray, shape (n1, n2)
         ``out[i, j] = d(A[i], B[j])^2``.
     """
+    return _sq_distances(A, B, "first set", "set" if B is None else "second set")
+
+
+def _sq_distances(A, B, name_a, name_b):
+    """:func:`sq_distance_matrix`, naming ``A`` and ``B`` ``name_a`` and
+    ``name_b`` in its checks (a self-distance check names ``name_b``)."""
     self_distances = B is None
-    A = check_stack(A, "first set")
-    B = A if self_distances else check_stack(B, "second set", A.shape[2])
+    A = check_stack(A, name_a)
+    B = A if self_distances else check_stack(B, name_b, A.shape[2])
     if not self_distances:
-        check_spd(A, name="first set")
-    W = invsqrtm(B, "set" if self_distances else "second set")  # validates B
+        check_spd(A, name=name_a)
+    W = invsqrtm(B, name_b)  # validates B
     n1, n2, d = A.shape[0], B.shape[0], A.shape[2]
     rows = max(1, PAIR_BLOCK_DOUBLES // (n2 * d * d))
     if not self_distances:

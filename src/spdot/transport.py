@@ -8,12 +8,14 @@ Three solvers, all returning a :class:`TransportPlan`:
 * :func:`sinkhorn`: entropic regularization solved by Sinkhorn matrix
   scaling (Cuturi, NeurIPS 2013).
 * :func:`sinkhorn_with_labels`: Sinkhorn plus a class-group penalty on the
-  plan columns, handled by a fixed-point iteration on the penalty's
-  gradient: repeatedly re-solve Sinkhorn with a cost offset proportional to
-  the current per-class column masses, each solve warm-started from the
-  previous one's scaling vector and, but for the last, only as exact as
-  the offset still moves.  The iteration can cycle.  With ``eta = 0`` it
-  is a single Sinkhorn solve.
+  plan columns, handled by an Anderson-accelerated fixed-point iteration on
+  the penalty's class offsets: repeatedly re-solve Sinkhorn with a cost
+  offset extrapolated from the last per-class column masses, each solve
+  warm-started from the previous one's scaling vector and, but for the
+  last, only as exact as the offset still moves.  A returned plan is
+  certified by a solve at its plain fixed-point offset; the acceleration
+  carries no global guarantee, so a slow instance can still use up the
+  solve cap.  With ``eta = 0`` it is a single Sinkhorn solve.
 
 Both entropic solvers run one loop, which checks ``lam`` and raises their
 every :class:`ConvergenceFailure`, a plan with its marginals off included.
@@ -52,6 +54,8 @@ LABEL_MAX_ITER = 50
 # An intermediate solve of the label solver stops at this fraction of the
 # last plan change (itself capped at this ratio), never below SINKHORN_TOL.
 LABEL_SOLVE_RATIO = 1e-2
+# Memory of the label solver's Anderson step: the offset differences it combines.
+LABEL_MEMORY = 3
 
 
 def check_mass(p, size=None, name="mass vector"):
@@ -239,6 +243,8 @@ def _gibbs_kernel(C, lam):
     Raises :class:`NumericalFailure` if a full row or column underflows.
     """
     K = np.exp(-lam * C)
+    if not K.min() < KERNEL_FLOOR:  # nothing to clamp
+        return K
     under = K < KERNEL_FLOOR
     if under.all(axis=1).any() or under.all(axis=0).any():
         raise NumericalFailure(
@@ -287,11 +293,45 @@ def _scale(K, p, q, u, tol):
     return u, it, change
 
 
-def _entropic(C0, p, q, lam, solver, Y=None, eta=0.0):
-    """The plan of both entropic solvers: Sinkhorn solves on ``C0 + G``.
+def _anderson(history, S, F):
+    """Next offset of the label solver: type-II Anderson on ``S -> F``.
 
-    The offset ``G`` starts at zero and after each solve becomes
-    ``2 eta Y (Y^T plan)`` (see :func:`sinkhorn_with_labels`); with
+    ``history`` holds the last ``LABEL_MEMORY + 1`` pairs ``(F, F - S)`` of
+    flattened offset images and residuals, newest last; this call appends
+    ``(F, F - S)``.  With ``dR`` and ``dF`` the differences of consecutive
+    residuals and images, the coefficients ``c`` minimize ``||F - S - dR c||``
+    through the normal equations ``(dR dR^T) c = dR (F - S)``, and the next
+    offset is ``F - dF c`` (Walker & Ni, SIAM J. Numer. Anal. 2011).
+    Returns ``(offset, plain)``: the plain step ``(F, True)`` when the
+    history holds no difference yet, or, with the history cleared back to
+    this pair, when the coefficient solve is singular or non-finite.
+    """
+    history.append((F.ravel(), (F - S).ravel()))
+    del history[:-LABEL_MEMORY - 1]
+    if len(history) < 2:
+        return F, True
+    dF, dR = (np.diff(np.array(h), axis=0) for h in zip(*history))
+    try:
+        c = np.linalg.solve(dR @ dR.T, dR @ history[-1][1])
+    except np.linalg.LinAlgError:
+        c = None
+    if c is None or not np.isfinite(c).all():
+        del history[:-1]
+        return F, True
+    return F - (c @ dF).reshape(F.shape), False
+
+
+def _entropic(C0, p, q, lam, solver, Y=None, eta=0.0):
+    """The plan of both entropic solvers: Sinkhorn solves on ``C0 + Y S``.
+
+    The class offsets ``S`` (see :func:`sinkhorn_with_labels`) start at
+    zero; after each solve the plain fixed-point image ``F = 2 eta Y^T plan``
+    and the residual ``F - S`` go to :func:`_anderson`, which returns the
+    next ``S``.  A plan is returned only when its own solve ran at
+    ``SINKHORN_TOL``, at the plain offset ``F`` of the plan before it, and
+    moved that plan by at most ``LABEL_TOL``; when a solve at an
+    extrapolated offset passes the test, the next solve runs at the plain
+    offset to certify it (its pair still joins the history).  With
     ``eta = 0`` a single full solve is all.  Every
     :class:`ConvergenceFailure` of both solvers is raised here, naming
     ``solver`` and carrying the last plan with its counts: a solve that
@@ -302,27 +342,29 @@ def _entropic(C0, p, q, lam, solver, Y=None, eta=0.0):
     if not (_finite_real(lam) and lam > 0):
         raise InvalidInput(f"{solver} needs finite lam > 0, got {lam}")
     n1 = C0.shape[0]
-    G = 0.0
+    C, S, plain, history = C0, 0.0, True, []
     u = np.full(n1, 1.0 / n1)
     prev = None
     delta = np.inf if eta else 0.0  # eta = 0: no offset, one full solve
     iterations = 0
     for outer in range(1, LABEL_MAX_ITER + 1):
         tol = max(SINKHORN_TOL, LABEL_SOLVE_RATIO * min(delta, LABEL_SOLVE_RATIO))
-        K = _gibbs_kernel(C0 + G, lam)
+        K = _gibbs_kernel(C, lam)
         u, k, change = _scale(K, p, q, u, tol)
         iterations += k
         gamma = _coupling(K, q, u)
-        plan = TransportPlan(gamma, p, q, iterations, outer)
         if not change <= tol:  # a NaN change is no convergence either
             raise ConvergenceFailure(
                 f"{solver}: relative change {change:.3e} > tol {tol:.1e} "
                 f"after {SINKHORN_MAX_ITER} iterations of solve {outer}",
-                last=plan, residual=change, iterations=iterations,
+                last=TransportPlan(gamma, p, q, iterations, outer),
+                residual=change, iterations=iterations,
             )
         if prev is not None:
             delta = float(np.abs(gamma - prev).max())
-        if delta <= LABEL_TOL and tol == SINKHORN_TOL:
+        settled = delta <= LABEL_TOL and tol == SINKHORN_TOL
+        if settled and plain:
+            plan = TransportPlan(gamma, p, q, iterations, outer)
             residual = max(plan.marginal_residuals())
             if not residual <= MARGINAL_TOL:
                 raise ConvergenceFailure(
@@ -332,11 +374,16 @@ def _entropic(C0, p, q, lam, solver, Y=None, eta=0.0):
                 )
             return plan
         prev = gamma
-        G = eta * 2 * (Y @ (Y.T @ gamma))
+        F = 2 * eta * (Y.T @ gamma)
+        S, plain = _anderson(history, S, F)
+        if settled:  # certify it with one solve at the plain offset
+            S, plain = F, True
+        C = C0 + Y @ S
     raise ConvergenceFailure(
         f"{solver}: plan change {delta:.3e} > tol {LABEL_TOL:.1e} "
         f"after {LABEL_MAX_ITER} outer iterations",
-        last=plan, residual=delta, iterations=LABEL_MAX_ITER,
+        last=TransportPlan(gamma, p, q, iterations, outer),
+        residual=delta, iterations=LABEL_MAX_ITER,
     )
 
 
@@ -412,30 +459,40 @@ def sinkhorn_with_labels(cost0, p=None, q=None, labels=None, lam=1.0, eta=0.0):
     """Sinkhorn transport with a group penalty tied to source class labels.
 
     Adds ``eta * sum_j sum_y ||G(rows(y), j)||_1 ^ 2`` to the entropic
-    objective and iterates on the penalty's gradient (after Courty et al.,
-    TPAMI 2017): starting from a zero offset ``G``, alternate a Sinkhorn
-    solve on ``cost0 + G`` with the offset update::
+    objective (after Courty et al., TPAMI 2017).  Sinkhorn solves run on
+    ``cost0 + Y S``, ``Y[i, y] = 1`` iff source point ``i`` has label ``y``,
+    with class offsets ``S`` (classes x targets) that start at zero.  The
+    plain update::
 
-        G = 2 eta Y (Y^T plan),  Y[i, y] = 1 iff source point i has label y
+        S = 2 eta Y^T plan
 
-    (the gradient of the penalty at the current plan: ``G[i, j]`` is
+    (``Y S`` is the penalty's gradient at the plan: entry ``(i, j)`` is
     ``2 eta`` times the mass that column ``j`` receives from the class of
-    point ``i``) until the plan settles within ``LABEL_TOL`` in infinity
-    norm, for at most ``LABEL_MAX_ITER`` solves.  Each solve after
-    the first is warm-started from the previous solve's scaling vector
-    ``u``: the costs of consecutive steps differ only by the shrinking
-    offset change, so the scaling is already close to its fixed point.
-    A solve stops its relative-change test at ``max(SINKHORN_TOL,
-    LABEL_SOLVE_RATIO * min(delta, LABEL_SOLVE_RATIO))``, ``delta`` the
-    last plan change (``inf`` before two solves): inexact inner solves, as
-    in IPOT (Xie et al., UAI 2019).  The returned plan's own solve ran at
-    ``SINKHORN_TOL`` and moved it by at most ``LABEL_TOL``.  With ``eta = 0``
-    the offset never moves and the plan of the single (cold-started) solve
-    is returned, bit-identical to :func:`sinkhorn` on ``cost0``; with a
-    single class the offset is constant per column and the plan is
-    unchanged as well.  The penalty is convex, so its linearization is a
-    lower bound, not a majorizer: nothing makes the iteration descend, and
-    at large ``eta * lam`` it can cycle until ``LABEL_MAX_ITER``.
+    point ``i``) is gradient ascent with step ``2 eta`` on the concave dual
+    ``D(S) = OT_lam(cost0 + Y S) - ||S||^2 / (4 eta)``, and it cycles once
+    ``eta * lam`` is large.  So the solver accelerates it: each next ``S``
+    is a type-II Anderson extrapolation (Walker & Ni, SIAM J. Numer. Anal.
+    2011) over the last ``LABEL_MEMORY`` differences of plain updates and
+    their residuals, from a small linear solve, and falls back to the plain
+    update, its history cleared, when that solve is singular or
+    non-finite.  Each solve after the first is warm-started from the
+    previous solve's scaling vector ``u``.  A solve stops its
+    relative-change test at ``max(SINKHORN_TOL, LABEL_SOLVE_RATIO *
+    min(delta, LABEL_SOLVE_RATIO))``, ``delta`` the last plan change
+    (``inf`` before two solves): inexact inner solves, as in IPOT (Xie et
+    al., UAI 2019).  The returned plan carries the plain iteration's
+    certificate: its own solve ran at ``SINKHORN_TOL``, at the plain offset
+    ``2 eta Y^T plan`` of the plan before it, and moved that plan by at most
+    ``LABEL_TOL`` in infinity norm, within ``LABEL_MAX_ITER`` solves; a plan
+    that settles at an extrapolated offset costs one more, plain, solve.
+    With ``eta = 0`` the offset never moves and the plan of the single
+    (cold-started) solve is returned, bit-identical to :func:`sinkhorn` on
+    ``cost0``; with a single class the offset is constant per column and
+    the plan is unchanged as well.  The
+    acceleration has no global convergence guarantee, and the inexact
+    solves make its residuals noisy near the fixed point: a slowly
+    converging instance can still use up ``LABEL_MAX_ITER`` solves, and a
+    solve can still hit ``SINKHORN_MAX_ITER``.
 
     Parameters
     ----------

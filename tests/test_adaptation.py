@@ -549,21 +549,22 @@ class TestAdaptPipeline:
         assert res.plan.source_marginal.shape == (6,)
         assert np.abs(res.plan.source_marginal - 1 / 6).max() > 1e-6
 
-    @pytest.mark.parametrize("mass, step, name", [
-        ("uniform", "cost", "second set"), ("kde", "mass", "set"),
-    ], ids=["uniform", "kde"])
-    def test_non_spd_target_names_the_set(self, mass, step, name):
-        # uniform mass meets the target first in the cost, KDE mass in its
+    @pytest.mark.parametrize("mass, step", [("uniform", "cost"), ("kde", "mass")],
+                             ids=["uniform", "kde"])
+    def test_non_spd_target_names_the_set(self, mass, step):
+        # uniform mass meets a set first in the cost, KDE mass in its
         # self-distances; either way the one SPD-floor message names the set
-        tgt = make_spd(2, 4, seed=46)
-        tgt[2] = np.diag([-0.5, 1.0])
         cfg = ad.AdaptationConfig(mass=mass)
-        with pytest.raises(NotPositiveDefinite) as err:
-            ad.adapt(make_spd(2, 5, seed=45), tgt, config=cfg)
-        assert str(err.value) == (
-            f"[step: {step}] {name} has smallest eigenvalue -5.000e-01 <= floor 1.0e-10"
-        )
-        assert err.value.pipeline_step == step
+        for bad in ("source", "target"):
+            sets = {"source": make_spd(2, 5, seed=45), "target": make_spd(2, 4, seed=46)}
+            sets[bad][2] = np.diag([-0.5, 1.0])
+            with pytest.raises(NotPositiveDefinite) as err:
+                ad.adapt(sets["source"], sets["target"], config=cfg)
+            assert str(err.value) == (
+                f"[step: {step}] {bad} set has smallest eigenvalue -5.000e-01 "
+                "<= floor 1.0e-10"
+            )
+            assert err.value.pipeline_step == step
 
     def test_kde_with_exact_solver_unsupported(self):
         src = make_spd(2, 5, seed=45)
