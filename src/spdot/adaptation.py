@@ -199,16 +199,15 @@ def barycentric_map(source, target, plan, top_k=None):
         a row's mean fails as in :func:`spdot.manifold.frechet_mean`; the
         message names the lowest failing row.
     """
-    return _barycentric_map(len(source), target, plan, top_k, check_target=True)
+    tgt = manifold.check_spd(target, name="target set")
+    return _barycentric_map(len(source), tgt, plan, top_k)
 
 
-def _barycentric_map(n1, target, plan, top_k, check_target):
-    """:func:`barycentric_map` for ``n1`` source points; only with
-    ``check_target`` is the target set checked SPD (``adapt``'s cost stage
-    has checked it already)."""
+def _barycentric_map(n1, tgt, plan, top_k):
+    """:func:`barycentric_map` for ``n1`` source points on a target array
+    ``tgt`` already checked SPD."""
     if not isinstance(plan, transport.TransportPlan):
         raise InvalidInput(f"plan must be a TransportPlan, got {type(plan).__name__}")
-    tgt = np.asarray(target, dtype=float)
     n2 = tgt.shape[0]
     gamma = plan.matrix
     if gamma.shape != (n1, n2):
@@ -231,8 +230,6 @@ def _barycentric_map(n1, target, plan, top_k, check_target):
         rows = gamma.copy()
         np.put_along_axis(rows, drop, 0.0, axis=1)
         totals = rows.sum(axis=1)
-    if check_target:
-        manifold.check_spd(tgt, name="target set")
     adapted, iterations, residuals, certified = manifold._karcher_means(
         tgt, rows / totals[:, None]
     )
@@ -345,9 +342,7 @@ def adapt(source, target, source_labels=None, config=None):
                 )
 
     with _stage("map", stage_s):
-        adapted, map_info = _barycentric_map(
-            src.shape[0], tgt, plan, cfg.top_k, check_target=False
-        )
+        adapted, map_info = _barycentric_map(src.shape[0], tgt, plan, cfg.top_k)
         manifold.check_spd(adapted, name="adapted source")
 
     plan_info = {

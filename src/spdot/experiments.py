@@ -25,7 +25,7 @@ import numpy as np
 
 from . import manifold, transport
 from .adaptation import AdaptationConfig, adapt
-from .errors import InvalidInput, NotPositiveDefinite
+from .errors import InvalidInput
 
 # Positive factor of the congruence map used throughout the 2x2 studies.
 DEFAULT_T = np.array([[0.5, -0.25], [-0.25, 1.0]])
@@ -97,17 +97,17 @@ def random_spd(dim, count, scale=1.0, seed=0):
     return G @ np.swapaxes(G, -1, -2) / dim + 0.1 * np.eye(dim)
 
 
-def isotropic_spd_cloud(count, sigma=0.5, seed=0):
+def isotropic_spd_cloud(count, seed=0):
     """2x2 SPD cloud whose tangent coordinates at I are exactly white.
 
     Gaussian symmetric tangent samples are centered and whitened (in the
-    isometric coordinates ``(a11, a22, sqrt(2) a12)``) before exponentiating,
-    so the empirical cloud has zero mean and isotropic second moment.  The
-    rotation grid search needs this: an anisotropic cloud gets squeezed by
-    the positive factor of the hidden map into an orientation that a wrong
-    rotation matches more cheaply, producing spurious minima.  Isotropy
-    removes that alignment incentive, leaving the true rotation as the
-    minimizer.
+    isometric coordinates ``(a11, a22, sqrt(2) a12)``), then exponentiated
+    at scale 0.5, so the cloud's tangent coordinates have zero mean and
+    second moment ``0.25 I``.  The rotation grid search needs this: an
+    anisotropic cloud gets squeezed by the positive factor of the hidden
+    map into an orientation that a wrong rotation matches more cheaply,
+    producing spurious minima.  Isotropy removes that alignment incentive,
+    leaving the true rotation as the minimizer.
     """
     if count < 4:
         raise InvalidInput("isotropic_spd_cloud needs at least 4 points to whiten")
@@ -120,7 +120,7 @@ def isotropic_spd_cloud(count, sigma=0.5, seed=0):
     E[:, 0, 0] = coords[:, 0]
     E[:, 1, 1] = coords[:, 1]
     E[:, 0, 1] = E[:, 1, 0] = coords[:, 2] / np.sqrt(2.0)
-    return manifold.expm(sigma * E)
+    return manifold.expm(0.5 * E)
 
 
 def apply_congruence(cmap, points):
@@ -286,10 +286,9 @@ def covariances(trials, return_ridges=False):
     for i in np.flatnonzero(np.linalg.eigvalsh(covs)[:, 0] <= manifold.EPS_PD):
         ridges[i] = 1e-8 * np.trace(covs[i]) / covs.shape[-1]
         covs[i] = covs[i] + ridges[i] * np.eye(covs.shape[-1])
-        if np.linalg.eigvalsh(covs[i])[0] <= manifold.EPS_PD:
-            raise NotPositiveDefinite(
-                f"trial {i}: covariance is rank-deficient even after ridge repair"
-            )
+        manifold._above_floor(
+            np.linalg.eigvalsh(covs[i]), f"trial {i}: covariance after ridge repair"
+        )
     return (covs, ridges.tolist()) if return_ridges else covs
 
 

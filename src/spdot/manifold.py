@@ -9,8 +9,9 @@ Geodesic distance under that metric is invariant under congruence
 Matrices are plain ``numpy`` arrays; most functions accept stacked inputs of
 shape ``(..., d, d)`` and operate on the trailing two axes.  Every function
 is pure and safe to call from multiple threads.  :func:`sq_distance_matrix`,
-:func:`sq_euclidean_matrix` and the Karcher map run in blocks of source rows
-under one budget, ``PAIR_BLOCK_DOUBLES``.  The one piece of shared state is
+:func:`sq_euclidean_matrix` and the Karcher map (its stop and certified
+residual bound: :func:`frechet_mean`) run in blocks of source rows under one
+budget, ``PAIR_BLOCK_DOUBLES``.  The one piece of shared state is
 a thread pool, built per process when first needed, whose threads run the
 row blocks of :func:`sq_distance_matrix` and of the Karcher map beside the
 calling thread (see :func:`_each`).
@@ -167,7 +168,7 @@ def _check_pair(P, Q, op):
     return P, Q
 
 
-def riemannian_distance(P, Q, squared=False):
+def riemannian_distance(P, Q):
     """Affine-invariant geodesic distance between two SPD matrices.
 
     Computed through the generalized eigenvalues ``lam_i`` of the pair
@@ -182,13 +183,11 @@ def riemannian_distance(P, Q, squared=False):
     ----------
     P, Q : ndarray, shape (d, d)
         SPD matrices.
-    squared : bool, default=False
-        Return the squared distance.
 
     Returns
     -------
     float
-        Nonnegative distance (or squared distance).
+        Nonnegative distance.
     """
     P, Q = _check_pair(P, Q, "riemannian_distance")
     if P.ndim != 2 or P.shape[0] != P.shape[1] or Q.ndim != 2:
@@ -199,8 +198,7 @@ def riemannian_distance(P, Q, squared=False):
     check_spd(Q, name="second argument")
     import scipy.linalg
     w = scipy.linalg.eigvalsh(P, Q)
-    d2 = float(np.sum(np.log(np.maximum(w, 1e-300)) ** 2))
-    return d2 if squared else np.sqrt(d2)
+    return np.sqrt(float(np.sum(np.log(np.maximum(w, 1e-300)) ** 2)))
 
 
 def _sq_log_norms(M):

@@ -12,10 +12,9 @@ Three solvers, all returning a :class:`TransportPlan`:
   the penalty's class offsets: repeatedly re-solve Sinkhorn with a cost
   offset extrapolated from the last per-class column masses, each solve
   warm-started from the previous one's scaling vector and, but for the
-  last, only as exact as the offset still moves.  A returned plan is
-  certified by a solve at its plain fixed-point offset; the acceleration
-  carries no global guarantee, so a slow instance can still use up the
-  solve cap.  With ``eta = 0`` it is a single Sinkhorn solve.
+  last, only as exact as the offset still moves.  Its docstring states the
+  certificate a returned plan carries.  With ``eta = 0`` it is a single
+  Sinkhorn solve.
 
 Both entropic solvers run one loop, which checks ``lam`` and raises their
 every :class:`ConvergenceFailure`, a plan with its marginals off included.
@@ -299,26 +298,19 @@ def _anderson(history, S, F):
     ``history`` holds the last ``LABEL_MEMORY + 1`` pairs ``(F, F - S)`` of
     flattened offset images and residuals, newest last; this call appends
     ``(F, F - S)``.  With ``dR`` and ``dF`` the differences of consecutive
-    residuals and images, the coefficients ``c`` minimize ``||F - S - dR c||``
-    through the normal equations ``(dR dR^T) c = dR (F - S)``, and the next
-    offset is ``F - dF c`` (Walker & Ni, SIAM J. Numer. Anal. 2011).
-    Returns ``(offset, plain)``: the plain step ``(F, True)`` when the
-    history holds no difference yet, or, with the history cleared back to
-    this pair, when the coefficient solve is singular or non-finite.
+    residuals and images, the coefficients ``c`` are the least-squares
+    solution of ``dR^T c = F - S`` of least norm (a rank-revealing solve, so
+    linearly dependent differences are harmless), and the next offset is
+    ``F - dF c`` (Walker & Ni, SIAM J. Numer. Anal. 2011); with no
+    difference in the history yet it is ``F`` itself, the plain step.
     """
     history.append((F.ravel(), (F - S).ravel()))
     del history[:-LABEL_MEMORY - 1]
     if len(history) < 2:
-        return F, True
+        return F
     dF, dR = (np.diff(np.array(h), axis=0) for h in zip(*history))
-    try:
-        c = np.linalg.solve(dR @ dR.T, dR @ history[-1][1])
-    except np.linalg.LinAlgError:
-        c = None
-    if c is None or not np.isfinite(c).all():
-        del history[:-1]
-        return F, True
-    return F - (c @ dF).reshape(F.shape), False
+    c = np.linalg.lstsq(dR.T, history[-1][1], rcond=None)[0]
+    return F - (c @ dF).reshape(F.shape)
 
 
 def _entropic(C0, p, q, lam, solver, Y=None, eta=0.0):
@@ -327,16 +319,14 @@ def _entropic(C0, p, q, lam, solver, Y=None, eta=0.0):
     The class offsets ``S`` (see :func:`sinkhorn_with_labels`) start at
     zero; after each solve the plain fixed-point image ``F = 2 eta Y^T plan``
     and the residual ``F - S`` go to :func:`_anderson`, which returns the
-    next ``S``.  A plan is returned only when its own solve ran at
-    ``SINKHORN_TOL``, at the plain offset ``F`` of the plan before it, and
-    moved that plan by at most ``LABEL_TOL``; when a solve at an
-    extrapolated offset passes the test, the next solve runs at the plain
-    offset to certify it (its pair still joins the history).  With
-    ``eta = 0`` a single full solve is all.  Every
-    :class:`ConvergenceFailure` of both solvers is raised here, naming
-    ``solver`` and carrying the last plan with its counts: a solve that
-    uses up ``SINKHORN_MAX_ITER``, a returned plan with its marginals off
-    by more than ``MARGINAL_TOL``, and a plan still moving after
+    next ``S``.  A plan is returned only with the certificate that
+    :func:`sinkhorn_with_labels` states; a solve at an extrapolated offset
+    that passes its test is followed by one at the plain offset ``F``, whose
+    pair still joins the history.  With ``eta = 0`` a single full solve is
+    all.  Every :class:`ConvergenceFailure` of both solvers is raised here,
+    naming ``solver`` and carrying the last plan with its counts: a solve
+    that uses up ``SINKHORN_MAX_ITER``, a returned plan with its marginals
+    off by more than ``MARGINAL_TOL``, and a plan still moving after
     ``LABEL_MAX_ITER`` solves.  A bad ``lam`` raises :class:`InvalidInput`.
     """
     if not (_finite_real(lam) and lam > 0):
@@ -375,9 +365,10 @@ def _entropic(C0, p, q, lam, solver, Y=None, eta=0.0):
             return plan
         prev = gamma
         F = 2 * eta * (Y.T @ gamma)
-        S, plain = _anderson(history, S, F)
+        S = _anderson(history, S, F)
         if settled:  # certify it with one solve at the plain offset
-            S, plain = F, True
+            S = F
+        plain = S is F
         C = C0 + Y @ S
     raise ConvergenceFailure(
         f"{solver}: plan change {delta:.3e} > tol {LABEL_TOL:.1e} "
@@ -473,14 +464,12 @@ def sinkhorn_with_labels(cost0, p=None, q=None, labels=None, lam=1.0, eta=0.0):
     ``eta * lam`` is large.  So the solver accelerates it: each next ``S``
     is a type-II Anderson extrapolation (Walker & Ni, SIAM J. Numer. Anal.
     2011) over the last ``LABEL_MEMORY`` differences of plain updates and
-    their residuals, from a small linear solve, and falls back to the plain
-    update, its history cleared, when that solve is singular or
-    non-finite.  Each solve after the first is warm-started from the
-    previous solve's scaling vector ``u``.  A solve stops its
-    relative-change test at ``max(SINKHORN_TOL, LABEL_SOLVE_RATIO *
-    min(delta, LABEL_SOLVE_RATIO))``, ``delta`` the last plan change
-    (``inf`` before two solves): inexact inner solves, as in IPOT (Xie et
-    al., UAI 2019).  The returned plan carries the plain iteration's
+    their residuals, its coefficients a small least-squares solution.
+    Each solve after the first is warm-started from the previous solve's
+    scaling vector ``u``.  A solve stops its relative-change test at
+    ``max(SINKHORN_TOL, LABEL_SOLVE_RATIO * min(delta, LABEL_SOLVE_RATIO))``,
+    ``delta`` the last plan change (``inf`` before two solves): inexact
+    inner solves, as in IPOT (Xie et al., UAI 2019).  The returned plan carries the plain iteration's
     certificate: its own solve ran at ``SINKHORN_TOL``, at the plain offset
     ``2 eta Y^T plan`` of the plan before it, and moved that plan by at most
     ``LABEL_TOL`` in infinity norm, within ``LABEL_MAX_ITER`` solves; a plan

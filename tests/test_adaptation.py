@@ -75,7 +75,7 @@ class TestKdeWeights:
 
     def test_matches_direct_kernel_sum(self):
         pts = make_spd(3, 5, seed=3)
-        d2 = np.array([[mf.riemannian_distance(P, Q, squared=True) for Q in pts]
+        d2 = np.array([[mf.riemannian_distance(P, Q) ** 2 for Q in pts]
                        for P in pts])
         # the bandwidth: the median of the 10 pairs i < j
         sigma2 = np.median(d2[np.triu_indices(5, k=1)])
@@ -565,6 +565,13 @@ class TestAdaptPipeline:
                 "<= floor 1.0e-10"
             )
             assert err.value.pipeline_step == step
+
+    def test_uniform_adapt_checks_each_set_once(self, monkeypatch):
+        # the cost stage checks both sets, and the map reuses its checked target
+        names, floor = [], mf._above_floor
+        monkeypatch.setattr(mf, "_above_floor", lambda w, name: names.append(name) or floor(w, name))
+        ad.adapt(make_spd(2, 5, seed=45), make_spd(2, 4, seed=46))
+        assert names.count("source set") == names.count("target set") == 1
 
     def test_kde_with_exact_solver_unsupported(self):
         src = make_spd(2, 5, seed=45)

@@ -481,28 +481,20 @@ class TestSinkhornWithLabels:
         assert np.array_equal(costs[-1], C + Y @ (2 * eta * (Y.T @ plans[-2])))
         assert np.abs(plans[-1] - plans[-2]).max() <= tp.LABEL_TOL
 
-    @pytest.mark.parametrize("coefficients", ["singular", "non-finite"])
-    def test_unusable_coefficients_fall_back_to_the_plain_step(
-        self, monkeypatch, coefficients
-    ):
-        # every Anderson coefficient solve fails, so every step is the plain
-        # one: the solver is the plain fixed-point iteration, solve for solve
-        def solve(a, b):
-            if coefficients == "singular":
-                raise np.linalg.LinAlgError("Singular matrix")
-            return np.full(b.shape, np.nan)
-
-        C, labels = class_structured_cost(3)
-        lam, eta = tp.adaptive_lambda(C), 2.0 * float(np.median(C))
-        want, _, outer = cold_start_labels(C, labels, lam, eta)
-        calls = []
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(a) or solve(a, b))
-        got = tp.sinkhorn_with_labels(C, labels=labels, lam=lam, eta=eta)
-        assert np.abs(got.matrix - want).max() <= 1e-8
-        assert got.outer_iterations == outer
-        # with the history cleared, each solve holds one difference again
-        assert len(calls) == outer - 2
-        assert all(a.shape == (1, 1) for a in calls)
+    def test_dependent_differences_take_the_least_squares_step(self):
+        # equal residual differences make the normal matrix dR dR^T exactly
+        # singular; the least-squares step still extrapolates, history kept
+        rng = np.random.default_rng(4)
+        F = rng.integers(-4, 5, (3, 2, 2)).astype(float)
+        R = np.arange(3)[:, None, None] * rng.integers(1, 5, (2, 2))
+        history = []
+        for k in range(3):
+            S = tp._anderson(history, F[k] - R[k], F[k])
+        dR, dF = (np.diff(X.reshape(3, -1), axis=0) for X in (R, F))
+        c = np.linalg.pinv(dR.T) @ R[2].ravel()
+        assert np.isfinite(S).all() and not np.array_equal(S, F[2])
+        np.testing.assert_allclose(S, F[2] - (c @ dF).reshape(2, 2), rtol=0, atol=1e-12)
+        assert len(history) == 3
 
     @pytest.mark.parametrize("seed", [3, 7, 11])
     def test_loose_intermediate_solves_keep_the_plan(self, monkeypatch, seed):
