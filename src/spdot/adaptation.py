@@ -288,7 +288,7 @@ def adapt(source, target, source_labels=None, config=None):
     -------
     AdaptationResult
         Its ``diagnostics`` are ``{"plan": {...}, "map": {...}}``.  "plan":
-        ``iterations`` and ``outer_iterations`` (see
+        ``iterations`` and ``dual_gradient`` (see
         :class:`~spdot.transport.TransportPlan`; ``None`` for "exact");
         ``marginal_residuals``, the plan's ``[row, col]`` marginal violations
         in infinity norm; ``objective``, ``<plan, C>``; ``lambda_median_cost``,
@@ -347,7 +347,7 @@ def adapt(source, target, source_labels=None, config=None):
 
     plan_info = {
         "iterations": plan.iterations,
-        "outer_iterations": plan.outer_iterations,
+        "dual_gradient": plan.dual_gradient,
         "marginal_residuals": list(plan.marginal_residuals()),
         "objective": plan.objective(cost),
         "lambda_median_cost": lambda_median_cost,

@@ -20,11 +20,11 @@ class NotPositiveDefinite(SpdotError, ValueError):
 
 
 class NumericalFailure(SpdotError, ArithmeticError):
-    """A numerical routine produced unusable values (underflow, no eigensolve)."""
+    """A numerical routine produced unusable values (no eigensolve)."""
 
 
 class ConvergenceFailure(SpdotError, RuntimeError):
-    """An iterative solver hit its iteration cap before reaching tolerance.
+    """An iterative solver stopped before reaching its tolerance.
 
     Carries the last iterate, the residual at which iteration stopped and
     the number of iterations run, so callers can inspect or resume.

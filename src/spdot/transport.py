@@ -5,22 +5,16 @@ Three solvers, all returning a :class:`TransportPlan`:
 * :func:`exact_ot`: unregularized OT for uniform, equal-size marginals,
   solved as a linear assignment problem (the optimal plan is then a scaled
   permutation matrix).
-* :func:`sinkhorn`: entropic regularization solved by Sinkhorn matrix
-  scaling (Cuturi, NeurIPS 2013).
-* :func:`sinkhorn_with_labels`: Sinkhorn plus a class-group penalty on the
-  plan columns, handled by an Anderson-accelerated fixed-point iteration on
-  the penalty's class offsets: repeatedly re-solve Sinkhorn with a cost
-  offset extrapolated from the last per-class column masses, each solve
-  warm-started from the previous one's scaling vector and, but for the
-  last, only as exact as the offset still moves.  Its docstring states the
-  certificate a returned plan carries.  With ``eta = 0`` it is a single
-  Sinkhorn solve.
+* :func:`sinkhorn`: entropic regularization (Cuturi, NeurIPS 2013).
+* :func:`sinkhorn_with_labels`: the same plus a class-group penalty on the
+  plan columns (after Courty et al., TPAMI 2017).
 
-Both entropic solvers run one loop, which checks ``lam`` and raises their
-every :class:`ConvergenceFailure`, a plan with its marginals off included.
+Both entropic problems have one smooth concave dual, which one Newton
+solve maximizes: a fixed number of scaling sweeps, then Newton steps with
+a line search until the dual gradient, which bounds the plan's marginal
+errors, is within ``SINKHORN_TOL`` (see :func:`_entropic`).
 
-Solvers are sequential fixed-point iterations internally; invocations on
-distinct instances are independent and thread-safe.
+Invocations on distinct instances are independent and thread-safe.
 """
 
 import math
@@ -29,32 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidInput, NumericalFailure
-
-# Entries of the Gibbs kernel below this are clamped; a fully clamped row or
-# column means the kernel carries no usable signal at the requested lambda.
-KERNEL_FLOOR = 1e-300
+from .errors import ConvergenceFailure, InvalidInput
 
 # Tolerance for the marginal constraints of a valid plan (infinity norm).
 MARGINAL_TOL = 1e-6
-# Stopping threshold (relative change of the scaling vector) of a full
-# Sinkhorn solve and iteration cap of every solve, a whole number of
-# CHECK_EVERY blocks.  Pipeline costs can put the scaling iteration near its
-# worst-case contraction rate, and desk-scale iterations are microseconds.
-SINKHORN_TOL = 1e-9
-SINKHORN_MAX_ITER = 100000
-# Scaling iterations between two stopping tests; the test costs more than
-# an iteration at desk scale.
-CHECK_EVERY = 10
-# Outer stopping threshold (plan change, infinity norm) and cap of the
-# label solver's fixed-point iteration.
-LABEL_TOL = 1e-8
-LABEL_MAX_ITER = 50
-# An intermediate solve of the label solver stops at this fraction of the
-# last plan change (itself capped at this ratio), never below SINKHORN_TOL.
-LABEL_SOLVE_RATIO = 1e-2
-# Memory of the label solver's Anderson step: the offset differences it combines.
-LABEL_MEMORY = 3
+# Stopping threshold of both entropic solvers: the infinity norm of the
+# gradient of their concave dual, in units of mass.
+SINKHORN_TOL = 1e-13
+# Scaling sweeps that start every entropic solve, and the cap on the Newton
+# steps that follow them.
+WARMUP_SWEEPS = 30
+NEWTON_MAX_STEPS = 100
 
 
 def check_mass(p, size=None, name="mass vector"):
@@ -105,17 +84,17 @@ class CostMatrix:
 class TransportPlan:
     """Nonnegative coupling with prescribed row and column marginals.
 
-    An entropic solver also records its work: ``iterations``, the scaling
-    iterations summed over its solves (a multiple of ``CHECK_EVERY``), and
-    ``outer_iterations``, the number of solves.  Both are ``None`` for
-    :func:`exact_ot`.
+    An entropic solver also records its work: ``iterations``, the Newton
+    steps after its ``WARMUP_SWEEPS`` scaling sweeps, and ``dual_gradient``,
+    the infinity norm of the dual gradient at the plan.  Both are ``None``
+    for :func:`exact_ot`.
     """
 
     matrix: np.ndarray
     source_marginal: np.ndarray
     target_marginal: np.ndarray
     iterations: int | None = None
-    outer_iterations: int | None = None
+    dual_gradient: float | None = None
 
     def validate(self):
         """Check nonnegativity and both marginal constraints.
@@ -236,168 +215,140 @@ def _check_problem(cost, p, q):
     return C, p, q
 
 
-def _gibbs_kernel(C, lam):
-    """Gibbs kernel ``exp(-lam C)`` clamped at ``KERNEL_FLOOR``.
-
-    Raises :class:`NumericalFailure` if a full row or column underflows.
-    """
-    K = np.exp(-lam * C)
-    if not K.min() < KERNEL_FLOOR:  # nothing to clamp
-        return K
-    under = K < KERNEL_FLOOR
-    if under.all(axis=1).any() or under.all(axis=0).any():
-        raise NumericalFailure(
-            f"Gibbs kernel underflowed across a full row/column at lam={lam:.3e}; "
-            "lower lambda"
-        )
-    return np.maximum(K, KERNEL_FLOOR)
-
-
-def _coupling(K, q, u):
-    """The plan ``diag(u) K diag(v)`` with ``v = q / (K^T u)``."""
-    v = q / K.T.dot(u)
-    return u[:, None] * K * v[None, :]
-
-
-def _scale(K, p, q, u, tol):
-    """Sinkhorn scaling of ``K`` started from ``u``.
-
-    With ``K~ = K / p[:, None]`` and ``Kq = K / q[None, :]``, each iteration
-    is ``u = 1 / (K~ (1 / (Kq^T u)))``.  Every ``CHECK_EVERY`` iterations the
-    relative infinity-norm change of ``u`` over the last one is compared
-    with ``tol``; the loop stops there or after ``SINKHORN_MAX_ITER``
-    iterations and returns ``(u, iterations, change)``, ``change`` the last
-    one tested.  A zero entry of ``p`` (``q``) gets a zero scaling, so its
-    plan row (column) is exactly zero.  The iteration is unchanged, bit for
-    bit, from its ``@`` and ``1.0 /`` spelling; bound ``ndarray.dot`` and
-    ``np.reciprocal`` only cut dispatch.
-    """
-    with np.errstate(divide="ignore"):
-        Kt = K / p[:, None]
-        KqT = K.T / q[:, None]
-    if not (p.all() or q.all()):
-        # where both masses vanish, an infinite entry would meet a zero scaling
-        Kt[np.ix_(p == 0, q == 0)] = 0.0
-        KqT[np.ix_(q == 0, p == 0)] = 0.0
-    dot_p, dot_q, rec = Kt.dot, KqT.dot, np.reciprocal
-    it, change = 0, np.inf
-    while it < SINKHORN_MAX_ITER and not change <= tol:
-        for _ in range(CHECK_EVERY - 1):
-            u = rec(dot_p(rec(dot_q(u))))
-        u_new = rec(dot_p(rec(dot_q(u))))
-        # u_new >= 0, so its max is its infinity norm
-        change = float(np.abs(u_new - u).max() / u_new.max())
-        u = u_new
-        it += CHECK_EVERY
-    return u, it, change
-
-
-def _anderson(history, S, F):
-    """Next offset of the label solver: type-II Anderson on ``S -> F``.
-
-    ``history`` holds the last ``LABEL_MEMORY + 1`` pairs ``(F, F - S)`` of
-    flattened offset images and residuals, newest last; this call appends
-    ``(F, F - S)``.  With ``dR`` and ``dF`` the differences of consecutive
-    residuals and images, the coefficients ``c`` are the least-squares
-    solution of ``dR^T c = F - S`` of least norm (a rank-revealing solve, so
-    linearly dependent differences are harmless), and the next offset is
-    ``F - dF c`` (Walker & Ni, SIAM J. Numer. Anal. 2011); with no
-    difference in the history yet it is ``F`` itself, the plain step.
-    """
-    history.append((F.ravel(), (F - S).ravel()))
-    del history[:-LABEL_MEMORY - 1]
-    if len(history) < 2:
-        return F
-    dF, dR = (np.diff(np.array(h), axis=0) for h in zip(*history))
-    c = np.linalg.lstsq(dR.T, history[-1][1], rcond=None)[0]
-    return F - (c @ dF).reshape(F.shape)
-
-
 def _entropic(C0, p, q, lam, solver, Y=None, eta=0.0):
-    """The plan of both entropic solvers: Sinkhorn solves on ``C0 + Y S``.
+    """The plan of both entropic solvers: one Newton solve of their dual.
 
-    The class offsets ``S`` (see :func:`sinkhorn_with_labels`) start at
-    zero; after each solve the plain fixed-point image ``F = 2 eta Y^T plan``
-    and the residual ``F - S`` go to :func:`_anderson`, which returns the
-    next ``S``.  A plan is returned only with the certificate that
-    :func:`sinkhorn_with_labels` states; a solve at an extrapolated offset
-    that passes its test is followed by one at the plain offset ``F``, whose
-    pair still joins the history.  With ``eta = 0`` a single full solve is
-    all.  Every :class:`ConvergenceFailure` of both solvers is raised here,
-    naming ``solver`` and carrying the last plan with its counts: a solve
-    that uses up ``SINKHORN_MAX_ITER``, a returned plan with its marginals
-    off by more than ``MARGINAL_TOL``, and a plan still moving after
-    ``LABEL_MAX_ITER`` solves.  A bad ``lam`` raises :class:`InvalidInput`.
+    The solve runs on the supports of ``p`` and ``q``; a zero mass gets an
+    exactly zero plan row or column.  With ``L = lam C0``, ``K`` classes
+    (one if ``eta = 0``), ``y_i`` the class of source point ``i`` and
+    ``a = 1 / (2 eta lam)`` (0 if ``K = 1``), it maximizes the concave dual
+    (the dual of :func:`sinkhorn_with_labels`, times ``lam``)::
+
+        Psi(F, H) = <F, p> + sum_j q_j mean_k H_kj - sum_ij G_ij
+                    - (a/2) sum_kj (H_kj - mean_k H_kj)^2,
+        G_ij = exp(F_i + H_{y_i j} - L_ij).
+
+    ``G`` is the plan.  The gradient is ``p - G 1`` in ``F`` and ``q/K -
+    Y^T G - a (H - mean_k H)`` in ``H``: its infinity norm bounds the row
+    errors, ``K`` times it the column errors, and ``2 eta`` times it the
+    stationarity of the class offsets ``S = 2 eta Y^T G``.  With one class
+    ``Psi`` is the plain entropic dual, ``H`` the target potential.
+
+    *Start.*  ``F_i = min_j L_ij`` and ``H_j = min_i (L_ij - F_i)`` make
+    every row and column of ``exp(F_i + H_j - L_ij)`` peak at exactly 1, so
+    none underflows; ``WARMUP_SWEEPS`` scaling sweeps on that kernel are
+    absorbed into ``(F, H)``, one row of ``H`` per class.  *Steps.*  Each
+    Newton step solves the Hessian system with every diagonal entry raised
+    by ``1e-12 max_i (G 1)_i`` (a Levenberg floor) through its Schur
+    complement in ``F``.  The ``H`` block has one ``K x K`` block
+    ``diag(Y^T G)_j + a (I - 11^T/K)`` per target, inverted in closed form
+    (Sherman-Morrison), so the complement takes two ``n1 x n2 x n1``
+    products; adding ``mean_i (G 1)_i / n1`` to every entry fixes the gauge
+    ``(F + c, H - c)``.  A step that would move a potential by more than 30
+    is scaled down to 30 (no wider trust region for the quadratic model of
+    ``exp``).  Backtracking by halves then accepts a step by Armijo on
+    ``Psi`` or, where its predicted gain is below the rounding of ``Psi``,
+    if it halves the gradient.  *Stop.*  The plan is returned once the
+    gradient is at most ``SINKHORN_TOL``.  After ``NEWTON_MAX_STEPS`` steps,
+    or when no step is accepted, :class:`ConvergenceFailure` names
+    ``solver``, the steps and the gradient and carries the last plan.  A
+    bad ``lam`` raises :class:`InvalidInput`.
     """
     if not (_finite_real(lam) and lam > 0):
         raise InvalidInput(f"{solver} needs finite lam > 0, got {lam}")
-    n1 = C0.shape[0]
-    C, S, plain, history = C0, 0.0, True, []
-    u = np.full(n1, 1.0 / n1)
-    prev = None
-    delta = np.inf if eta else 0.0  # eta = 0: no offset, one full solve
-    iterations = 0
-    for outer in range(1, LABEL_MAX_ITER + 1):
-        tol = max(SINKHORN_TOL, LABEL_SOLVE_RATIO * min(delta, LABEL_SOLVE_RATIO))
-        K = _gibbs_kernel(C, lam)
-        u, k, change = _scale(K, p, q, u, tol)
-        iterations += k
-        gamma = _coupling(K, q, u)
-        if not change <= tol:  # a NaN change is no convergence either
-            raise ConvergenceFailure(
-                f"{solver}: relative change {change:.3e} > tol {tol:.1e} "
-                f"after {SINKHORN_MAX_ITER} iterations of solve {outer}",
-                last=TransportPlan(gamma, p, q, iterations, outer),
-                residual=change, iterations=iterations,
-            )
-        if prev is not None:
-            delta = float(np.abs(gamma - prev).max())
-        settled = delta <= LABEL_TOL and tol == SINKHORN_TOL
-        if settled and plain:
-            plan = TransportPlan(gamma, p, q, iterations, outer)
-            residual = max(plan.marginal_residuals())
-            if not residual <= MARGINAL_TOL:
-                raise ConvergenceFailure(
-                    f"{solver}: plan marginals off by {residual:.3e} "
-                    f"> tol {MARGINAL_TOL:.1e}",
-                    last=plan, residual=residual, iterations=iterations,
-                )
-            return plan
-        prev = gamma
-        F = 2 * eta * (Y.T @ gamma)
-        S = _anderson(history, S, F)
-        if settled:  # certify it with one solve at the plain offset
-            S = F
-        plain = S is F
-        C = C0 + Y @ S
-    raise ConvergenceFailure(
-        f"{solver}: plan change {delta:.3e} > tol {LABEL_TOL:.1e} "
-        f"after {LABEL_MAX_ITER} outer iterations",
-        last=TransportPlan(gamma, p, q, iterations, outer),
-        residual=delta, iterations=LABEL_MAX_ITER,
-    )
+    p_full, q_full, rows, cols = p, q, p > 0, q > 0
+    p, q = p[rows], q[cols]
+    Y = np.ones((p.size, 1)) if not eta else Y[rows]
+    Y = Y[:, Y.any(axis=0)]
+    y, K = Y.argmax(axis=1), Y.shape[1]
+    same = y[:, None] == y
+    a = 1.0 / (2.0 * eta * lam) if K > 1 else 0.0
+
+    def evaluate(F, H):
+        """``(Psi, gradient norm, plan, row sums, gradient in F, in H)``."""
+        G = np.exp(F[:, None] + H[y] - L)
+        r = G.sum(axis=1)
+        mean = H.mean(axis=0)
+        d = H - mean
+        gF, gH = p - r, q / K - Y.T @ G - a * d
+        value = F @ p + mean @ q - r.sum() - 0.5 * a * (d * d).sum()
+        return value, np.maximum(np.abs(gF).max(), np.abs(gH).max()), G, r, gF, gH
+
+    def direction(G, r, gF, gH):
+        mu = 1e-12 * r.max()
+        m = Y.T @ G + mu
+        e = 1.0 / (m + a)
+        s = a / (m * e).sum(axis=0)
+
+        def solve_h(x):  # the K x K block solves, all targets at once
+            ex = e * x
+            return ex + e * (s * ex.sum(axis=0))
+
+        W = G * e[y]
+        A = -(W @ G.T) * same - (W * s) @ W.T
+        A[np.diag_indices_from(A)] += r + mu
+        A += r.mean() / r.size
+        dF = np.linalg.solve(A, gF - (G * solve_h(gH)[y]).sum(axis=1))
+        dH = solve_h(gH - Y.T @ (G * dF[:, None]))
+        big = max(np.abs(dF).max(), np.abs(dH).max()) / 30.0
+        return (dF / big, dH / big) if big > 1 else (dF, dH)
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        L = lam * C0[np.ix_(rows, cols)]
+        F = L.min(axis=1)
+        H = (L - F[:, None]).min(axis=0)
+        kernel = np.exp(F[:, None] + H - L)
+        u, v = np.ones(p.size), np.ones(q.size)
+        for _ in range(WARMUP_SWEEPS):
+            v = q / (u @ kernel)
+            u = p / (kernel @ v)
+        F += np.log(u)
+        H = np.tile(H + np.log(v), (K, 1))
+        x = evaluate(F, H)
+        steps = 0
+        while not x[1] <= SINKHORN_TOL and steps < NEWTON_MAX_STEPS:
+            value, res, G, r, gF, gH = x
+            dF, dH = direction(G, r, gF, gH)
+            slope = gF @ dF + (gH * dH).sum()
+            noise = 1e-14 * (1.0 + np.abs(F).max() + np.abs(H).max())
+            t = 1.0
+            while t > 1e-9:
+                trial = evaluate(F + t * dF, H + t * dH)
+                if trial[0] >= value + 1e-4 * t * slope or (
+                    t * slope <= noise and trial[1] <= res / 2
+                ):
+                    break
+                t /= 2
+            else:
+                break  # no step accepted
+            F, H, x = F + t * dF, H + t * dH, trial
+            steps += 1
+    gamma = np.zeros(C0.shape)
+    gamma[np.ix_(rows, cols)] = x[2]
+    res = float(x[1])
+    plan = TransportPlan(gamma, p_full, q_full, steps, res)
+    if not res <= SINKHORN_TOL:
+        raise ConvergenceFailure(
+            f"{solver}: dual gradient {res:.3e} not within tol {SINKHORN_TOL:.1e} "
+            f"after {steps} Newton steps (cap {NEWTON_MAX_STEPS})",
+            last=plan, residual=res, iterations=steps,
+        )
+    return plan
 
 
 def sinkhorn(cost, p=None, q=None, lam=1.0):
-    """Entropy-regularized optimal transport via Sinkhorn matrix scaling.
+    """Entropy-regularized optimal transport.
 
     Minimizes ``<G, C> - h(G)/lam`` over couplings ``G`` with marginals
-    ``p`` and ``q``, where ``h`` is the entropy.  Scaling iterations on the
-    Gibbs kernel ``K = exp(-lam * C)``::
-
-        K~ = K / p[:, None];  Kq = K / q[None, :]
-        u <- 1/n1
-        repeat:  u = 1 / (K~ (1 / (Kq^T u)))
-        v = q / (K^T u);  G = diag(u) K diag(v)
-
-    stopping when the relative infinity-norm change of ``u`` over one
-    iteration drops to ``SINKHORN_TOL``, tested every ``CHECK_EVERY``
-    iterations, for at most ``SINKHORN_MAX_ITER`` iterations.  A zero mass
-    gets an exactly zero plan row or column.
+    ``p`` and ``q``, where ``h`` is the entropy.  The plan is ``G_ij =
+    exp(lam (f_i + g_j - C_ij))`` at the maximum of the concave dual
+    ``<f, p> + <g, q> - (1/lam) sum_ij exp(lam (f_i + g_j - C_ij))``, found
+    by :func:`_entropic`: ``WARMUP_SWEEPS`` Sinkhorn scaling sweeps (Cuturi,
+    NeurIPS 2013) on a kernel that cannot underflow, then Newton steps until
+    the dual gradient, which bounds both marginal errors, is at most
+    ``SINKHORN_TOL``.  A zero mass gets an exactly zero plan row or column.
     Larger ``lam`` weakens the entropy term and approaches the unregularized
-    optimum, at the price of a narrower numerical range in ``K``: entries
-    below ``KERNEL_FLOOR`` are clamped, and if an entire row or column
-    underflows the solve is abandoned.
+    optimum, at the price of more Newton steps.
 
     Parameters
     ----------
@@ -410,17 +361,15 @@ def sinkhorn(cost, p=None, q=None, lam=1.0):
     Returns
     -------
     TransportPlan
-        Its ``iterations`` are the scaling iterations, a multiple of
-        ``CHECK_EVERY``, and its ``outer_iterations`` is 1.
+        Its ``iterations`` are the Newton steps, and its ``dual_gradient``
+        the final gradient norm.
 
     Raises
     ------
-    NumericalFailure
-        If a whole kernel row/column underflows; lower ``lam``.
     ConvergenceFailure
-        If ``SINKHORN_MAX_ITER`` is exhausted, or the solve stops with its
-        marginals off by more than ``MARGINAL_TOL``; carries the last plan,
-        the residual and the iteration count.
+        If the gradient is still above ``SINKHORN_TOL`` after
+        ``NEWTON_MAX_STEPS`` steps, or no step is accepted; carries the last
+        plan, the gradient norm as ``residual`` and the step count.
     """
     C, p, q = _check_problem(cost, p, q)
     return _entropic(C, p, q, lam, "sinkhorn")
@@ -450,38 +399,22 @@ def sinkhorn_with_labels(cost0, p=None, q=None, labels=None, lam=1.0, eta=0.0):
     """Sinkhorn transport with a group penalty tied to source class labels.
 
     Adds ``eta * sum_j sum_y ||G(rows(y), j)||_1 ^ 2`` to the entropic
-    objective (after Courty et al., TPAMI 2017).  Sinkhorn solves run on
-    ``cost0 + Y S``, ``Y[i, y] = 1`` iff source point ``i`` has label ``y``,
-    with class offsets ``S`` (classes x targets) that start at zero.  The
-    plain update::
+    objective of :func:`sinkhorn` (after Courty et al., TPAMI 2017).  With
+    ``Y[i, y] = 1`` iff source point ``i`` has label ``y`` and class offsets
+    ``S`` (classes x targets), the penalty is ``max_S <G, Y S> - ||S||^2 /
+    (4 eta)``, so the problem's dual maximizes over ``(f, g, S)``; writing
+    ``h_yj = g_j - S_yj`` and maximizing ``g`` in closed form leaves one
+    smooth concave function of ``f`` and ``h`` (one row per class)::
 
-        S = 2 eta Y^T plan
+        <f, p> + sum_j q_j mean_y h_yj - (1/lam) sum_ij exp(lam (f_i +
+        h_{y_i j} - cost0_ij)) - (1/(4 eta)) sum_j ||h_.j - mean_y h_yj||^2,
 
-    (``Y S`` is the penalty's gradient at the plan: entry ``(i, j)`` is
-    ``2 eta`` times the mass that column ``j`` receives from the class of
-    point ``i``) is gradient ascent with step ``2 eta`` on the concave dual
-    ``D(S) = OT_lam(cost0 + Y S) - ||S||^2 / (4 eta)``, and it cycles once
-    ``eta * lam`` is large.  So the solver accelerates it: each next ``S``
-    is a type-II Anderson extrapolation (Walker & Ni, SIAM J. Numer. Anal.
-    2011) over the last ``LABEL_MEMORY`` differences of plain updates and
-    their residuals, its coefficients a small least-squares solution.
-    Each solve after the first is warm-started from the previous solve's
-    scaling vector ``u``.  A solve stops its relative-change test at
-    ``max(SINKHORN_TOL, LABEL_SOLVE_RATIO * min(delta, LABEL_SOLVE_RATIO))``,
-    ``delta`` the last plan change (``inf`` before two solves): inexact
-    inner solves, as in IPOT (Xie et al., UAI 2019).  The returned plan carries the plain iteration's
-    certificate: its own solve ran at ``SINKHORN_TOL``, at the plain offset
-    ``2 eta Y^T plan`` of the plan before it, and moved that plan by at most
-    ``LABEL_TOL`` in infinity norm, within ``LABEL_MAX_ITER`` solves; a plan
-    that settles at an extrapolated offset costs one more, plain, solve.
-    With ``eta = 0`` the offset never moves and the plan of the single
-    (cold-started) solve is returned, bit-identical to :func:`sinkhorn` on
-    ``cost0``; with a single class the offset is constant per column and
-    the plan is unchanged as well.  The
-    acceleration has no global convergence guarantee, and the inexact
-    solves make its residuals noisy near the fixed point: a slowly
-    converging instance can still use up ``LABEL_MAX_ITER`` solves, and a
-    solve can still hit ``SINKHORN_MAX_ITER``.
+    which :func:`_entropic` maximizes exactly as it does the dual of
+    :func:`sinkhorn`.  At its maximum both marginals hold and ``S = 2 eta
+    Y^T G``, the fixed point of the plain update (re-solving Sinkhorn on
+    ``cost0 + Y S``), which cycles once ``eta * lam`` is large.  With ``eta
+    = 0`` or a single class the last term vanishes, and the plan is
+    :func:`sinkhorn`'s on ``cost0``, bit for bit.
 
     Parameters
     ----------
@@ -497,14 +430,13 @@ def sinkhorn_with_labels(cost0, p=None, q=None, labels=None, lam=1.0, eta=0.0):
     Returns
     -------
     TransportPlan
-        Its ``iterations`` are the scaling iterations summed over all
-        solves, and its ``outer_iterations`` the number of solves.
+        As in :func:`sinkhorn`; ``2 eta`` times its ``dual_gradient`` also
+        bounds ``|S - 2 eta Y^T G|``.
 
     Raises
     ------
     ConvergenceFailure
-        If the plan still moves after ``LABEL_MAX_ITER`` solves, or as in
-        :func:`sinkhorn`; its ``last`` is the last plan, counts included.
+        As in :func:`sinkhorn`.
     """
     C0, p, q = _check_problem(cost0, p, q)
     if not (_finite_real(eta) and eta >= 0):

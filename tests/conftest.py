@@ -14,17 +14,14 @@ import scipy.linalg
 import scipy.optimize
 
 # ``AdaptationConfig`` fields of every (solver, mass) pair that ``adapt``
-# solves.  The exact solver takes only uniform mass.  At its default lambda
-# and eta the label solver converges on small sets only close to its solve
-# cap (48 of 50 solves with uniform mass and 22 with KDE mass on two classes
-# of three 3x3 points), so it gets fixed ones.
+# solves, each at its default lambda and eta.  The exact solver takes only
+# uniform mass.
 SOLVER_MASS = [
     pytest.param({"solver": "exact"}, id="exact"),
     pytest.param({"solver": "sinkhorn"}, id="sinkhorn"),
     pytest.param({"solver": "sinkhorn", "mass": "kde"}, id="sinkhorn-kde"),
-    pytest.param({"solver": "sinkhorn-labels", "lam": 2.0, "eta": 0.1}, id="labels"),
-    pytest.param({"solver": "sinkhorn-labels", "lam": 2.0, "eta": 0.1, "mass": "kde"},
-                 id="labels-kde"),
+    pytest.param({"solver": "sinkhorn-labels"}, id="labels"),
+    pytest.param({"solver": "sinkhorn-labels", "mass": "kde"}, id="labels-kde"),
 ]
 
 

@@ -458,16 +458,16 @@ class TestAdaptPipeline:
         labels = np.array([0, 0, 0, 1, 1, 1])
         res = ad.adapt(src, tgt, config=exact_config())
         assert res.diagnostics["plan"]["iterations"] is None
-        assert res.diagnostics["plan"]["outer_iterations"] is None
+        assert res.diagnostics["plan"]["dual_gradient"] is None
         res = ad.adapt(src, tgt, config=ad.AdaptationConfig(solver="sinkhorn", lam=2.0))
         plan = tp.sinkhorn(res.cost, lam=2.0)
         assert res.diagnostics["plan"]["iterations"] == plan.iterations > 0
-        assert res.diagnostics["plan"]["outer_iterations"] == plan.outer_iterations == 1
+        assert res.diagnostics["plan"]["dual_gradient"] == plan.dual_gradient <= tp.SINKHORN_TOL
         cfg = ad.AdaptationConfig(solver="sinkhorn-labels", lam=2.0, eta=0.1)
         res = ad.adapt(src, tgt, labels, cfg)
         plan = tp.sinkhorn_with_labels(res.cost, labels=labels, lam=2.0, eta=0.1)
-        assert res.diagnostics["plan"]["iterations"] == plan.iterations
-        assert res.diagnostics["plan"]["outer_iterations"] == plan.outer_iterations > 1
+        assert res.diagnostics["plan"]["iterations"] == plan.iterations > 0
+        assert res.diagnostics["plan"]["dual_gradient"] == plan.dual_gradient <= tp.SINKHORN_TOL
 
     def test_plan_marginal_error(self):
         src = make_spd(2, 6, seed=38)
@@ -520,7 +520,7 @@ class TestAdaptPipeline:
         assert ad._row_perplexity(np.eye(4) / 4) == 1.0
 
     def test_bare_sinkhorn_reproduces_default_plan(self):
-        # the default config needs 32 310 scaling iterations on this instance
+        # the default config needs 10 Newton steps on this instance
         src = make_spd(4, 50, seed=0, scale=0.5)
         tgt = make_spd(4, 50, seed=1, scale=0.5)
         res = ad.adapt(src, tgt)
@@ -591,13 +591,19 @@ class TestAdaptPipeline:
         assert err.value.pipeline_step == "plan"
 
     def test_marginal_failure_tagged(self, monkeypatch):
-        # a loosened stopping test leaves the marginals off: a solver failure
-        monkeypatch.setattr(tp, "SINKHORN_TOL", 1e-2)
+        # a solve stopped after one Newton step leaves the marginals off: a
+        # solver failure
+        monkeypatch.setattr(tp, "NEWTON_MAX_STEPS", 1)
         cfg = ad.AdaptationConfig(solver="sinkhorn")
-        with pytest.raises(ConvergenceFailure, match=r"^\[step: plan\] .*marginals off") as err:
+        with pytest.raises(
+            ConvergenceFailure, match=r"^\[step: plan\] sinkhorn: dual gradient"
+        ) as err:
             ad.adapt(make_spd(3, 12, seed=50), make_spd(3, 10, seed=51), config=cfg)
         assert err.value.pipeline_step == "plan"
-        assert isinstance(err.value.last, tp.TransportPlan)
+        plan = err.value.last
+        assert isinstance(plan, tp.TransportPlan)
+        assert err.value.residual == pytest.approx(max(plan.marginal_residuals()), rel=1e-9)
+        assert err.value.residual > tp.SINKHORN_TOL
 
     def test_top_k_exceeding_targets(self):
         src = make_spd(2, 3, seed=48)
