@@ -8,7 +8,6 @@
 # --solver sinkhorn-labels at uniform and KDE mass, on every CPU and on one;
 # both runs must write the same bytes, and each report must show at least
 # one Newton step, a dual gradient within 1e-9 and marginals within 1e-6.
-# The plain fixed-point iteration on the class offsets cycled at n=8.
 set -euo pipefail
 d=$1
 python - "$d/cov_s/covariances.json" "$d/cov48_s/covariances.json" <<'PY'

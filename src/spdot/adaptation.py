@@ -54,8 +54,9 @@ class AdaptationConfig:
         "uniform" or "kde" marginals; a KDE takes its bandwidth from each
         set's own distances (see :func:`kde_weights`).
     top_k : int or None
-        Keep only the k >= 1 largest entries of each plan row (renormalized)
-        before the barycentric mean; ``None`` keeps dense rows.
+        Keep only the k >= 1 largest entries of each plan row, ties to the
+        lowest target index, renormalized; ``None`` keeps dense rows.  Not
+        exact, since entropic plans are dense (the README gives the effect).
 
     The pipeline is deterministic, so no seed is needed to reproduce a run.
 
@@ -156,16 +157,13 @@ def build_cost(source, target):
     return transport.CostMatrix(manifold._sq_distances(src, tgt, "source set", "target set"))
 
 
-def barycentric_map(source, target, plan, top_k=None):
+def barycentric_map(source, target, plan):
     """Send each source point to the plan-weighted Riemannian mean of targets.
 
     Row ``i`` of the plan, renormalized to sum to 1, weights the targets in a
     Fréchet mean that becomes the adapted ``i``-th point; all rows are
-    iterated together and the targets are validated once.  With ``top_k``
-    set, only the k largest entries of the row are kept (renormalized, rest
-    zeroed) before averaging.  That is cheaper but not exact: Sinkhorn plans
-    at the default auto lambda are dense (the README gives the measured
-    effect).  A one-hot row maps straight to the corresponding target.
+    iterated together and the targets are validated once.  A one-hot row
+    maps straight to the corresponding target.
 
     Parameters
     ----------
@@ -174,8 +172,6 @@ def barycentric_map(source, target, plan, top_k=None):
     target : array-like, shape (n2, d, d)
     plan : TransportPlan
         :class:`InvalidInput` if it is anything else.
-    top_k : int or None
-        Must be <= n2 when set.
 
     Returns
     -------
@@ -200,12 +196,12 @@ def barycentric_map(source, target, plan, top_k=None):
         message names the lowest failing row.
     """
     tgt = manifold.check_spd(target, name="target set")
-    return _barycentric_map(len(source), tgt, plan, top_k)
+    return _barycentric_map(len(source), tgt, plan, None)
 
 
 def _barycentric_map(n1, tgt, plan, top_k):
     """:func:`barycentric_map` for ``n1`` source points on a target array
-    ``tgt`` already checked SPD."""
+    ``tgt`` already checked SPD, each row cut to ``AdaptationConfig.top_k``."""
     if not isinstance(plan, transport.TransportPlan):
         raise InvalidInput(f"plan must be a TransportPlan, got {type(plan).__name__}")
     n2 = tgt.shape[0]
@@ -218,15 +214,13 @@ def _barycentric_map(n1, tgt, plan, top_k):
         raise InvalidInput("plan has non-finite entries")
     if (gamma < 0).any():
         raise InvalidInput("plan has negative entries")
-    if top_k is not None and not 1 <= top_k <= n2:
-        raise InvalidInput(f"top_k={top_k} outside [1, {n2}]")
 
     totals = gamma.sum(axis=1)
     if not (totals > 0).all():
         raise InvalidInput(f"plan row {np.argmin(totals > 0)} carries no mass")
     rows = gamma
     if top_k is not None and top_k < n2:
-        drop = np.argpartition(gamma, -top_k, axis=1)[:, :-top_k]
+        drop = np.argsort(-gamma, axis=1, kind="stable")[:, top_k:]
         rows = gamma.copy()
         np.put_along_axis(rows, drop, 0.0, axis=1)
         totals = rows.sum(axis=1)

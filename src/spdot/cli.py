@@ -132,7 +132,7 @@ def cmd_adapt(args):
     for path, ds in ((args.source, source), (args.target, target)):
         if not isinstance(ds, datasets.SpdDataset):
             raise InvalidInput(f"{path}: expected an 'spd' dataset")
-    # each option but --out sets the config field of its name; metric has no flag
+    # each option but --out sets its config field; metric and top_k have no flag
     fields = {f.name for f in dataclasses.fields(AdaptationConfig)}
     config = AdaptationConfig(**{k: v for k, v in vars(args).items() if k in fields})
     labels = source.labels if config.solver == "sinkhorn-labels" else None
@@ -260,7 +260,6 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", type=_auto_or_float)
     p.add_argument("--eta", type=float)
     p.add_argument("--mass", choices=MASSES)
-    p.add_argument("--top-k", type=int)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_adapt)
 

@@ -297,7 +297,7 @@ CONFIG_COV_EUCLIDEAN = "cov-euclidean"
 CONFIG_COV_RIEMANNIAN = "cov-riemannian"
 
 
-def three_config_comparison(seed=0, n=40, channels=5, samples=101, ts=0.01):
+def three_config_comparison(seed=0, n=40):
     """Match paired cosine trials under three cost constructions.
 
     Solves exact transport for (1) flattened raw trials under the squared
@@ -307,7 +307,7 @@ def three_config_comparison(seed=0, n=40, channels=5, samples=101, ts=0.01):
 
     Returns a dict keyed by ``CONFIG_*`` name, in that order.
     """
-    xs, zs = cosine_trials(n=n, channels=channels, samples=samples, ts=ts, seed=seed)
+    xs, zs = cosine_trials(n=n, seed=seed)
     return _compare_configs(xs, zs)
 
 

@@ -151,10 +151,13 @@ def test_empty_stack_elementwise_returns_empty(call):
         lambda: ad.adapt(make_spd(2, 2, seed=1), EMPTY),
         lambda: mf.sq_euclidean_matrix(np.zeros((0, 3)), np.zeros((2, 3))),
         lambda: mf.sq_euclidean_matrix(np.zeros((2, 3)), np.zeros((0, 3))),
+        lambda: ad.mdm_classify(np.eye(2), {}),
+        lambda: tp.uniform_mass(0),
     ],
     ids=["sq_distance_matrix", "sq_distance_matrix_b", "frechet_mean",
          "tangent_coordinates", "kde_weights", "mdm_fit", "adapt_source",
-         "adapt_target", "sq_euclidean_matrix", "sq_euclidean_matrix_b"],
+         "adapt_target", "sq_euclidean_matrix", "sq_euclidean_matrix_b",
+         "mdm_classify", "uniform_mass"],
 )
 def test_empty_stack_set_level_raises(call):
     # exactly InvalidInput: numpy's bare ValueError on an empty reduction
@@ -275,28 +278,24 @@ class TestBarycentricMap:
         assert self.dense_map_peak() < 4 * 2 * 2**20
 
     def test_rejects_bad_target_without_mass(self):
-        # target 2 gets no mass (directly, or after top-k truncation) but
-        # must still be validated
+        # target 2 gets no mass but must still be validated
         tgt = make_spd(2, 3, seed=17)
         tgt[2] = np.diag([1.0, -1.0])
-        src = make_spd(2, 2, seed=18)
-        for gamma, top_k in (
-            ([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]], None),
-            ([[0.3, 0.1, 0.1], [0.1, 0.3, 0.1]], 2),
-        ):
-            plan = tp.TransportPlan(np.array(gamma), None, None)
-            with pytest.raises(NotPositiveDefinite):
-                ad.barycentric_map(src, tgt, plan, top_k=top_k)
+        plan = tp.TransportPlan(np.array([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]), None, None)
+        with pytest.raises(NotPositiveDefinite):
+            ad.barycentric_map(make_spd(2, 2, seed=18), tgt, plan)
 
     def test_negative_plan_entry_rejected(self):
         # so are non-finite entries: an inf one would map its row to that
-        # target, a NaN one would pass for a row without mass; and a bare
-        # array is not a plan
+        # target, a NaN one would pass for a row without mass; a bare array
+        # is not a plan, and neither is one whose shape does not match the sets
         tgt = make_spd(2, 2, seed=19)
         plans = [tp.TransportPlan(np.array([[0.6, bad], [0.0, 0.5]]), None, None)
                  for bad in (-0.1, np.inf, np.nan)] + [np.full((2, 2), 0.25)]
+        plans.append(tp.TransportPlan(np.full((2, 3), 1 / 6), None, None))
         for plan in plans:
-            with pytest.raises(InvalidInput, match="negative|non-finite|TransportPlan") as err:
+            with pytest.raises(InvalidInput,
+                               match="negative|non-finite|TransportPlan|does not match") as err:
                 ad.barycentric_map(make_spd(2, 2, seed=20), tgt, plan)
             assert type(err.value) is InvalidInput
 
@@ -326,7 +325,7 @@ class TestBarycentricMap:
         plan = tp.TransportPlan(gamma, None, None)
         src = make_spd(2, 3, seed=25)
         dense, dense_info = ad.barycentric_map(src, tgt, plan)
-        kfull, kfull_info = ad.barycentric_map(src, tgt, plan, top_k=5)
+        kfull, kfull_info = ad._barycentric_map(3, tgt, plan, 5)
         assert np.abs(dense - kfull).max() <= 1e-10
         assert kfull_info["iterations"] == dense_info["iterations"]
 
@@ -334,9 +333,15 @@ class TestBarycentricMap:
         tgt = make_spd(2, 4, seed=26)
         gamma = np.array([[0.1, 0.2, 0.6, 0.1]])
         plan = tp.TransportPlan(gamma, None, None)
-        out, info = ad.barycentric_map(make_spd(2, 1, seed=27), tgt, plan, top_k=1)
+        out, info = ad._barycentric_map(1, tgt, plan, 1)
         assert np.array_equal(out[0], tgt[2])
         assert info == {"iterations": [0], "residuals": [0.0], "certified_rows": 0}
+        # ties go to the lowest target index
+        plan = tp.TransportPlan(np.array([[0.1, 0.3, 0.3, 0.3]]), None, None)
+        out, _ = ad._barycentric_map(1, tgt, plan, 2)
+        want, _ = ad.barycentric_map(tgt[:1], tgt, tp.TransportPlan(
+            np.array([[0.0, 0.3, 0.3, 0.0]]), None, None))
+        assert np.array_equal(out, want)
 
     def test_rows_match_frechet_mean(self):
         tgt = make_spd(3, 6, seed=32)
@@ -345,7 +350,7 @@ class TestBarycentricMap:
         gamma[2, 4] = 0.7  # one-hot row
         plan = tp.TransportPlan(gamma / gamma.sum(), None, None)
         for top_k in (None, 3):
-            out, info = ad.barycentric_map(make_spd(3, 5, seed=34), tgt, plan, top_k=top_k)
+            out, info = ad._barycentric_map(5, tgt, plan, top_k)
             assert set(info) == {"iterations", "residuals", "certified_rows"}
             for i, row in enumerate(plan.matrix):
                 row = row.copy()
@@ -376,12 +381,6 @@ class TestBarycentricMap:
         plan = tp.TransportPlan(gamma, None, None)
         with pytest.raises(InvalidInput, match="plan row 1 carries no mass"):
             ad.barycentric_map(make_spd(2, 2, seed=29), tgt, plan)
-
-    def test_top_k_bounds(self):
-        tgt = make_spd(2, 3, seed=30)
-        plan = tp.TransportPlan(np.full((2, 3), 1 / 6), None, None)
-        with pytest.raises(InvalidInput):
-            ad.barycentric_map(make_spd(2, 2, seed=31), tgt, plan, top_k=4)
 
 
 def exact_config(**kwargs):
@@ -609,6 +608,16 @@ class TestAdaptPipeline:
         src = make_spd(2, 3, seed=48)
         with pytest.raises(InvalidInput):
             ad.adapt(src, src, config=exact_config(top_k=4))
+
+    def test_top_k_ties_go_to_the_lowest_target(self):
+        # every cost row is constant, so every plan entry is the same
+        src = np.stack([np.eye(2), 3 * np.eye(2)])
+        tgt = np.stack([np.diag([2.0, 1.0]), np.diag([1.0, 2.0])])
+        res = ad.adapt(src, tgt, config=ad.AdaptationConfig(solver="sinkhorn", top_k=1))
+        gamma = res.plan.matrix
+        assert (gamma == gamma[0, 0]).all()
+        assert np.array_equal(res.adapted_source, tgt[gamma.argmax(axis=1)])
+        assert np.array_equal(res.adapted_source, tgt[[0, 0]])
 
     @pytest.mark.parametrize(
         "target, labels, config",

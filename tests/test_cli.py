@@ -107,11 +107,16 @@ class TestAdaptCommand:
         adapted = datasets.load_dataset(out / "adapted.json")
         assert list(adapted.labels) == [0, 0, 1, 1]
 
-    def test_malformed_json_exits_2(self, tmp_path):
+    def test_malformed_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         src = write_spd(tmp_path / "s.json", make_spd(2, 2, seed=7))
         assert main(["adapt", str(bad), src, "--out", str(tmp_path / "o")]) == 2
+        # and a file that does not exist
+        missing = str(tmp_path / "missing.json")
+        assert main(["adapt", missing, src, "--out", str(tmp_path / "o")]) == 2
+        assert f"{missing}: cannot read" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_non_spd_record_exits_2(self, tmp_path, capsys):
         payload = {
@@ -172,10 +177,16 @@ class TestAdaptCommand:
               "trials": [[1, 2], [False, 1]]}, "trial 1 holds False, not a JSON number"),
             ({"kind": "timeseries", "channels": 1, "samples": 2,
               "trials": [[1, 2], [1, 10**400]]}, "trial 1 is not numeric"),
+            ({"kind": "graph", "dim": 2, "matrices": [[1, 0, 0, 1]]},
+             "unknown dataset kind 'graph'"),
+            # every record has the same wrong length, so they form an array
+            ({"kind": "spd", "dim": 2, "matrices": [[1, 0, 0], [1, 0, 0]]},
+             "matrix 0 has 3 entries, expected a flat list of 4"),
         ],
         ids=["list", "string", "string-entry", "object-entry", "nested-record",
              "scalar-record", "string-sample", "short-trial", "numeric-string-entry",
-             "bool-entry", "numeric-string-sample", "bool-sample", "huge-int-sample"],
+             "bool-entry", "numeric-string-sample", "bool-sample", "huge-int-sample",
+             "unknown-kind", "all-records-short"],
     )
     def test_malformed_file_exits_2(self, tmp_path, capsys, payload, named):
         assert run_on_file(tmp_path, payload) == 2
@@ -294,15 +305,11 @@ class TestAdaptCommand:
         assert not (tmp_path / "o").exists()
 
     def test_top_k_flag(self, tmp_path):
+        # the truncation is set only through AdaptationConfig.top_k
         src = write_spd(tmp_path / "s.json", make_spd(5, 5, seed=12))
-        tgt = write_spd(tmp_path / "t.json", make_spd(5, 5, seed=13))
         out = tmp_path / "out"
-        assert main(["adapt", src, tgt, "--solver", "sinkhorn", "--top-k", "2",
-                     "--out", str(out)]) == 0
-        rejected = tmp_path / "rejected"
-        assert main(["adapt", src, tgt, "--solver", "sinkhorn", "--top-k", "9",
-                     "--out", str(rejected)]) == 2
-        assert not rejected.exists()
+        assert main(["adapt", src, src, "--top-k", "2", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_report_carries_rerun_information(self, tmp_path):
         src = write_spd(tmp_path / "s.json", make_spd(5, 4, seed=14))
@@ -391,6 +398,8 @@ class TestToyCommands:
         (["cosine", "--n", "0"], "cosine_trials needs n >= 1"),
         (["cosine", "--channels", "0"], "cosine_trials needs n >= 1"),
         (["cosine", "--samples", "1"], "cosine_trials needs n >= 1"),
+        (["adapt", "s.json", "t.json", "--lambda", "abc"],
+         "lambda must be 'auto' or a number, got 'abc'"),
     ])
     def test_bad_arguments_exit_2(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"
@@ -475,9 +484,15 @@ class TestCosineAndCovariance:
         assert "trial 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_covariance_wrong_kind_exits_2(self, tmp_path):
+    def test_covariance_wrong_kind_exits_2(self, tmp_path, capsys):
         src = write_spd(tmp_path / "s.json", make_spd(2, 2, seed=6))
         assert main(["covariance", src, "--out", str(tmp_path / "o")]) == 2
+        # and adapt given a timeseries file
+        ts = tmp_path / "ts.json"
+        datasets.save_timeseries_dataset(ts, np.ones((2, 2, 3)))
+        assert main(["adapt", str(ts), src, "--out", str(tmp_path / "o")]) == 2
+        assert "expected an 'spd' dataset" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
     def test_unusable_out_exits_2(self, tmp_path, capsys, monkeypatch, sub):

@@ -66,6 +66,8 @@ class TestCongruenceMap:
     def test_requires_spd_positive_part(self):
         with pytest.raises(NotPositiveDefinite):
             ex.CongruenceMap(np.diag([1.0, -1.0]), 0.0)
+        with pytest.raises(InvalidInput, match="positive part must be 2x2"):
+            ex.CongruenceMap(np.eye(3), 0.0)
 
     def test_outputs_spd(self):
         pts = ex.random_spd(2, 5, seed=7)

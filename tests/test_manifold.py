@@ -406,6 +406,31 @@ def test_one_budget_blocks_every_kernel(monkeypatch):
     assert counts == [4, 4, 4]  # 7 rows, 2 per block
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mf.sq_euclidean_matrix(np.zeros((2, 3)), np.zeros((2, 4))),
+         "element sizes differ"),
+        (lambda: mf.paired_sq_distances(make_spd(2, 3, seed=33), make_spd(2, 2, seed=34)),
+         "shape mismatch"),
+    ],
+    ids=["sq_euclidean_matrix", "paired_sq_distances"],
+)
+def test_mismatched_stacks_rejected(call, message):
+    with pytest.raises(InvalidInput, match=message):
+        call()
+
+
+def test_eigensolver_failure_names_its_op(monkeypatch):
+    # injected: numpy 2.4's eigh returns NaNs for a NaN matrix instead of raising
+    def fail(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericalFailure, match="eigendecomposition failed in logm"):
+        mf._eigh(np.full((2, 2), np.nan), op="logm")
+
+
 class TestGeodesic:
     def test_endpoints(self):
         P, Q = make_spd(3, 2, seed=31)

@@ -717,10 +717,11 @@ class TestHardInstances:
 
 class TestPlanValidation:
     def test_negative_entries_rejected(self):
-        gamma = np.array([[0.6, -0.1], [0.0, 0.5]])
-        plan = tp.TransportPlan(gamma, tp.uniform_mass(2), tp.uniform_mass(2))
-        with pytest.raises(InvalidInput):
-            plan.validate()
+        # and a shape that does not match the marginals
+        for gamma in (np.array([[0.6, -0.1], [0.0, 0.5]]), np.full((2, 3), 1 / 6)):
+            plan = tp.TransportPlan(gamma, tp.uniform_mass(2), tp.uniform_mass(2))
+            with pytest.raises(InvalidInput, match="negative|does not match marginals"):
+                plan.validate()
 
     def test_exact_plan_carries_no_counts(self):
         plan = tp.exact_ot(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -743,6 +744,8 @@ class TestPlanValidation:
             tp.check_mass([0.5, 0.5], size=3)
         with pytest.raises(InvalidInput):
             tp.check_mass([np.nan, 1.0])
+        with pytest.raises(InvalidInput, match="1-D"):
+            tp.check_mass([[0.5, 0.5]])
 
     def test_nonfinite_lambda_rejected(self):
         with pytest.raises(InvalidInput):
@@ -757,6 +760,8 @@ class TestPlanValidation:
             tp.CostMatrix(np.array([[1.0, -2.0]]))
         with pytest.raises(InvalidInput):
             tp.CostMatrix(np.array([[np.inf]]))
+        with pytest.raises(InvalidInput, match="2-D"):
+            tp.exact_ot(np.array([1.0, 2.0]))
 
 
 @settings(max_examples=30, deadline=None)
