@@ -18,9 +18,10 @@ One rule in :func:`main` decides: an :class:`InvalidInput` that names no
 pipeline step exits 2, and every other :class:`SpdotError` exits 3.
 A command creates its ``--out`` directory only after its computation
 succeeded, so a rejected or failed run leaves none.  Every command writes a
-``report.json`` echoing its configuration, seeds, and input digests, so any
-run can be reproduced from its report.  Data files are deterministic for a
-fixed seed and reload bit-exactly: a JSON dataset is one line of compact
+``report.json`` echoing its configuration, seeds, and input digests (the
+SHA-256 of the bytes it parsed; an input that is not UTF-8 JSON exits 2), so
+any run can be reproduced from its report.  Data files are deterministic for
+a fixed seed and reload bit-exactly: a JSON dataset is one line of compact
 JSON (see :mod:`spdot.datasets`), and CSV plans and curves write floats with
 17 significant digits.
 """
@@ -72,7 +73,7 @@ def _run(args, compute, write, config=None, inputs=()):
     and ``write(out, result)`` called; that writes the data files and
     returns the report body, whose ``"timings"`` entry, if any, joins
     ``total_s``.  ``report.json`` echoes ``config`` (by default every
-    parsed flag but ``--out``) and the digests of ``inputs``.
+    parsed flag but ``--out``) and, per ``(path, dataset)`` input, its ``sha256``.
     """
     out = Path(args.out)
     for path in (out, *out.parents):
@@ -94,7 +95,7 @@ def _run(args, compute, write, config=None, inputs=()):
         "artifact": {"name": "spdot", "version": __version__},
         "command": args.command,
         "config": config,
-        "inputs": {str(p): {"sha256": datasets.file_digest(p)} for p in inputs},
+        "inputs": {str(p): {"sha256": ds.sha256} for p, ds in inputs},
         **body,
         "timings": timings,
     }
@@ -128,10 +129,11 @@ def _auto_or_float(value):
 
 def cmd_adapt(args):
     """Adapt a source SPD dataset onto a target one."""
-    source, target = map(datasets.load_dataset, (args.source, args.target))
-    for path, ds in ((args.source, source), (args.target, target)):
+    inputs = [(path, datasets.load_dataset(path)) for path in (args.source, args.target)]
+    for path, ds in inputs:
         if not isinstance(ds, datasets.SpdDataset):
             raise InvalidInput(f"{path}: expected an 'spd' dataset")
+    (_, source), (_, target) = inputs
     # each option but --out sets its config field; metric and top_k have no flag
     fields = {f.name for f in dataclasses.fields(AdaptationConfig)}
     config = AdaptationConfig(**{k: v for k, v in vars(args).items() if k in fields})
@@ -149,7 +151,7 @@ def cmd_adapt(args):
 
     return _run(
         args, lambda: adapt(source.matrices, target.matrices, labels, config), write,
-        dataclasses.asdict(config), [args.source, args.target],
+        dataclasses.asdict(config), inputs,
     )
 
 
@@ -237,7 +239,7 @@ def cmd_covariance(args):
 
     return _run(
         args, lambda: experiments.covariances(ds.trials, return_ridges=True), write,
-        {}, [args.timeseries],
+        {}, [(args.timeseries, ds)],
     )
 
 

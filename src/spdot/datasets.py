@@ -38,12 +38,14 @@ from .errors import InvalidInput, SpdotError
 class SpdDataset:
     matrices: np.ndarray  # (n, dim, dim)
     labels: np.ndarray | None = None
+    sha256: str | None = None  # hex digest of the file it was loaded from
 
 
 @dataclass(frozen=True)
 class TimeseriesDataset:
     trials: np.ndarray  # (n, channels, samples)
     labels: np.ndarray | None = None
+    sha256: str | None = None  # hex digest of the file it was loaded from
 
 
 def _check_labels(labels, count, path):
@@ -60,15 +62,19 @@ def _check_labels(labels, count, path):
 def load_dataset(path):
     """Load a dataset file; returns :class:`SpdDataset` or :class:`TimeseriesDataset`.
 
-    Raises :class:`InvalidInput` naming the file and the first offending
-    record on any schema or invariant violation.
+    The file is read once, and the dataset's ``sha256`` is that of its bytes.
+    Raises :class:`InvalidInput` naming the file, and the first offending
+    record, if it cannot be read, is not UTF-8 JSON or breaks the schema.
     """
     path = str(path)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        raw = json.loads(data.decode("utf-8"))
     except OSError as exc:
         raise InvalidInput(f"{path}: cannot read ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
@@ -85,7 +91,8 @@ def load_dataset(path):
         dataset = TimeseriesDataset
     else:
         raise InvalidInput(f"{path}: unknown dataset kind {kind!r}")
-    return dataset(stack, _check_labels(raw.get("labels"), len(stack), path))
+    labels = _check_labels(raw.get("labels"), len(stack), path)
+    return dataset(stack, labels, hashlib.sha256(data).hexdigest())
 
 
 def _size(raw, key, path):
@@ -173,12 +180,3 @@ def save_timeseries_dataset(path, trials, labels=None):
     """Write a ``timeseries`` dataset file."""
     _save(path, "timeseries", ("channels", "samples"), "trials", trials, labels,
           _check_finite)
-
-
-def file_digest(path):
-    """Hex SHA-256 digest of a file's bytes."""
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()

@@ -265,16 +265,20 @@ def covariances(trials, return_ridges=False):
 
     Each matrix is computed on its own; one batched ``eigvalsh`` then finds
     the trials that need the ridge.  Errors name the trial; a trial with a
-    non-finite value raises :class:`InvalidInput`.  With
-    ``return_ridges=True`` also returns the list of ridges added.
+    non-finite value, or of a shape other than trial 0's, raises
+    :class:`InvalidInput`.  With ``return_ridges=True`` also returns the
+    list of ridges added.
     """
-    covs = []
+    covs, shape = [], None
     for i, trial in enumerate(trials):
         X = np.asarray(trial, dtype=float)
         if X.ndim != 2 or X.shape[1] < 2:
             raise InvalidInput(
                 f"trial {i}: covariance needs a (d, M) trial with M >= 2, got {X.shape}"
             )
+        shape = shape or X.shape
+        if X.shape != shape:
+            raise InvalidInput(f"trial {i}: shape {X.shape} differs from trial 0's {shape}")
         if not np.isfinite(X).all():
             raise InvalidInput(f"trial {i} has non-finite values")
         Xc = X - X.mean(axis=1, keepdims=True)

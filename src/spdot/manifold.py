@@ -85,9 +85,9 @@ def check_stack(A, name="stack", dim=None):
 
 def _above_floor(w, name):
     """:class:`NotPositiveDefinite` naming ``name`` unless every eigenvalue in
-    ``w`` (ascending along the last axis) is above ``EPS_PD``."""
+    ``w`` (ascending along the last axis) is above ``EPS_PD``; a NaN is not."""
     wmin = w[..., 0].min(initial=np.inf)
-    if wmin <= EPS_PD:
+    if not wmin > EPS_PD:
         raise NotPositiveDefinite(
             f"{name} has smallest eigenvalue {wmin:.3e} <= floor {EPS_PD:.1e}"
         )
@@ -600,11 +600,11 @@ def _karcher_means(points, weights):
                 break
 
     _each(run, [rows[s:s + block] for s in range(0, rows.size, block)])
-    failed = np.flatnonzero((residuals > MEAN_TOL) | (low <= EPS_PD))
+    failed = np.flatnonzero((residuals > MEAN_TOL) | ~(low > EPS_PD))  # a NaN fails too
     if not failed.size:
         return X, iterations, residuals, certified
     i = failed[0]
-    if low[i] <= EPS_PD:
+    if not low[i] > EPS_PD:
         raise NotPositiveDefinite(
             f"Karcher mean of row {i}: whitened point eigenvalue {low[i]:.3e} "
             f"<= floor {EPS_PD:.1e} at iteration {iterations[i]} "

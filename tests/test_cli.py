@@ -1,5 +1,10 @@
+import collections
 import dataclasses
+import hashlib
 import json
+import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +48,28 @@ def run_on_file(tmp_path, payload):
 def read_report(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+@pytest.fixture(scope="session")
+def _open_counters():
+    """Counters filled by an ``open`` audit hook, which stays for the process."""
+    counters = []
+
+    def count(event, args):
+        if event == "open" and counters and isinstance(args[0], (str, bytes, os.PathLike)):
+            counters[-1][os.fsdecode(args[0])] += 1
+
+    sys.addaudithook(count)
+    return counters
+
+
+@pytest.fixture
+def opens(_open_counters):
+    """Per-path count of every file open (the ``open`` audit event) during the test."""
+    counts = collections.Counter()
+    _open_counters.append(counts)
+    yield counts
+    _open_counters.remove(counts)
 
 
 class TestAdaptCommand:
@@ -192,6 +219,19 @@ class TestAdaptCommand:
         assert run_on_file(tmp_path, payload) == 2
         err = capsys.readouterr().err
         assert str(tmp_path / "bad.json") in err and named in err
+
+    @pytest.mark.parametrize("command", ["adapt", "covariance"])
+    def test_non_utf8_file_exits_2(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"kind": "\xff"}')
+        argv = [command, str(bad)]
+        if command == "adapt":
+            argv.append(write_spd(tmp_path / "s.json", make_spd(2, 2, seed=8)))
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8 text") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "header, named",
@@ -578,6 +618,30 @@ class TestFullRoundTrip:
         ds = datasets.load_dataset(path)
         assert np.array_equal(ds.matrices, pts)
         assert list(ds.labels) == [1, 2, 3, 4]
+        assert ds.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert datasets.SpdDataset(pts).sha256 is None
+
+    def test_each_input_read_once_and_hashed(self, tmp_path, opens):
+        # the report's digest is of the bytes the one read parsed: the
+        # SHA-256 of the file
+        cos = tmp_path / "cos"
+        assert main(["cosine", "--n", "6", "--seed", "3", "--out", str(cos)]) == 0
+        src = write_spd(tmp_path / "s.json", make_spd(3, 5, seed=21))
+        tgt = write_spd(tmp_path / "t.json", make_spd(3, 5, seed=22))
+        runs = {
+            "cov": ["covariance", str(cos / "source_timeseries.json")],
+            "adapted": ["adapt", src, tgt, "--solver", "sinkhorn"],
+        }
+        for name, argv in runs.items():
+            inputs = [a for a in argv[1:] if a.endswith(".json")]
+            opens.clear()
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0
+            assert {p: opens[p] for p in inputs} == {p: 1 for p in inputs}
+            report = read_report(tmp_path / name / "report.json")
+            assert report["inputs"] == {
+                p: {"sha256": hashlib.sha256(Path(p).read_bytes()).hexdigest()}
+                for p in inputs
+            }
 
     @pytest.mark.parametrize(
         "payload",

@@ -258,6 +258,13 @@ class TestCovariance:
             ex.covariances(trials)
         assert type(err.value) is InvalidInput
 
+    def test_unequal_trial_shapes_rejected(self):
+        rng = np.random.default_rng(20)
+        trials = [rng.standard_normal((2, 5)), rng.standard_normal((3, 5))]
+        with pytest.raises(InvalidInput,
+                           match=r"trial 1: shape \(3, 5\) differs from trial 0's \(2, 5\)"):
+            ex.covariances(trials)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_trial_rejected(self, bad):
         with pytest.raises(InvalidInput, match="trial 0 has non-finite"):

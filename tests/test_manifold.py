@@ -431,6 +431,12 @@ def test_eigensolver_failure_names_its_op(monkeypatch):
         mf._eigh(np.full((2, 2), np.nan), op="logm")
 
 
+def test_nan_eigenvalue_fails_the_floor():
+    # eigh returns [nan, 1] here, and nan <= EPS_PD is False
+    with pytest.raises(NotPositiveDefinite, match="x has smallest eigenvalue nan"):
+        mf._eigh(np.array([[np.nan, 0.0], [0.0, 1.0]]), spd="x", op="logm")
+
+
 class TestGeodesic:
     def test_endpoints(self):
         P, Q = make_spd(3, 2, seed=31)
@@ -582,6 +588,26 @@ class TestFrechetMean:
         skewed[0, 0, 1] += 0.1
         with pytest.raises(InvalidInput):
             mf.frechet_mean(skewed, [0.5, 0.5, 0.0])
+
+    def test_nan_whitened_eigenvalue_names_row_and_iteration(self, monkeypatch):
+        # NaN eigenvalues in the second whitened pass, after one Newton step:
+        # the row fails the floor there, not the iteration budget
+        pts = make_spd(3, 6, seed=70)
+        eigh, passes = mf._eigh, []
+
+        def nan_second_pass(M, spd=None, op="matrix function"):
+            w, V = eigh(M, spd, op)
+            if op == "logm":
+                passes.append(op)
+                if len(passes) == 2:
+                    w = np.full_like(w, np.nan)
+            return w, V
+
+        monkeypatch.setattr(mf, "_eigh", nan_second_pass)
+        with pytest.raises(NotPositiveDefinite,
+                           match="row 0: whitened point eigenvalue nan .* at iteration 1 "):
+            mf.frechet_mean(pts)
+        assert len(passes) == 2
 
     def test_convergence_failure_carries_state(self, monkeypatch):
         pts = make_spd(3, 4, seed=58)
