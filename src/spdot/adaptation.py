@@ -152,9 +152,7 @@ def build_cost(source, target):
     :func:`spdot.manifold.check_spd` checks them, and a failure names the
     "source set" or the "target set".
     """
-    src = manifold.check_stack(source, "source set")
-    tgt = manifold.check_stack(target, "target set", src.shape[2])
-    return transport.CostMatrix(manifold._sq_distances(src, tgt, "source set", "target set"))
+    return transport.CostMatrix(manifold._sq_distances(source, target, "source set", "target set"))
 
 
 def barycentric_map(source, target, plan):

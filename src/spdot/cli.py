@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, datasets, experiments, transport
+from . import __version__, datasets, experiments
 from .adaptation import MASSES, SOLVERS, AdaptationConfig, adapt
 from .errors import InvalidInput, SpdotError
 
@@ -184,14 +184,15 @@ def cmd_toy_b(args):
         return experiments.toy_b_search(source, target, grid)
 
     def write(out, search):
-        best_theta, curve, best_plan = search
+        best_theta, curve = search
         rows = [(t, r.recovery_error, r.diagonal_mass, r.objective) for t, r in curve]
         _write_csv(out / "toy_b.csv", rows, _CURVE_HEADER)
+        best = dict(curve)[best_theta]
         return {
             "rows": len(curve),
             "best_theta": best_theta,
-            "best_objective": dict(curve)[best_theta].objective,
-            "best_diagonal_mass": transport.diagonal_mass(best_plan.matrix),
+            "best_objective": best.objective,
+            "best_diagonal_mass": best.diagonal_mass,
             "objective_at_zero": curve[0][1].objective,
         }
 
@@ -238,7 +239,7 @@ def cmd_covariance(args):
         }
 
     return _run(
-        args, lambda: experiments.covariances(ds.trials, return_ridges=True), write,
+        args, lambda: experiments.covariances(ds.trials), write,
         {}, [(args.timeseries, ds)],
     )
 

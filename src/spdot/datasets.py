@@ -77,6 +77,8 @@ def load_dataset(path):
         raise InvalidInput(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise InvalidInput(f"{path}: JSON nested too deeply to parse") from exc
     if not isinstance(raw, dict):
         raise InvalidInput(f"{path}: expected a JSON object, got {type(raw).__name__}")
 

@@ -179,15 +179,16 @@ def toy_b_search(source, target, theta_grid=None):
 
     Rotates the source by each candidate ``U_theta`` (``P -> U P U^T``),
     solves the inner exact transport problem on the Riemannian cost, and
-    returns the angle with the smallest objective along with the full curve
-    and the winning plan.  Only 2x2 inputs are supported, where rotations
-    exhaust the relevant orthogonal directions.
+    returns the first angle with the smallest objective along with the full
+    curve.  Only 2x2 inputs are supported, where rotations exhaust the
+    relevant orthogonal directions.
 
     Returns
     -------
-    (best_theta, curve, best_plan)
-        ``curve`` is a list of ``(theta, MatchReport)``; recovery error is
-        NaN since this study never maps points.  An empty grid raises
+    (best_theta, curve)
+        ``curve`` lists ``(theta, MatchReport)``; ``dict(curve)[best_theta]``
+        holds the best objective and diagonal mass.  Recovery error is NaN,
+        since this study never maps points.  An empty grid raises
         :class:`InvalidInput`.
     """
     src = np.asarray(source, dtype=float)
@@ -198,17 +199,12 @@ def toy_b_search(source, target, theta_grid=None):
     grid = _angles(theta_grid, default)
 
     curve = []
-    best = (None, np.inf, None)
     for theta in grid:
         U = rotation_2d(theta)
         rotated = manifold.sym(np.einsum("ab,ibc,dc->iad", U, src, U))
         cost = manifold.sq_distance_matrix(rotated, tgt)
-        plan = transport.exact_ot(cost)
-        report = _match_report(plan, cost)
-        curve.append((float(theta), report))
-        if report.objective < best[1]:
-            best = (float(theta), report.objective, plan)
-    return best[0], curve, best[2]
+        curve.append((float(theta), _match_report(transport.exact_ot(cost), cost)))
+    return min(curve, key=lambda item: item[1].objective)[0], curve
 
 
 def cosine_trials(n=40, channels=5, samples=101, ts=0.01, seed=0, noise=True):
@@ -254,20 +250,22 @@ def covariance(trial):
     Rows are mean-centered, then ``X X^T / (M - 1)``.  If the smallest
     eigenvalue falls at or below :data:`spdot.manifold.EPS_PD` the matrix
     is repaired with a ridge of ``1e-8 * trace / d``; a matrix still not
-    positive-definite after that is rejected.  :func:`covariances` with
-    ``return_ridges=True`` reports the ridge that was added.
+    positive-definite after that is rejected.  Returns the ``(d, d)``
+    matrix; :func:`covariances` also reports the ridge that was added.
     """
-    return covariances([trial])[0]
+    return covariances([trial])[0][0]
 
 
-def covariances(trials, return_ridges=False):
-    """Covariance of every trial in a stack; see :func:`covariance`.
+@np.errstate(over="ignore", invalid="ignore")  # a check below names every overflow
+def covariances(trials):
+    """``(matrices, ridges)``: each trial's :func:`covariance`, and the ridge added.
 
-    Each matrix is computed on its own; one batched ``eigvalsh`` then finds
-    the trials that need the ridge.  Errors name the trial; a trial with a
-    non-finite value, or of a shape other than trial 0's, raises
-    :class:`InvalidInput`.  With ``return_ridges=True`` also returns the
-    list of ridges added.
+    ``matrices`` is an ``(n, d, d)`` stack whose every matrix passes
+    :func:`spdot.manifold.check_spd`; ``ridges`` lists 0.0 where none was
+    added.  Each matrix is computed on its own; one batched ``eigvalsh`` then
+    finds the trials that need the ridge.  Errors name the trial; a trial with
+    a non-finite value, of a shape other than trial 0's, or whose covariance
+    overflows raises :class:`InvalidInput`.
     """
     covs, shape = [], None
     for i, trial in enumerate(trials):
@@ -282,18 +280,19 @@ def covariances(trials, return_ridges=False):
         if not np.isfinite(X).all():
             raise InvalidInput(f"trial {i} has non-finite values")
         Xc = X - X.mean(axis=1, keepdims=True)
-        covs.append(manifold.sym(Xc @ Xc.T / (X.shape[1] - 1)))
+        C = manifold.sym(Xc @ Xc.T / (X.shape[1] - 1))
+        if not np.isfinite(C).all():
+            raise InvalidInput(f"trial {i}: covariance overflows to non-finite entries")
+        covs.append(C)
     if not covs:
         raise InvalidInput("covariances needs at least one trial, got an empty input")
     covs = np.stack(covs)
     ridges = np.zeros(len(covs))
     for i in np.flatnonzero(np.linalg.eigvalsh(covs)[:, 0] <= manifold.EPS_PD):
         ridges[i] = 1e-8 * np.trace(covs[i]) / covs.shape[-1]
-        covs[i] = covs[i] + ridges[i] * np.eye(covs.shape[-1])
-        manifold._above_floor(
-            np.linalg.eigvalsh(covs[i]), f"trial {i}: covariance after ridge repair"
-        )
-    return (covs, ridges.tolist()) if return_ridges else covs
+        covs[i] += ridges[i] * np.eye(covs.shape[-1])
+        manifold.check_spd(covs[i], f"trial {i}: covariance after ridge repair")
+    return covs, ridges.tolist()
 
 
 CONFIG_RAW_EUCLIDEAN = "raw-euclidean"
@@ -317,8 +316,8 @@ def three_config_comparison(seed=0, n=40):
 
 def _compare_configs(xs, zs):
     """:func:`three_config_comparison` on given trial stacks."""
-    P = covariances(xs)
-    Q = covariances(zs)
+    P, _ = covariances(xs)
+    Q, _ = covariances(zs)
     costs = {
         CONFIG_RAW_EUCLIDEAN: manifold.sq_euclidean_matrix(xs, zs),
         CONFIG_COV_EUCLIDEAN: manifold.sq_euclidean_matrix(P, Q),

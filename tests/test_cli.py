@@ -31,10 +31,11 @@ def read_csv_matrix(path):
 def run_on_file(tmp_path, payload):
     """Exit code of the command that reads ``payload``'s kind, run on it.
 
-    A rejected file must leave no ``--out`` directory.
+    ``payload`` is written as JSON unless it is already bytes.  A rejected
+    file must leave no ``--out`` directory.
     """
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload))
+    bad.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
     if isinstance(payload, dict) and payload.get("kind") == "timeseries":
         argv = ["covariance", str(bad)]
     else:
@@ -209,11 +210,13 @@ class TestAdaptCommand:
             # every record has the same wrong length, so they form an array
             ({"kind": "spd", "dim": 2, "matrices": [[1, 0, 0], [1, 0, 0]]},
              "matrix 0 has 3 entries, expected a flat list of 4"),
+            # json.loads raises RecursionError, not JSONDecodeError
+            (b"[" * 100000 + b"]" * 100000, "JSON nested too deeply to parse"),
         ],
         ids=["list", "string", "string-entry", "object-entry", "nested-record",
              "scalar-record", "string-sample", "short-trial", "numeric-string-entry",
              "bool-entry", "numeric-string-sample", "bool-sample", "huge-int-sample",
-             "unknown-kind", "all-records-short"],
+             "unknown-kind", "all-records-short", "deep-nesting"],
     )
     def test_malformed_file_exits_2(self, tmp_path, capsys, payload, named):
         assert run_on_file(tmp_path, payload) == 2
@@ -572,6 +575,18 @@ class TestCosineAndCovariance:
         assert main(["cosine", "--n", "2", "--ts", "1e307", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "finite ts and phases, got ts=1e+307" in err and "trial 0" not in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_covariance_exits_2(self, tmp_path, capsys):
+        # finite samples whose products overflow: rejected before --out exists
+        path = tmp_path / "ts.json"
+        trials = np.random.default_rng(23).standard_normal((2, 2, 5)) * 1e160
+        datasets.save_timeseries_dataset(path, trials)
+        out = tmp_path / "o"
+        assert main(["covariance", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: trial 0: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_empty_trials_exit_2(self, tmp_path):

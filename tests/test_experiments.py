@@ -115,7 +115,7 @@ class TestToyB:
     def test_self_target_minimizes_at_zero(self):
         src = ex.isotropic_spd_cloud(8, seed=8)
         grid = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-        best_theta, curve, best_plan = ex.toy_b_search(src, src, grid)
+        best_theta, curve = ex.toy_b_search(src, src, grid)
         objs = {theta: rep.objective for theta, rep in curve}
         assert objs[0.0] <= 1e-12
         assert min(objs.values()) >= -1e-15
@@ -124,7 +124,7 @@ class TestToyB:
     def test_two_pi_periodicity(self):
         src = ex.isotropic_spd_cloud(6, seed=9)
         tgt = ex.apply_congruence(ex.CongruenceMap(ex.DEFAULT_T, 0.7), src)
-        _, curve, _ = ex.toy_b_search(src, tgt, [0.9, 0.9 + 2.0 * np.pi])
+        _, curve = ex.toy_b_search(src, tgt, [0.9, 0.9 + 2.0 * np.pi])
         assert curve[0][1].objective == pytest.approx(
             curve[1][1].objective, rel=1e-12
         )
@@ -133,9 +133,9 @@ class TestToyB:
         theta_star = 1.0
         src = ex.isotropic_spd_cloud(20, seed=10)
         tgt = ex.apply_congruence(ex.CongruenceMap(ex.DEFAULT_T, theta_star), src)
-        best_theta, curve, best_plan = ex.toy_b_search(src, tgt)
+        best_theta, curve = ex.toy_b_search(src, tgt)
         objs = dict((round(t, 12), r.objective) for t, r in curve)
-        assert tp.diagonal_mass(best_plan.matrix) == 1.0
+        assert dict(curve)[best_theta].diagonal_mass == 1.0
         # the found angle matches theta_star modulo pi (U and -U conjugate
         # identically), within one grid step
         step = 2.0 * np.pi / ex.TOY_B_GRID_SIZE
@@ -207,7 +207,7 @@ class TestCovariance:
 
     def test_identical_rows_need_ridge(self):
         X = np.tile(np.linspace(0.0, 1.0, 30), (3, 1))
-        C, ridges = ex.covariances([X], return_ridges=True)
+        C, ridges = ex.covariances([X])
         assert ridges[0] > 0
         mf.check_spd(C[0])
         assert np.array_equal(ex.covariance(X), C[0])
@@ -231,7 +231,7 @@ class TestCovariance:
         trials = np.random.default_rng(17).standard_normal((5, 3, 40))
         trials[1] = np.tile(np.linspace(0.0, 1.0, 40), (3, 1))  # needs a ridge
         trials[3, 2] = trials[3, 0]
-        covs, ridges = ex.covariances(trials, return_ridges=True)
+        covs, ridges = ex.covariances(trials)
         for i, X in enumerate(trials):
             # one trial at a time, with the arithmetic of the documented formula
             Xc = X - X.mean(axis=1, keepdims=True)
@@ -244,7 +244,7 @@ class TestCovariance:
             assert ridges[i] == ridge
             assert np.array_equal(ex.covariance(X), C)
         assert [i for i, r in enumerate(ridges) if r > 0] == [1, 3]
-        assert np.array_equal(ex.covariances(trials), covs)
+        assert np.array_equal(ex.covariances(trials)[0], covs)
 
     def test_stack_names_failing_trial(self):
         trials = np.random.default_rng(18).standard_normal((3, 2, 10))
@@ -264,6 +264,18 @@ class TestCovariance:
         with pytest.raises(InvalidInput,
                            match=r"trial 1: shape \(3, 5\) differs from trial 0's \(2, 5\)"):
             ex.covariances(trials)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_covariance_rejected(self):
+        trials = np.random.default_rng(21).standard_normal((3, 2, 5))
+        trials[1] *= 1e160
+        with pytest.raises(InvalidInput, match="trial 1: covariance overflows") as err:
+            ex.covariances(trials)
+        assert type(err.value) is InvalidInput
+        # 40 channels, 5 samples: finite, but the ridge's trace overflows
+        wide = np.random.default_rng(0).standard_normal((1, 40, 5)) * 10**153.6
+        with pytest.raises(InvalidInput, match="trial 0: .* ridge repair has non-finite"):
+            ex.covariances(wide)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_trial_rejected(self, bad):

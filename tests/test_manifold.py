@@ -876,7 +876,8 @@ def whitened_residuals(means, points, W):
 def kde_chain(n, channels, seed):
     """The README chain ``cosine -> covariance x2 -> adapt --mass kde``."""
     xs, zs = experiments.cosine_trials(n=n, channels=channels, seed=seed)
-    return experiments.covariances(xs), experiments.covariances(zs), AdaptationConfig(mass="kde")
+    (src, _), (tgt, _) = experiments.covariances(xs), experiments.covariances(zs)
+    return src, tgt, AdaptationConfig(mass="kde")
 
 
 def spd_pair(dim, mass):
